@@ -15,16 +15,8 @@
 //!   pre-sharding behaviour, isolating the sharding win;
 //! * `PMDK` and `Makalu` — baseline allocators for context.
 //!
-//! With `--service`, a fifth series `NVAlloc-LOG/svc` runs the sharded
-//! config with the allocator service on (`NvConfig::service(true)`):
-//! slab retires and reservoir carves are offloaded to the per-pool
-//! service thread (the pool is wall-clock here, so the dedicated thread
-//! really runs), whose epoch tick also drains idle arenas' remote
-//! queues. The p99/p999 columns are the tail-latency payoff the CI gate
-//! compares against the service-off arm.
-//!
 //! Honours `--threads a,b,c`, `--ops N` (per-thread allocation count),
-//! `--quick`/`--full`/`--factor`, `--service`, and `--json`.
+//! `--quick`/`--full`/`--factor`, and `--json`.
 
 use nvalloc::telemetry::OpKind;
 use nvalloc::NvConfig;
@@ -135,32 +127,6 @@ pub fn run_fig22(scale: &Scale) {
             1 << 18,
         );
         run_series(scale, &mut rep, "fig22_scalability", None, t, ops, &sharded);
-
-        if scale.service {
-            // Same config + the allocator service: the only delta vs the
-            // series above is *who* executes the slow paths.
-            let svc = create_custom(
-                pool_sleep_mb(512),
-                NvConfig::log()
-                    .arenas(t)
-                    .slab_reservoir(RESERVOIR)
-                    .service(true)
-                    .trace(scale.tracing())
-                    .trace_events_per_thread(scale.trace_events())
-                    .timeline(scale.timeline_ns())
-                    .profiling(scale.profile_sample()),
-                1 << 18,
-            );
-            run_series(
-                scale,
-                &mut rep,
-                "fig22_scalability_svc",
-                Some("NVAlloc-LOG/svc"),
-                t,
-                ops,
-                &svc,
-            );
-        }
 
         let single = create_custom(
             pool_sleep_mb(512),

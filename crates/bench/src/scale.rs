@@ -64,11 +64,6 @@ pub struct Scale {
     /// measure the same modelled work (the sanitizer only observes the
     /// persistence stream) but pay its DRAM/atomics overhead.
     pub pmsan: bool,
-    /// Run the allocator-service comparison (`--service`): experiments
-    /// that honour it (currently Fig. 22) add a second NVAlloc series
-    /// built with `NvConfig::service(true)`, so the service-on/off tail
-    /// latencies come from one binary invocation.
-    pub service: bool,
 }
 
 impl Scale {
@@ -152,9 +147,8 @@ impl Scale {
                         args[i].parse().expect("--profile-sample takes a byte period");
                 }
                 "--pmsan" => s.pmsan = true,
-                "--service" => s.service = true,
                 other => panic!(
-                    "unknown flag {other} (try --quick/--full/--threads 1,2,4/--ops 10000/--json out.jsonl/--trace t.json/--trace-events 1000000/--timeline tl.jsonl/--timeline-interval 50000/--profile prof.json/--profile-sample 524288/--save-pool p.heap/--pmsan/--service)"
+                    "unknown flag {other} (try --quick/--full/--threads 1,2,4/--ops 10000/--json out.jsonl/--trace t.json/--trace-events 1000000/--timeline tl.jsonl/--timeline-interval 50000/--profile prof.json/--profile-sample 524288/--save-pool p.heap/--pmsan)"
                 ),
             }
             i += 1;
@@ -317,7 +311,6 @@ impl Default for Scale {
             profile: None,
             profile_sample: 512 << 10,
             pmsan: false,
-            service: false,
         }
     }
 }

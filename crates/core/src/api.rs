@@ -76,8 +76,8 @@ pub trait PmAllocator: Send + Sync + Debug {
     }
 
     /// The sampled heap profile serialized as one JSON object (site
-    /// table, retained-set rows, snapshot ring — see [`crate::prof`]),
-    /// or `None` when profiling is disabled or unsupported. Baselines
+    /// table and retained-set rows — see [`crate::prof`]), or `None`
+    /// when profiling is disabled or unsupported. Baselines
     /// have no profiler and inherit this default.
     fn profile_json(&self) -> Option<String> {
         None

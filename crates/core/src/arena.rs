@@ -22,7 +22,6 @@ use nvalloc_pmem::{PmOffset, PmThread, PmemPool};
 use crate::geometry::GeometryTable;
 use crate::large::VehId;
 use crate::remote::RemoteFreeQueue;
-use crate::service::ServiceQueue;
 use crate::size_class::{ClassId, NUM_CLASSES};
 use crate::slab::VSlab;
 use crate::tcache::TCache;
@@ -254,9 +253,6 @@ pub struct Arena {
     /// Deferred cross-arena frees (volatile bookkeeping only), drained by
     /// owner threads under `inner`.
     pub remote: RemoteFreeQueue,
-    /// Deferred slow-path requests for the allocator service (volatile;
-    /// executed under `inner` by the epoch tick — see [`crate::service`]).
-    pub service: ServiceQueue,
     /// Number of threads currently assigned (least-loaded assignment).
     pub threads: AtomicUsize,
 }
@@ -279,7 +275,6 @@ impl Arena {
             wal_next_micro: AtomicUsize::new(0),
             inner: Mutex::new(ArenaInner::new()),
             remote: RemoteFreeQueue::new(),
-            service: ServiceQueue::new(),
             threads: AtomicUsize::new(0),
         }
     }
@@ -296,7 +291,6 @@ impl Arena {
             wal_next_micro: AtomicUsize::new(0),
             inner: Mutex::new(ArenaInner::new()),
             remote: RemoteFreeQueue::new(),
-            service: ServiceQueue::new(),
             threads: AtomicUsize::new(0),
         }
     }

@@ -264,6 +264,7 @@ impl BookLog {
     /// by carving a fresh one from the region.
     fn acquire_chunk(&mut self, pool: &PmemPool, t: &mut PmThread) -> PmResult<(u32, u32)> {
         if let Some(id) = self.free.pop() {
+            self.unlink_durable(pool, t, id);
             let off = self.chunk_off(id);
             let epoch = (pool.read_u64(off) >> 32) as u32 + 1;
             // Zero the entry area persistently so stale entries can never be
@@ -298,6 +299,31 @@ impl BookLog {
         // find orphaned chunks.
         self.persist_header_word(pool, t, 3, self.carved as u64);
         Ok((id, 1))
+    }
+
+    /// Splice chunk `id` out of the chain recovery would walk, before it
+    /// is zeroed for reuse. Fast GC unlinks reaped chunks from the
+    /// volatile chain only, so a persisted predecessor (or head word)
+    /// may still point at `id`; zeroing it would end that chain there
+    /// and lose every chunk after it. The chain is the one the alt bit
+    /// *as persisted* selects: while slow GC copies, recovery still
+    /// reads the old chain, whatever `self.alt` says. Reads only — no
+    /// PM traffic — unless `id` is found.
+    fn unlink_durable(&self, pool: &PmemPool, t: &mut PmThread, id: u32) {
+        let mut link = self.base + if pool.read_u64(self.base) & 1 == 0 { 8 } else { 16 };
+        // At most `carved` hops, so a damaged chain cannot loop forever.
+        for _ in 0..self.carved {
+            let word = pool.read_u64(link);
+            if word == 0 || word > self.carved as u64 {
+                return;
+            }
+            let next_link = self.chunk_off((word - 1) as u32) + 8;
+            if word - 1 == id as u64 {
+                pool.persist_u64(t, link, pool.read_u64(next_link), FlushKind::BookLog);
+                return;
+            }
+            link = next_link;
+        }
     }
 
     fn link_at_tail(&mut self, pool: &PmemPool, t: &mut PmThread, id: u32, epoch: u32) {
@@ -788,6 +814,56 @@ mod tests {
         assert!(nr.epoch > refs[0].epoch, "epoch must bump on reuse");
     }
 
+    /// Fill three chunks, delete every entry of chunk `victim`, reap it
+    /// with fast GC, append until the reaped chunk is reused, then crash.
+    /// Returns the live addresses and the addresses recovery found.
+    fn reuse_reaped_chunk_then_crash(victim: usize) -> (Vec<u64>, Vec<u64>) {
+        let p = PmemPool::new(
+            PmemConfig::default()
+                .pool_size(8 << 20)
+                .latency_mode(LatencyMode::Off)
+                .crash_tracking(true),
+        );
+        let mut t = p.register_thread();
+        let mut log = BookLog::create(&p, 0, 1 << 20, 6, false, usize::MAX);
+        let mut live = Vec::new();
+        let mut refs = Vec::new();
+        for i in 0..(ENTRIES_PER_CHUNK * 3) as u64 {
+            refs.push(log.append(&p, &mut t, entry(i << 12, 4096)).unwrap());
+            live.push(i << 12);
+        }
+        let doomed = victim * ENTRIES_PER_CHUNK..(victim + 1) * ENTRIES_PER_CHUNK;
+        for r in &refs[doomed.clone()] {
+            log.delete(&p, &mut t, *r).unwrap();
+        }
+        live.drain(doomed);
+        log.fast_gc();
+        assert_eq!(log.free, vec![refs[victim * ENTRIES_PER_CHUNK].chunk]);
+        for i in 1000u64.. {
+            let r = log.append(&p, &mut t, entry(i << 12, 4096)).unwrap();
+            live.push(i << 12);
+            if r.chunk == refs[victim * ENTRIES_PER_CHUNK].chunk {
+                break;
+            }
+        }
+        let reboot = PmemPool::from_crash_image(p.crash());
+        let (_, entries) = BookLog::recover(&reboot, 0, 1 << 20, 6, false, usize::MAX);
+        let mut got: Vec<u64> = entries.iter().map(|(_, e)| e.addr).collect();
+        got.sort_unstable();
+        live.sort_unstable();
+        (live, got)
+    }
+
+    #[test]
+    fn reusing_a_reaped_chunk_keeps_the_chain_behind_it() {
+        // Chunk 1 sits mid-chain; chunk 0 is the one the head word names.
+        for victim in [1, 0] {
+            let (live, got) = reuse_reaped_chunk_then_crash(victim);
+            assert_eq!(live.len(), 2 * ENTRIES_PER_CHUNK + 1);
+            assert_eq!(got, live, "reaped chunk {victim}: recovery must find every live entry");
+        }
+    }
+
     #[test]
     fn slow_gc_compacts_and_relocates() {
         let p = pool();
@@ -1023,6 +1099,54 @@ mod tests {
         for (i, img) in images.into_iter().enumerate() {
             let rp = PmemPool::from_crash_image(img);
             let (_, recovered) = BookLog::recover(&rp, 0, 1 << 20, 1, true, usize::MAX);
+            let mut got: Vec<u64> = recovered.iter().map(|(_, e)| e.addr).collect();
+            got.sort_unstable();
+            assert_eq!(got, want, "image {i}/{n} lost or duplicated entries");
+        }
+        assert_eq!(p.pmsan_total(), 0, "{}", p.pmsan_report().unwrap().to_json());
+    }
+
+    #[test]
+    fn window_enumeration_covers_slow_gc_reusing_a_reaped_chunk() {
+        // Slow GC copies into chunks from the free list. A chunk fast GC
+        // reaped from the middle of the chain is still linked in the old
+        // chain on media, which recovery reads until the alt flip lands:
+        // every crash image across the GC must recover the pre-GC live
+        // set exactly. A small pool keeps the ~500 images cheap.
+        const REGION: usize = 16 << 10;
+        let p = PmemPool::new(
+            PmemConfig::default()
+                .pool_size(REGION)
+                .latency_mode(LatencyMode::Off)
+                .crash_tracking(true)
+                .pmsan(true),
+        );
+        let mut t = p.register_thread();
+        let mut log = BookLog::create(&p, 0, REGION, 1, false, usize::MAX);
+        let mut refs = Vec::new();
+        for i in 0..(ENTRIES_PER_CHUNK * 3) as u64 {
+            refs.push(log.append(&p, &mut t, entry(i << 12, 4096)).unwrap());
+        }
+        for r in &refs[ENTRIES_PER_CHUNK..2 * ENTRIES_PER_CHUNK] {
+            log.delete(&p, &mut t, *r).unwrap();
+        }
+        log.fast_gc();
+        let reaped = refs[ENTRIES_PER_CHUNK].chunk;
+        assert_eq!(log.free, vec![reaped]);
+        let want: Vec<u64> = (0..(ENTRIES_PER_CHUNK * 3) as u64)
+            .filter(|i| !(ENTRIES_PER_CHUNK as u64..2 * ENTRIES_PER_CHUNK as u64).contains(i))
+            .map(|i| i << 12)
+            .collect();
+        p.pmsan_window_begin();
+        let moves = log.slow_gc(&p, &mut t).unwrap();
+        let w = p.pmsan_window_end();
+        assert!(moves.values().any(|r| r.chunk == reaped), "the copy must reuse the reaped chunk");
+        let images = p.pmsan_window_images(&w, usize::MAX);
+        let n = images.len();
+        assert!(n > 2 * ENTRIES_PER_CHUNK, "one image per copy fence at least, got {n}");
+        for (i, img) in images.into_iter().enumerate() {
+            let rp = PmemPool::from_crash_image(img);
+            let (_, recovered) = BookLog::recover(&rp, 0, REGION, 1, false, usize::MAX);
             let mut got: Vec<u64> = recovered.iter().map(|(_, e)| e.addr).collect();
             got.sort_unstable();
             assert_eq!(got, want, "image {i}/{n} lost or duplicated entries");

@@ -140,22 +140,6 @@ pub struct NvConfig {
     /// `fig_frag_timeline`) pin it to `u64::MAX`, which freezes the
     /// demotion threshold at its peak so no extent ever decays.
     pub decay_ms: u64,
-    /// Enable the allocator service ([`crate::service`]): slow-path work
-    /// — slab retires past a full reservoir, reservoir restock carves,
-    /// idle-arena remote-queue drains, incremental booklog slow-GC,
-    /// morph-candidate scans, extent decay, and occupancy-aware shard
-    /// rebalancing — is submitted over per-arena MPSC request queues and
-    /// executed at epoch ticks instead of inline on malloc/free. On
-    /// wall-clock pools ([`nvalloc_pmem::LatencyMode::Sleep`]) a
-    /// dedicated service thread runs the ticks; on virtual-clock pools
-    /// ticks are claimed deterministically at operation boundaries (and
-    /// tests may pump [`crate::NvAllocator::service_step`] directly), so
-    /// crash-matrix and pmsan runs stay reproducible. Off by default.
-    pub service: bool,
-    /// Service epoch-tick interval in **virtual** nanoseconds on
-    /// virtual-clock pools, and in wall-clock nanoseconds for the
-    /// dedicated thread on sleep pools (default 50 µs).
-    pub service_tick_ns: u64,
     /// Heap-profiler sampling period in bytes ([`crate::prof`]); `0`
     /// (the default) disables profiling. When non-zero, roughly one
     /// allocation per `profile_sample_bytes` allocated bytes is sampled:
@@ -198,8 +182,6 @@ impl NvConfig {
             timeline_interval_ns: 0,
             timeline_capacity: 4096,
             decay_ms: 10_000,
-            service: false,
-            service_tick_ns: 50_000,
             profile_sample_bytes: 0,
         }
     }
@@ -335,19 +317,6 @@ impl NvConfig {
         self
     }
 
-    /// Enable/disable the allocator service ([`NvConfig::service`]).
-    pub fn service(mut self, on: bool) -> Self {
-        self.service = on;
-        self
-    }
-
-    /// Set the service epoch-tick interval in nanoseconds
-    /// ([`NvConfig::service_tick_ns`]).
-    pub fn service_tick_ns(mut self, ns: u64) -> Self {
-        self.service_tick_ns = ns.max(1);
-        self
-    }
-
     /// Set the heap-profiler sampling period in bytes
     /// ([`NvConfig::profile_sample_bytes`]; 0 disables profiling).
     pub fn profiling(mut self, sample_bytes: u64) -> Self {
@@ -446,17 +415,6 @@ mod tests {
         assert_eq!(on.timeline_interval_ns, 50_000);
         assert_eq!(on.timeline_capacity, 16);
         assert_eq!(NvConfig::log().timeline_capacity(0).timeline_capacity, 1);
-    }
-
-    #[test]
-    fn service_defaults_off() {
-        let c = NvConfig::log();
-        assert!(!c.service, "service must default off");
-        assert!(c.service_tick_ns > 0);
-        let on = NvConfig::log().service(true).service_tick_ns(10_000);
-        assert!(on.service);
-        assert_eq!(on.service_tick_ns, 10_000);
-        assert_eq!(NvConfig::log().service_tick_ns(0).service_tick_ns, 1);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use nvalloc_pmem::{
-    FlushKind, LatencyMode, PmError, PmOffset, PmResult, PmThread, PmemMode, PmemPool, TracerHandle,
+    FlushKind, PmError, PmOffset, PmResult, PmThread, PmemMode, PmemPool, TracerHandle,
 };
 
 use crate::api::{AllocThread, PmAllocator};
@@ -35,7 +35,6 @@ use crate::morph;
 use crate::observe::{ArenaGauge, ClassGauge, TimelineSample, TimelineSampler};
 use crate::remote::{RemoteFree, SlabGates};
 use crate::rtree::{Owner, RTree};
-use crate::service::{ServiceRequest, ServiceState};
 use crate::shards::ShardedLarge;
 use crate::size_class::{class_size, size_to_class, ClassId, SLAB_SIZE};
 use crate::slab::{flag, SlabHeader, VSlab};
@@ -211,11 +210,6 @@ pub(crate) struct NvInner {
     /// check it against their thread's virtual clock and the boundary
     /// winner records one [`TimelineSample`].
     pub observe: Option<Arc<TimelineSampler>>,
-    /// Allocator service (`NvConfig::service`): epoch-tick claim state
-    /// plus the dedicated-thread lifecycle on wall-clock pools. `None`
-    /// when the service is off — workers then run every slow path
-    /// inline, exactly as before.
-    pub service: Option<ServiceState>,
     /// Sampled heap profiler (`NvConfig::profiling`); `None` when off.
     pub prof: Option<Arc<crate::prof::Prof>>,
 }
@@ -247,7 +241,7 @@ impl NvInner {
                 continue;
             }
             if ai.return_block_to_slab(f.slab, idx) {
-                let _ = self.destroy_or_reserve(t, arena, ai, f.slab);
+                let _ = self.destroy_or_reserve(t, ai, f.slab);
             }
         }
         items.len()
@@ -261,7 +255,6 @@ impl NvInner {
     pub(crate) fn destroy_or_reserve(
         &self,
         t: &mut PmThread,
-        arena: &Arena,
         ai: &mut crate::arena::ArenaInner,
         slab_off: PmOffset,
     ) -> PmResult<()> {
@@ -281,17 +274,6 @@ impl NvInner {
             self.pool.persist_u64(t, slab_off, 0, FlushKind::Meta);
             self.rtree.remove_range(slab_off, SLAB_SIZE);
             ai.reservoir.push((vs.veh, slab_off));
-            Ok(())
-        } else if self.service.is_some() {
-            // Offload the extent release to the allocator service.
-            // Dismantle exactly as a parked reservoir frame first —
-            // scrubbed header, no rtree range — so a crash that loses
-            // the volatile queue leaves only a leak the recovery sweep
-            // reclaims; the deferred `large.free` is pure timing.
-            self.pool.persist_u64(t, slab_off, 0, FlushKind::Meta);
-            self.rtree.remove_range(slab_off, SLAB_SIZE);
-            arena.service.push(ServiceRequest::Retire { veh: vs.veh });
-            self.metrics.bump(Counter::ServiceRequests);
             Ok(())
         } else {
             // large.free re-registers nothing; it removes the range
@@ -332,10 +314,9 @@ impl NvInner {
                     occupancy_hist[d] += 1;
                 }
             }
-            // `remote.len()`'s / `service.len()`'s safety contracts
-            // require the arena lock (held here).
+            // `remote.len()`'s safety contract requires the arena lock
+            // (held here).
             let remote_depth = a.remote.len();
-            let service_depth = a.service.len();
             arenas.push(ArenaGauge {
                 slabs: ai.slabs.len(),
                 occupancy_hist,
@@ -352,7 +333,6 @@ impl NvInner {
                     .collect(),
                 reservoir: ai.reservoir.len(),
                 remote_depth,
-                service_depth,
             });
         }
         // Reservoir frames keep their (header-scrubbed) slab extents
@@ -457,7 +437,6 @@ impl NvAllocator {
         let observe = (cfg.timeline_interval_ns > 0).then(|| {
             Arc::new(TimelineSampler::new(cfg.timeline_interval_ns, cfg.timeline_capacity))
         });
-        let service = cfg.service.then(|| ServiceState::new(cfg.service_tick_ns));
         // The sidelog region sits wholly below the heap (zeroed by the
         // format pass above alongside every other metadata region).
         debug_assert!(layout.prof_base + layout.prof_bytes as u64 <= layout.heap_base);
@@ -478,33 +457,9 @@ impl NvAllocator {
             tracer,
             slab_gates,
             observe,
-            service,
             prof,
         }));
-        alloc.maybe_spawn_service();
         Ok(alloc)
-    }
-
-    /// Start the dedicated service thread — wall-clock
-    /// ([`LatencyMode::Sleep`]) pools only. Virtual-clock and latency-off
-    /// pools keep the epoch tick on the deterministic cooperative path
-    /// (operation boundaries + explicit [`NvAllocator::service_step`]).
-    pub(crate) fn maybe_spawn_service(&self) {
-        if self.0.service.is_some() && self.0.pool.model().mode() == LatencyMode::Sleep {
-            crate::service::spawn(&self.0);
-        }
-    }
-
-    /// Run one service epoch tick synchronously on the calling thread,
-    /// regardless of clock mode or tick schedule, and return the number
-    /// of queued requests completed. This is the explicit test pump of
-    /// the determinism contract (see [`crate::service`]): crash-matrix
-    /// and pmsan suites step the service at chosen points instead of
-    /// racing a background thread. No-op returning 0 when the service
-    /// is off.
-    pub fn service_step(&self) -> u64 {
-        let mut t = self.0.pool.register_thread();
-        crate::service::service_step(&self.0, &mut t)
     }
 
     /// Recover an allocator from an existing (possibly crashed) pool image.
@@ -821,9 +776,6 @@ impl PmAllocator for NvAllocator {
             if self.0.drain_remote(&mut t, a, &mut inner) > 0 && stranded {
                 self.0.metrics.bump(Counter::RemoteDrainForeign);
             }
-            // Pending service requests must not outlive a quiesce either:
-            // execute them now so the heap is truly idle afterwards.
-            crate::service::drain_requests(&self.0, &mut t, a, &mut inner);
         }
         // Draining is volatile, but returning the last block of a slab
         // can retire the frame (persistent header scrub); order any such
@@ -839,11 +791,6 @@ impl PmAllocator for NvAllocator {
     fn exit(&self) {
         let pool = &self.0.pool;
         let mut t = pool.register_thread();
-        // Stop the dedicated service thread (if any) before the sweep:
-        // its epoch ticks must not interleave with the shutdown flushes.
-        if let Some(svc) = &self.0.service {
-            svc.stop();
-        }
         // Flush everything recovery reads: slab headers + bitmaps + index
         // tables (the GC variant never flushed them at runtime), and the
         // root region. These are writeback sweeps — re-flushing lines the
@@ -851,9 +798,6 @@ impl PmAllocator for NvAllocator {
         for a in &self.0.arenas {
             let mut inner = a.inner.lock();
             self.0.drain_remote(&mut t, a, &mut inner);
-            // Execute any still-queued carves/retires so no extent
-            // release is left pending across an orderly shutdown.
-            crate::service::drain_requests(&self.0, &mut t, a, &mut inner);
             for vs in inner.slabs.values() {
                 pool.flush_writeback(&mut t, vs.off, vs.data_offset, FlushKind::Meta);
             }
@@ -986,26 +930,6 @@ impl NvThread {
         let mut cum = self.inner.metrics.hists();
         cum.merge(&self.hists);
         obs.record(sample, &cum);
-    }
-
-    /// Cooperative service hook, run after an operation completes (no
-    /// locks held) and — deliberately — after the op's latency was
-    /// already recorded, so epoch-tick work never lands in the op
-    /// histograms. One relaxed load + branch when the virtual clock
-    /// hasn't crossed the next tick boundary; the single claim winner
-    /// runs [`crate::service::service_step`] inline. Stands down
-    /// entirely when a dedicated service thread paces the ticks.
-    #[inline]
-    fn service_tick(&mut self) {
-        let Some(svc) = &self.inner.service else { return };
-        if svc.threaded() {
-            return;
-        }
-        let now = self.pm.virtual_ns();
-        if !svc.due(now) || !svc.claim(now) {
-            return;
-        }
-        crate::service::service_step(&self.inner, &mut self.pm);
     }
 
     /// Profiler allocation hook: advance the byte countdown and, on a
@@ -1190,14 +1114,6 @@ impl NvThread {
         if batch > 0 {
             if let Some(frame) = ai.reservoir.pop() {
                 inner.metrics.bump(Counter::ReservoirHits);
-                // Low-water restock: below half the batch, ask the
-                // service to carve the next frame off the worker's
-                // critical path, so the reservoir refills without this
-                // thread touching a shard mutex on a future refill.
-                if inner.service.is_some() && ai.reservoir.len() * 2 < batch {
-                    self.arena.service.push(ServiceRequest::Carve);
-                    inner.metrics.bump(Counter::ServiceRequests);
-                }
                 return Ok(frame);
             }
             inner.metrics.bump(Counter::ReservoirMisses);
@@ -1382,7 +1298,7 @@ impl NvThread {
             // Provenance after the commit (prof is a leaf lock; holding
             // the arena lock here is fine), before the slab can retire.
             self.prof_free_hook(addr);
-            self.maybe_destroy_slab(arena, &mut ai, slab_off)?;
+            self.maybe_destroy_slab(&mut ai, slab_off)?;
             return Ok(());
         }
 
@@ -1415,22 +1331,20 @@ impl NvThread {
             inner.metrics.tcache_event(class, TcacheEvent::Flush);
             self.pm.trace(EventKind::TcacheFlush.code(), class as u64, 1);
             if ai.return_block_to_slab(slab_off, idx) {
-                self.maybe_destroy_slab(arena, &mut ai, slab_off)?;
+                self.maybe_destroy_slab(&mut ai, slab_off)?;
             }
         }
         Ok(())
     }
 
     /// Destroy `slab_off` if it is completely free: unregister it and
-    /// reserve or return its extent (or defer the extent release to the
-    /// allocator service). Caller holds `arena`'s lock.
+    /// reserve or return its extent. Caller holds the slab's arena lock.
     fn maybe_destroy_slab(
         &mut self,
-        arena: &Arena,
         ai: &mut crate::arena::ArenaInner,
         slab_off: PmOffset,
     ) -> PmResult<()> {
-        self.inner.destroy_or_reserve(&mut self.pm, arena, ai, slab_off)
+        self.inner.destroy_or_reserve(&mut self.pm, ai, slab_off)
     }
 
     // ----- large path -----
@@ -1563,7 +1477,6 @@ impl AllocThread for NvThread {
         };
         self.pm.trace(EventKind::MallocEnd.code(), r.as_ref().map_or(0, |a| *a), 0);
         self.timeline_tick();
-        self.service_tick();
         r
     }
 
@@ -1595,7 +1508,6 @@ impl AllocThread for NvThread {
         }
         self.pm.trace(EventKind::MallocEnd.code(), r.as_ref().map_or(0, |a| *a), 0);
         self.timeline_tick();
-        self.service_tick();
         r
     }
 
@@ -1617,7 +1529,6 @@ impl AllocThread for NvThread {
         }
         self.pm.trace(EventKind::FreeEnd.code(), addr, 0);
         self.timeline_tick();
-        self.service_tick();
         r
     }
 
@@ -1637,7 +1548,7 @@ impl AllocThread for NvThread {
                 let Some(vs) = ai.slabs.get(&slab_off) else { continue };
                 let Some(idx) = vs.block_index(addr) else { continue };
                 if ai.return_block_to_slab(slab_off, idx) {
-                    let _ = self.maybe_destroy_slab(&arena, &mut ai, slab_off);
+                    let _ = self.maybe_destroy_slab(&mut ai, slab_off);
                 }
             }
         }

@@ -982,15 +982,6 @@ impl LargeAlloc {
 
     // ----- decay -----
 
-    /// One incremental maintenance step, run by the allocator service's
-    /// epoch tick: booklog slow-GC when its dead-bytes threshold has
-    /// been crossed, then the decay schedule — exactly the work a
-    /// worker's slow path would otherwise do inline.
-    pub fn maintain(&mut self, pool: &PmemPool, t: &mut PmThread) -> PmResult<()> {
-        self.maybe_slow_gc(pool, t)?;
-        self.maybe_decay(pool, t)
-    }
-
     /// Run the decay schedule if ≥ 50 ms elapsed since the last tick
     /// (jemalloc's interval, §2.2).
     pub fn maybe_decay(&mut self, pool: &PmemPool, t: &mut PmThread) -> PmResult<()> {

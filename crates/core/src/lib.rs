@@ -67,7 +67,6 @@ mod remote;
 #[cfg(feature = "sched")]
 pub mod remote;
 mod rtree;
-pub mod service;
 mod shards;
 mod size_class;
 mod slab;

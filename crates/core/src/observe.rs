@@ -139,9 +139,6 @@ pub struct ArenaGauge {
     pub reservoir: usize,
     /// Deferred cross-arena frees queued on the remote-free queue.
     pub remote_depth: usize,
-    /// Pending carve/retire requests on the allocator-service queue
-    /// (always 0 with the service off).
-    pub service_depth: usize,
 }
 
 /// Windowed latency quantiles for one [`OpKind`]: the delta of the op
@@ -289,7 +286,6 @@ impl TimelineSample {
             }
             field(out, "],\"reservoir\":", a.reservoir as u64);
             field(out, ",\"remote_depth\":", a.remote_depth as u64);
-            field(out, ",\"service_depth\":", a.service_depth as u64);
             out.push('}');
         }
         out.push_str("],\"latency\":{");
@@ -501,7 +497,6 @@ impl TimelineSampler {
             let mut q = json::JsonObj::new();
             q.field_u64("remote", s.arenas.iter().map(|a| a.remote_depth as u64).sum());
             q.field_u64("reservoir", s.arenas.iter().map(|a| a.reservoir as u64).sum());
-            q.field_u64("service", s.arenas.iter().map(|a| a.service_depth as u64).sum());
             q.field_u64("free_extents", s.shards.iter().map(|g| g.free_extents as u64).sum());
             out.push(counter("queues", q));
             let mut b = json::JsonObj::new();
@@ -595,7 +590,7 @@ mod tests {
         };
         let j = s.to_json();
         assert!(!j.contains('\n'));
-        assert!(j.starts_with("{\"schema_version\":2,\"sample\":3,\"ns\":4000,"));
+        assert!(j.starts_with("{\"schema_version\":3,\"sample\":3,\"ns\":4000,"));
         assert!(j.contains("\"external_frag\":0.25"));
         assert!(j.contains("\"occupancy_hist\":[0,0,0,0,0,0,0,0,0,0]"));
         assert!(j.contains("\"latency\":{\"malloc_small\":{\"count\":0"));

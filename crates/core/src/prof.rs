@@ -71,9 +71,6 @@ const MAX_CROSSINGS: u64 = (1 << (64 - SIZE_BITS)) - 1;
 /// Pseudo size-class id used in the site mix for large (extent) allocations.
 pub const PROF_CLASS_LARGE: usize = 255;
 
-/// Snapshots retained in the periodic service-tick ring.
-const MAX_SNAPSHOTS: usize = 64;
-
 /// Frames hashed per backtrace site (fixed depth keeps tags stable).
 const MAX_FRAMES: usize = 16;
 
@@ -250,19 +247,6 @@ struct LogState {
     dropped: u64,
 }
 
-/// One entry in the periodic service-tick snapshot ring.
-#[derive(Debug, Clone, Copy)]
-pub struct ProfSnapshot {
-    /// Monotonic snapshot index (total snapshots taken so far, 1-based).
-    pub tick: u64,
-    /// Estimated live bytes across all sites at snapshot time.
-    pub live_bytes: u64,
-    /// Estimated live objects across all sites at snapshot time.
-    pub live_objects: u64,
-    /// Number of distinct sites with live bytes.
-    pub sites: u64,
-}
-
 /// One row of the retained-set report captured at `quiesce()`.
 #[derive(Debug, Clone)]
 pub struct RetainedSite {
@@ -281,8 +265,6 @@ struct ProfInner {
     sites: BTreeMap<u64, SiteStats>,
     live: BTreeMap<PmOffset, LiveObj>,
     logs: Vec<LogState>,
-    snapshots: Vec<ProfSnapshot>,
-    snapshot_total: u64,
     retained: Vec<RetainedSite>,
 }
 
@@ -721,30 +703,6 @@ impl Prof {
     // Reporting
     // -----------------------------------------------------------------------
 
-    /// Take a periodic snapshot (driven by the allocator service tick).
-    pub(crate) fn service_snapshot(&self) {
-        let mut inner = self.inner.write().unwrap();
-        let (mut bytes, mut objs, mut nsites) = (0u64, 0u64, 0u64);
-        for s in inner.sites.values() {
-            bytes += s.live_bytes;
-            objs += s.live_objects;
-            if s.live_bytes > 0 {
-                nsites += 1;
-            }
-        }
-        inner.snapshot_total += 1;
-        let snap = ProfSnapshot {
-            tick: inner.snapshot_total,
-            live_bytes: bytes,
-            live_objects: objs,
-            sites: nsites,
-        };
-        if inner.snapshots.len() == MAX_SNAPSHOTS {
-            inner.snapshots.remove(0);
-        }
-        inner.snapshots.push(snap);
-    }
-
     /// Capture the retained-set report: every site still holding
     /// estimated live bytes. Called from `quiesce()`.
     pub(crate) fn mark_retained(&self) {
@@ -795,7 +753,7 @@ impl Prof {
     }
 
     /// Full profile dump as a JSON object: site table (BTreeMap order,
-    /// deterministic), retained-set rows, and the service snapshot ring.
+    /// deterministic) and retained-set rows.
     pub fn json(&self) -> String {
         let inner = self.inner.read().unwrap();
         let mut o = JsonObj::new();
@@ -848,18 +806,6 @@ impl Prof {
         }
         ret.push(']');
         o.field_raw("retained", &ret);
-        let mut snaps = String::from("[");
-        for (i, sn) in inner.snapshots.iter().enumerate() {
-            if i > 0 {
-                snaps.push(',');
-            }
-            snaps.push_str(&format!(
-                "{{\"tick\":{},\"live_bytes_est\":{},\"live_objects_est\":{},\"sites\":{}}}",
-                sn.tick, sn.live_bytes, sn.live_objects, sn.sites
-            ));
-        }
-        snaps.push(']');
-        o.field_raw("snapshots", &snaps);
         o.finish()
     }
 

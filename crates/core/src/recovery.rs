@@ -202,7 +202,6 @@ pub(crate) fn recover(
             cfg.timeline_capacity,
         ))
     });
-    let service = cfg.service.then(|| crate::service::ServiceState::new(cfg.service_tick_ns));
     let prof = (cfg.profile_sample_bytes > 0).then(|| {
         Arc::new(crate::prof::Prof::new(cfg.profile_sample_bytes, layout.prof_base, cfg.arenas))
     });
@@ -220,7 +219,6 @@ pub(crate) fn recover(
         tracer,
         slab_gates,
         observe,
-        service,
         prof,
     }));
     // Provenance-sidelog replay runs after the heap is authoritative:
@@ -235,7 +233,6 @@ pub(crate) fn recover(
         report.prof_records = stats.records;
         report.prof_stale = stats.stale;
     }
-    alloc.maybe_spawn_service();
     Ok((alloc, report))
 }
 

@@ -19,7 +19,7 @@
 //! before the crash (DESIGN.md §9).
 
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 // nvalloc-lint: allow(determinism) — lock wait/hold profiling timestamps only; never feeds persistent state.
 use std::time::Instant;
@@ -68,12 +68,6 @@ pub(crate) struct ShardedLarge {
     wait_hist: AtomicHistogram,
     /// Log₂ histogram of per-acquisition hold times (all shards).
     hold_hist: AtomicHistogram,
-    /// Overflow preference set by [`ShardedLarge::rebalance`]: the
-    /// least-loaded shard by counted acquire/contention score, probed
-    /// right after the hint shard in [`ShardedLarge::shard_order`].
-    /// `usize::MAX` = unset (the allocator service is off) — probe
-    /// order is then exactly the pre-service round-robin.
-    cold_hint: AtomicUsize,
 }
 
 /// A counted shard-lock guard. Dereferences to the shard's
@@ -179,7 +173,6 @@ impl ShardedLarge {
             hold_ns: (0..n).map(|_| AtomicU64::new(0)).collect(),
             wait_hist: AtomicHistogram::default(),
             hold_hist: AtomicHistogram::default(),
-            cold_hint: AtomicUsize::new(usize::MAX),
         }
     }
 
@@ -259,57 +252,12 @@ impl ShardedLarge {
     }
 
     /// Allocation probe order: the hint shard (caller's arena id, wrapped
-    /// to the shard count) first, then the rebalancer's cold shard when
-    /// one has been published, then every other shard ascending —
+    /// to the shard count) first, then every other shard ascending —
     /// round-robin-with-fallback.
     pub fn shard_order(&self, hint: usize) -> impl Iterator<Item = usize> + use<> {
         let n = self.shards.len();
         let h = hint & (n - 1);
-        let cold = self.cold_hint.load(Ordering::Relaxed);
-        let c = (cold < n && cold != h).then_some(cold);
-        std::iter::once(h).chain(c).chain((0..n).filter(move |&i| i != h && Some(i) != c))
-    }
-
-    /// Recompute the overflow preference from the counted per-shard lock
-    /// telemetry: the shard with the lowest acquire/contention score
-    /// becomes the cold shard that [`ShardedLarge::shard_order`] probes
-    /// second. Returns `true` when the preference changed. Called from
-    /// the allocator service's epoch tick; occupancy-aware because a
-    /// shard that keeps losing `try_lock` (or keeps being probed) scores
-    /// itself out of the overflow slot.
-    pub fn rebalance(&self) -> bool {
-        let n = self.shards.len();
-        if n < 2 {
-            return false;
-        }
-        let mut best = 0usize;
-        let mut best_score = u64::MAX;
-        for i in 0..n {
-            // Contended acquisitions cost far more than clean ones;
-            // weight them so a hot-but-rarely-blocked shard still beats
-            // a convoyed one.
-            let score = self.acquires[i].load(Ordering::Relaxed)
-                + 64 * self.contended[i].load(Ordering::Relaxed);
-            if score < best_score {
-                best_score = score;
-                best = i;
-            }
-        }
-        self.cold_hint.swap(best, Ordering::Relaxed) != best
-    }
-
-    /// One incremental maintenance pass over the shards: booklog slow-GC
-    /// where its dead-bytes threshold was crossed, plus the deferred
-    /// extent-decay schedule. `try_lock` only — shards busy serving a
-    /// worker are skipped until the next epoch.
-    pub fn maintain(&self, pool: &PmemPool, t: &mut PmThread) {
-        for s in &self.shards {
-            if let Some(mut g) = s.try_lock() {
-                // Best-effort: a shard whose GC hits OOM just retries
-                // at a later epoch.
-                let _ = g.maintain(pool, t);
-            }
-        }
+        std::iter::once(h).chain((0..n).filter(move |&i| i != h))
     }
 
     /// Free `id` in its owning shard. Ids with an out-of-range shard

@@ -1,7 +1,7 @@
 //! Atomic indirection for the lock-free metadata paths.
 //!
-//! The five modules with lock-free cross-thread protocols (`remote`,
-//! `rtree`, `service`, `observe`, `global`) import their atomics from
+//! The four modules with lock-free cross-thread protocols (`remote`,
+//! `rtree`, `observe`, `global`) import their atomics from
 //! here instead of `std::sync::atomic`. In normal builds these are
 //! exactly the `std` types. Under `--features sched` they are the
 //! schedule-explorer shims from `nvalloc-sched`: API-compatible
@@ -19,9 +19,9 @@
 //! exploration a conflicting unordered pair fails the schedule hard.
 
 #[cfg(feature = "sched")]
-pub use nvalloc_sched::shim::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize};
+pub use nvalloc_sched::shim::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize};
 #[cfg(not(feature = "sched"))]
-pub use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize};
+pub use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize};
 
 pub use std::sync::atomic::Ordering;
 

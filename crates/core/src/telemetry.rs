@@ -304,19 +304,9 @@ pub enum Counter {
     LockWaitNs,
     /// Wall-clock nanoseconds instrumented mutexes were held.
     LockHoldNs,
-    /// Slow-path requests submitted to the allocator service's per-arena
-    /// queues (retires past a full reservoir, restock carves).
-    ServiceRequests,
-    /// Service requests executed to completion by an epoch tick.
-    ServiceCompletions,
-    /// Service epoch ticks executed (cooperative or threaded).
-    ServiceTicks,
-    /// Occupancy-aware large-shard rebalance decisions that changed the
-    /// overflow-shard preference.
-    ServiceRebalances,
 }
 
-const NUM_COUNTERS: usize = 23;
+const NUM_COUNTERS: usize = 19;
 const TCACHE_EVENTS: usize = 4;
 
 /// A lock-free log2-bucketed histogram: the shared-atomic counterpart of
@@ -492,10 +482,6 @@ impl CoreMetrics {
         s.reservoir_misses = c(Counter::ReservoirMisses);
         s.lock_wait_ns = c(Counter::LockWaitNs);
         s.lock_hold_ns = c(Counter::LockHoldNs);
-        s.service_requests = c(Counter::ServiceRequests);
-        s.service_completions = c(Counter::ServiceCompletions);
-        s.service_ticks = c(Counter::ServiceTicks);
-        s.service_rebalances = c(Counter::ServiceRebalances);
         s.lock_wait_hist = self.lock_wait.snapshot();
         s.lock_hold_hist = self.lock_hold.snapshot();
         s.hists = *self.hists.lock();
@@ -539,9 +525,11 @@ impl TcacheClassCounters {
 /// detect format changes; bump it whenever a field is renamed, removed,
 /// or changes meaning (pure additions may keep the version).
 ///
-/// History: 1 = PR 6 (metrics + timeline), 2 = PR 9 (explicit
-/// `schema_version` field everywhere + profiler fields/dumps).
-pub const SCHEMA_VERSION: u64 = 2;
+/// History: 1 = metrics + timeline; 2 = explicit `schema_version` field
+/// everywhere + profiler fields/dumps; 3 = the slow-path offload thread
+/// removed, taking its four metrics counters, the per-arena queue-depth
+/// timeline gauge, and the profile dump's `snapshots` ring with it.
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// A point-in-time copy of the allocator's internal metrics, cheap to
 /// diff between benchmark phases with [`MetricsSnapshot::since`].
@@ -616,15 +604,6 @@ pub struct MetricsSnapshot {
     pub lock_wait_ns: u64,
     /// Wall-clock nanoseconds instrumented mutexes were held.
     pub lock_hold_ns: u64,
-    /// Slow-path requests submitted to the allocator service's per-arena
-    /// queues ([`crate::service`]).
-    pub service_requests: u64,
-    /// Service requests executed to completion by an epoch tick.
-    pub service_completions: u64,
-    /// Service epoch ticks executed.
-    pub service_ticks: u64,
-    /// Shard-rebalance decisions that changed the overflow preference.
-    pub service_rebalances: u64,
     /// Histogram of per-acquisition lock wait times (wall-clock ns).
     pub lock_wait_hist: LatencyHistogram,
     /// Histogram of per-acquisition lock hold times (wall-clock ns).
@@ -738,12 +717,6 @@ impl MetricsSnapshot {
             reservoir_misses: self.reservoir_misses.saturating_sub(earlier.reservoir_misses),
             lock_wait_ns: self.lock_wait_ns.saturating_sub(earlier.lock_wait_ns),
             lock_hold_ns: self.lock_hold_ns.saturating_sub(earlier.lock_hold_ns),
-            service_requests: self.service_requests.saturating_sub(earlier.service_requests),
-            service_completions: self
-                .service_completions
-                .saturating_sub(earlier.service_completions),
-            service_ticks: self.service_ticks.saturating_sub(earlier.service_ticks),
-            service_rebalances: self.service_rebalances.saturating_sub(earlier.service_rebalances),
             lock_wait_hist: self.lock_wait_hist.since(&earlier.lock_wait_hist),
             lock_hold_hist: self.lock_hold_hist.since(&earlier.lock_hold_hist),
             trace_events: self.trace_events.saturating_sub(earlier.trace_events),
@@ -845,10 +818,6 @@ impl MetricsSnapshot {
         o.field_u64("reservoir_misses", self.reservoir_misses);
         o.field_u64("lock_wait_ns", self.lock_wait_ns);
         o.field_u64("lock_hold_ns", self.lock_hold_ns);
-        o.field_u64("service_requests", self.service_requests);
-        o.field_u64("service_completions", self.service_completions);
-        o.field_u64("service_ticks", self.service_ticks);
-        o.field_u64("service_rebalances", self.service_rebalances);
         o.field_u64("trace_events", self.trace_events);
         o.field_u64("trace_dropped", self.trace_dropped);
         o.field_u64("booklog_appends", self.booklog_appends);

@@ -17,7 +17,7 @@
 //!   `crates/core/src` non-test code: recovery and replay must be
 //!   deterministic. Deliberate uses (lock-profiling telemetry) carry a
 //!   waiver comment.
-//! * `sched-ordering` — every `Ordering::Relaxed` in the five lock-free
+//! * `sched-ordering` — every `Ordering::Relaxed` in the four lock-free
 //!   metadata modules (the ones the `sched` feature routes through the
 //!   schedule explorer) must carry a `// sched: ordering-ok(<reason>)`
 //!   comment on the same line or within the two preceding non-empty
@@ -55,7 +55,6 @@ const PERSISTENCE_ALLOWLIST: &[&str] = &[
     "morph.rs",
     "prof.rs",
     "recovery.rs",
-    "service.rs",
     "slab.rs",
     "wal.rs",
 ];
@@ -80,8 +79,7 @@ const DETERMINISM_TOKENS: &[&str] = &["std::time", "use rand", "rand::"];
 /// The lock-free metadata modules the `sched` feature instruments; every
 /// `Ordering::Relaxed` here must justify itself with a
 /// `// sched: ordering-ok(<reason>)` comment (see DESIGN.md §16).
-const SCHED_ORDERING_MODULES: &[&str] =
-    &["remote.rs", "rtree.rs", "service.rs", "observe.rs", "global.rs"];
+const SCHED_ORDERING_MODULES: &[&str] = &["remote.rs", "rtree.rs", "observe.rs", "global.rs"];
 
 #[derive(Debug)]
 struct Violation {
@@ -774,7 +772,7 @@ mod tests {
     #[test]
     fn sched_ordering_flagged_and_justified() {
         let bare = "fn f(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }\n";
-        // Only the five instrumented modules are in scope.
+        // Only the four instrumented modules are in scope.
         let v = lint_str("crates/core/src/remote.rs", bare);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "sched-ordering");
@@ -785,7 +783,7 @@ mod tests {
             "fn f(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); } // sched: ordering-ok(stat counter)\n";
         assert!(lint_str("crates/core/src/rtree.rs", same).is_empty());
         let above = "fn f(c: &AtomicU64) {\n    // sched: ordering-ok(ticket; no payload)\n    c.fetch_add(1, Ordering::Relaxed);\n}\n";
-        assert!(lint_str("crates/core/src/service.rs", above).is_empty());
+        assert!(lint_str("crates/core/src/remote.rs", above).is_empty());
         // An empty reason does not count; the generic waiver still works.
         let empty = "fn f(c: &AtomicU64) {\n    // sched: ordering-ok()\n    c.fetch_add(1, Ordering::Relaxed);\n}\n";
         assert_eq!(lint_str("crates/core/src/observe.rs", empty).len(), 1);

@@ -7,14 +7,14 @@
 //! pmsan (crates/pmem) systematically checks *persist ordering* — which
 //! crash images a sequence of stores/flushes/fences can leave behind.
 //! Nothing checked *thread interleaving*: the Treiber remote-free
-//! queues, the CAS-install rtree, the service request queue, the
-//! observatory tick-claim, and the GlobalAlloc slot-directory handshake
-//! were exercised only by stress tests. This crate closes that gap:
+//! queues, the CAS-install rtree, the observatory tick-claim, and the
+//! GlobalAlloc slot-directory handshake were exercised only by stress
+//! tests. This crate closes that gap:
 //!
 //! 1. **Shim atomics** ([`shim`]): drop-in `Atomic{Bool,U32,U64,Usize,
 //!    Ptr}` that insert a schedule point before every operation and feed
 //!    a vector-clock engine with the happens-before effect the declared
-//!    `Ordering` actually provides. Under `--features sched`, the five
+//!    `Ordering` actually provides. Under `--features sched`, the four
 //!    core modules route their atomics through these (via
 //!    `nvalloc::sync`); without a live exploration they are passthrough.
 //! 2. **Cooperative runtime** ([`rt`]): real OS threads, exactly one

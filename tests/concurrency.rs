@@ -1,7 +1,9 @@
 //! Concurrency tests for the scalable free path: the lock-free local
 //! fast path (zero mutex acquisitions for tcache-bound frees), an
 //! 8-thread mixed-size stress with cross-thread handoff over
-//! `std::sync::mpsc`, and crash recovery with remote frees still queued.
+//! `std::sync::mpsc`, crash recovery with remote frees still queued, and
+//! `quiesce()` draining the remote queue of an arena whose threads all
+//! exited.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -13,6 +15,12 @@ use nvalloc_pmem::{LatencyMode, PmemConfig, PmemPool};
 
 fn pool_mb(mb: usize) -> Arc<PmemPool> {
     PmemPool::new(PmemConfig::default().pool_size(mb << 20).latency_mode(LatencyMode::Off))
+}
+
+fn virtual_pool(mb: usize, pmsan: bool) -> Arc<PmemPool> {
+    PmemPool::new(
+        PmemConfig::default().pool_size(mb << 20).latency_mode(LatencyMode::Virtual).pmsan(pmsan),
+    )
 }
 
 /// A same-thread free landing in a non-full tcache takes zero mutex
@@ -205,4 +213,38 @@ fn crash_mid_remote_free_recovers_gc() {
         t.malloc_to(300, ralloc.root_offset(i)).unwrap();
     }
     assert!(ralloc.live_bytes() > 0);
+}
+
+/// An arena whose threads have all exited has no malloc slow path left
+/// to drain its remote-free queue; `quiesce()` must be the foreign drain
+/// of last resort and count it as such.
+#[test]
+fn quiesce_drains_stranded_remote_queue_of_exited_thread() {
+    let pool = virtual_pool(96, false);
+    let alloc = NvAllocator::create(Arc::clone(&pool), NvConfig::log().arenas(2).roots(8)).unwrap();
+    // Least-loaded assignment pins t0 to arena 0 and t1 to arena 1.
+    let mut t0 = alloc.thread();
+    let mut t1 = alloc.thread();
+    let addr = t0.malloc_to(64, alloc.root_offset(0)).unwrap();
+    assert_ne!(addr, 0);
+    // Arena 0 now has zero registered threads; a foreign free of its
+    // block lands on its remote queue, and with the owner gone nothing
+    // ever drains it on a malloc slow path.
+    drop(t0);
+    t1.free_from(alloc.root_offset(0)).unwrap();
+    drop(t1);
+    let before = alloc.metrics();
+    assert_eq!(before.free_remote, 1, "the foreign free must have taken the remote path");
+    assert_eq!(before.remote_drain_foreign, 0, "nothing drained it yet");
+    alloc.quiesce();
+    let after = alloc.metrics();
+    assert_eq!(
+        after.remote_drain_foreign,
+        before.remote_drain_foreign + 1,
+        "quiesce must count the stranded-queue drain as a foreign drain"
+    );
+    assert_eq!(alloc.live_bytes(), 0);
+    // The queue is empty now: a second quiesce finds nothing stranded.
+    alloc.quiesce();
+    assert_eq!(alloc.metrics().remote_drain_foreign, after.remote_drain_foreign);
 }

@@ -510,3 +510,79 @@ fn crash_during_recovery_is_recoverable() {
     assert_eq!(a2.live_bytes(), 0);
     pmsan_clean(&reboot, "double recovery");
 }
+
+/// Long seeded extent churn at the shipped defaults (auto-sized large
+/// shards, booklog GC on): 16 KiB–4 MiB requests, most under 256 KiB,
+/// under a 40 MiB live cap. Enough ops for fast GC to reap booklog
+/// chunks that later appends reuse and for slow GC to run between. A
+/// crash must bring back every live extent, covering its request.
+#[test]
+fn long_large_extent_churn_recovers_every_live_extent() {
+    const OPS: usize = 50_000;
+    const SLOTS: usize = 1024;
+    const LIVE_CAP: usize = 40 << 20;
+    let pool = PmemPool::new(
+        PmemConfig::default()
+            .pool_size(112 << 20)
+            .latency_mode(LatencyMode::Off)
+            .crash_tracking(true)
+            .pmsan(true),
+    );
+    let alloc = NvAllocator::create(Arc::clone(&pool), NvConfig::log()).unwrap();
+    let mut t = alloc.thread();
+    let mut rng = SmallRng::seed_from_u64(0x5eed_0e47);
+    let mut live = vec![0usize; SLOTS];
+    let mut live_bytes = 0usize;
+    let mut frees = 0usize;
+    for _ in 0..OPS {
+        let slot = rng.gen_range(0..SLOTS);
+        let size = {
+            let shift =
+                if rng.gen_bool(0.85) { rng.gen_range(14..18) } else { rng.gen_range(18..22) };
+            rng.gen_range(1usize << shift..2usize << shift)
+        };
+        // A live slot is freed; over the cap, the next live slot is.
+        let victim = if live[slot] > 0 {
+            Some(slot)
+        } else if live_bytes + size > LIVE_CAP {
+            (1..SLOTS).map(|d| (slot + d) % SLOTS).find(|&s| live[s] > 0)
+        } else {
+            None
+        };
+        match victim {
+            Some(s) => {
+                t.free_from(alloc.root_offset(s)).unwrap();
+                live_bytes -= live[s];
+                live[s] = 0;
+                frees += 1;
+            }
+            None => {
+                t.malloc_to(size, alloc.root_offset(slot)).unwrap();
+                live_bytes += size;
+                live[slot] = size;
+            }
+        }
+    }
+    let m = alloc.metrics();
+    assert!(frees > OPS / 3, "the trace must churn, not just fill");
+    assert!(m.booklog_fast_gc_reaps > 0, "fast GC must have reaped chunks");
+    assert!(m.booklog_alt_flips > 0, "slow GC must have run");
+    pmsan_clean(&pool, "large-extent churn");
+
+    let img = PmemPool::from_crash_image(pool.crash());
+    let (ralloc, _) = NvAllocator::recover(Arc::clone(&img), NvConfig::log()).expect("recover");
+    audit_clean(&img, &NvConfig::log());
+    for (slot, &size) in live.iter().enumerate() {
+        let addr = img.read_u64(ralloc.root_offset(slot));
+        if size == 0 {
+            assert_eq!(addr, 0, "slot {slot} was freed before the crash");
+            continue;
+        }
+        let usable = ralloc.usable_size(addr);
+        assert!(
+            usable.is_some_and(|u| u >= size),
+            "slot {slot}: {size} B live at {addr:#x}, recovered usable_size {usable:?}"
+        );
+    }
+    pmsan_clean(&img, "large-extent recovery");
+}
