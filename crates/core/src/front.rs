@@ -650,12 +650,14 @@ impl PmAllocator for NvAllocator {
         }
         Box::new(NvThread {
             inner: Arc::clone(&self.0),
-            pm,
-            tcache: TCache::new(tc_stripes, self.0.cfg.tcache_cap),
-            arena,
-            wal,
-            hists: OpHistograms::default(),
-            prof_acc: 0,
+            t: ThreadState {
+                pm,
+                tcache: TCache::new(tc_stripes, self.0.cfg.tcache_cap),
+                arena,
+                wal,
+                hists: OpHistograms::default(),
+                prof_acc: 0,
+            },
         })
     }
 
@@ -868,6 +870,15 @@ impl Drop for LockProbe<'_> {
 #[derive(Debug)]
 pub struct NvThread {
     inner: Arc<NvInner>,
+    t: ThreadState,
+}
+
+/// The fields an [`NvThread`] owns, split from the shared [`NvInner`] so
+/// the per-op paths borrow the allocator instead of cloning its `Arc`:
+/// every clone and drop is a locked read-modify-write on a refcount line
+/// that all threads share.
+#[derive(Debug)]
+struct ThreadState {
     pm: PmThread,
     tcache: TCache,
     arena: Arc<Arena>,
@@ -880,54 +891,57 @@ pub struct NvThread {
     prof_acc: u64,
 }
 
-impl NvThread {
-    fn variant(&self) -> Variant {
-        self.inner.cfg.variant
-    }
-
+impl NvInner {
     /// Strongly consistent variants persist metadata and destination slots
     /// on every operation.
     fn strong(&self) -> bool {
-        matches!(self.variant(), Variant::Log | Variant::Internal)
+        matches!(self.cfg.variant, Variant::Log | Variant::Internal)
     }
 
     /// Only NVAlloc-LOG needs WAL entries for small allocations; the
     /// internal-collection variant's objects are enumerable, so nothing can
     /// leak (§4.1 / §7 "allocators using internal collection").
     fn use_small_wal(&self) -> bool {
-        self.variant() == Variant::Log
+        self.cfg.variant == Variant::Log
     }
 
     /// Large allocations use the WAL in the LOG and GC variants (Table 2);
     /// the internal-collection variant relies on the booklog alone.
     fn use_large_wal(&self) -> bool {
-        self.variant() != Variant::Internal
+        self.cfg.variant != Variant::Internal
     }
 
-    fn next_seq(&self) -> u64 {
-        self.inner.wal_seq.fetch_add(1, Ordering::Relaxed)
+    fn check_dest(&self, dest: PmOffset) -> PmResult<()> {
+        if !dest.is_multiple_of(8)
+            || (dest as usize).checked_add(8).is_none_or(|end| end > self.pool.size())
+        {
+            return Err(PmError::InvalidRequest("dest must be an 8-byte-aligned pool slot"));
+        }
+        Ok(())
     }
+}
 
+impl ThreadState {
     /// Timeline hook, run after an operation completes (no locks held).
     /// One relaxed load + branch when the clock hasn't crossed the next
     /// boundary; the (single, per boundary) claim winner collects and
     /// records a sample. Driven by the virtual clock only, so sampled
     /// single-threaded runs are deterministic.
     #[inline]
-    fn timeline_tick(&self) {
-        let Some(obs) = &self.inner.observe else { return };
+    fn timeline_tick(&self, inner: &NvInner) {
+        let Some(obs) = &inner.observe else { return };
         let now = self.pm.virtual_ns();
         if !obs.due(now) {
             return;
         }
         let Some(stamp) = obs.claim(now) else { return };
-        let sample = self.inner.collect_sample(stamp);
+        let sample = inner.collect_sample(stamp);
         // Window base: the shared registry (threads that already merged)
         // plus this thread's local histograms. Other live threads' local
         // samples merge when they drop — single-threaded runs see every
         // op; multi-threaded windows are best-effort like any cross-
         // thread cut.
-        let mut cum = self.inner.metrics.hists();
+        let mut cum = inner.metrics.hists();
         cum.merge(&self.hists);
         obs.record(sample, &cum);
     }
@@ -938,29 +952,35 @@ impl NvThread {
     /// install) — see [`crate::prof`] for the crash argument. One
     /// `Option` check when profiling is off.
     #[inline]
-    fn prof_alloc_hook(&mut self, addr: PmOffset, granted: usize) {
-        let Some(p) = self.inner.prof.clone() else { return };
+    fn prof_alloc_hook(&mut self, inner: &NvInner, addr: PmOffset, granted: usize) {
+        let Some(p) = &inner.prof else { return };
         let crossings = p.crossings(&mut self.prof_acc, granted);
         if crossings == 0 {
             return;
         }
-        p.record_alloc(&self.inner.pool, &mut self.pm, self.arena.id, addr, granted, crossings);
+        p.record_alloc(&inner.pool, &mut self.pm, self.arena.id, addr, granted, crossings);
     }
 
     /// Profiler free hook: append the FREE provenance record if `addr`
     /// was sampled. Must run *after* the free's persistent commit and
     /// *before* the block can be reused (tcache/remote push).
     #[inline]
-    fn prof_free_hook(&mut self, addr: PmOffset) {
-        let Some(p) = self.inner.prof.clone() else { return };
-        p.record_free(&self.inner.pool, &mut self.pm, addr);
+    fn prof_free_hook(&mut self, inner: &NvInner, addr: PmOffset) {
+        let Some(p) = &inner.prof else { return };
+        p.record_free(&inner.pool, &mut self.pm, addr);
     }
 
     /// Append one entry to this thread's micro-WAL with a fresh sequence
     /// number, and count it.
-    fn wal_append(&mut self, op: WalOp, addr: PmOffset, dest: PmOffset, size: u32) {
-        let inner = Arc::clone(&self.inner);
-        let seq = self.next_seq();
+    fn wal_append(
+        &mut self,
+        inner: &NvInner,
+        op: WalOp,
+        addr: PmOffset,
+        dest: PmOffset,
+        size: u32,
+    ) {
+        let seq = inner.wal_seq.fetch_add(1, Ordering::Relaxed);
         self.wal.append(&inner.pool, &mut self.pm, op, addr, dest, size, seq);
         inner.metrics.bump(Counter::WalAppends);
         self.pm.trace(EventKind::WalAppend.code(), addr, seq);
@@ -970,13 +990,13 @@ impl NvThread {
     /// the consistency variant and allocation size class. Attributed as
     /// `Data`: the destination is an application-owned location (§4.1), so
     /// its flush is not allocator heap-metadata traffic.
-    fn write_dest(&mut self, dest: PmOffset, value: u64, persist: bool) {
-        let pool = Arc::clone(&self.inner.pool);
+    fn write_dest(&mut self, inner: &NvInner, dest: PmOffset, value: u64, persist: bool) {
+        let pool = &inner.pool;
         if persist {
             pool.persist_u64(&mut self.pm, dest, value, FlushKind::Data);
             // In the WAL-covered variants the persisted dest install *is*
             // the commit record of the preceding append (§4.3).
-            if self.use_large_wal() {
+            if inner.use_large_wal() {
                 self.pm.trace(EventKind::WalCommit.code(), value, dest);
             }
         } else {
@@ -985,66 +1005,62 @@ impl NvThread {
         }
     }
 
-    fn check_dest(&self, dest: PmOffset) -> PmResult<()> {
-        if !dest.is_multiple_of(8)
-            || (dest as usize).checked_add(8).is_none_or(|end| end > self.inner.pool.size())
-        {
-            return Err(PmError::InvalidRequest("dest must be an 8-byte-aligned pool slot"));
-        }
-        Ok(())
-    }
-
     // ----- small path -----
 
-    fn malloc_small(&mut self, class: ClassId, size: usize, dest: PmOffset) -> PmResult<PmOffset> {
+    fn malloc_small(
+        &mut self,
+        inner: &NvInner,
+        class: ClassId,
+        size: usize,
+        dest: PmOffset,
+    ) -> PmResult<PmOffset> {
         let rot0 = self.tcache.rotations();
         let addr = match self.tcache.pop(class) {
             Some(a) => {
-                self.inner.metrics.tcache_event(class, TcacheEvent::Hit);
+                inner.metrics.tcache_event(class, TcacheEvent::Hit);
                 a
             }
             None => {
-                self.inner.metrics.tcache_event(class, TcacheEvent::Miss);
-                self.refill(class)?;
+                inner.metrics.tcache_event(class, TcacheEvent::Miss);
+                self.refill(inner, class)?;
                 self.tcache.pop(class).ok_or(PmError::OutOfMemory { requested: size })?
             }
         };
         if self.pm.tracing() && self.tcache.rotations() > rot0 {
             self.pm.trace(EventKind::CursorRotate.code(), class as u64, 0);
         }
-        let pool = Arc::clone(&self.inner.pool);
-        let strong = self.strong();
-        if self.use_small_wal() {
-            self.wal_append(WalOp::Alloc, addr, dest, size as u32);
+        let pool = &inner.pool;
+        let strong = inner.strong();
+        if inner.use_small_wal() {
+            self.wal_append(inner, WalOp::Alloc, addr, dest, size as u32);
         }
         // Persist the allocation in the slab bitmap.
         let slab_off = addr & !(SLAB_SIZE as u64 - 1);
-        let h = SlabHeader::read(&pool, slab_off).ok_or(PmError::Corrupt("missing slab header"))?;
-        let g = self.inner.geoms.of(class);
+        let h = SlabHeader::read(pool, slab_off).ok_or(PmError::Corrupt("missing slab header"))?;
+        let g = inner.geoms.of(class);
         let idx = ((addr - slab_off - h.data_offset as u64) / g.block_size as u64) as usize;
         let bm = PmBitmap::new(slab_off + g.bitmap_off as u64, g.bitmap);
         if strong {
-            bm.set_persist(&pool, &mut self.pm, idx);
+            bm.set_persist(pool, &mut self.pm, idx);
         } else {
-            bm.write_volatile(&pool, idx, true);
+            bm.write_volatile(pool, idx, true);
         }
         // Provenance before commit: a survivor must have its record.
-        self.prof_alloc_hook(addr, class_size(class));
+        self.prof_alloc_hook(inner, addr, class_size(class));
         // Install the user pointer (the commit record).
-        self.write_dest(dest, addr, strong);
-        self.inner.live_bytes.fetch_add(class_size(class), Ordering::Relaxed);
+        self.write_dest(inner, dest, addr, strong);
+        inner.live_bytes.fetch_add(class_size(class), Ordering::Relaxed);
         Ok(addr)
     }
 
     /// Refill the tcache for `class`: remote-free drain → freelist slabs →
     /// slab morphing → a slab frame from the reservoir or the large
     /// allocator (§4.2).
-    fn refill(&mut self, class: ClassId) -> PmResult<()> {
+    fn refill(&mut self, inner: &NvInner, class: ClassId) -> PmResult<()> {
         // A refill is already a slow path: opportunistically help other
         // arenas clear their remote-free queues before taking our own
         // lock (the ROADMAP drain hook). try_lock only — never blocks.
-        self.drain_idle_arenas();
-        let inner = Arc::clone(&self.inner);
+        self.drain_idle_arenas(inner);
         let pool = &inner.pool;
         inner.metrics.tcache_event(class, TcacheEvent::Refill);
         let arena = Arc::clone(&self.arena);
@@ -1084,7 +1100,7 @@ impl NvThread {
         }
         // New slab frame (64 KB aligned): reservoir first, then the
         // large allocator.
-        let (veh, off) = self.acquire_slab_frame(&inner, &mut ai)?;
+        let (veh, off) = self.acquire_slab_frame(inner, &mut ai)?;
         inner.rtree.insert_range(
             off,
             SLAB_SIZE,
@@ -1148,15 +1164,16 @@ impl NvThread {
 
     fn free_small(
         &mut self,
+        inner: &NvInner,
         slab_off: PmOffset,
         arena_id: u32,
         addr: PmOffset,
         dest: PmOffset,
     ) -> PmResult<()> {
-        if let Some(r) = self.try_fast_free_small(slab_off, arena_id, addr, dest) {
+        if let Some(r) = self.try_fast_free_small(inner, slab_off, arena_id, addr, dest) {
             return r;
         }
-        self.free_small_locked(slab_off, arena_id, addr, dest)
+        self.free_small_locked(inner, slab_off, arena_id, addr, dest)
     }
 
     /// Lock-free free fast path. The common case — a well-formed free of a
@@ -1168,16 +1185,16 @@ impl NvThread {
     /// divert to the locked slow path.
     fn try_fast_free_small(
         &mut self,
+        inner: &NvInner,
         slab_off: PmOffset,
         arena_id: u32,
         addr: PmOffset,
         dest: PmOffset,
     ) -> Option<PmResult<()>> {
-        let inner = Arc::clone(&self.inner);
         if !inner.slab_gates.try_pin(slab_off) {
             return None; // layout change in flight: take the locked path
         }
-        let out = self.fast_free_pinned(&inner, slab_off, arena_id, addr, dest);
+        let out = self.fast_free_pinned(inner, slab_off, arena_id, addr, dest);
         inner.slab_gates.unpin(slab_off);
         out
     }
@@ -1227,15 +1244,15 @@ impl NvThread {
         } else {
             // Resolve the owner arena up front so nothing fails after the
             // persistent free below.
-            Some(Arc::clone(inner.arenas.get(arena_id as usize)?))
+            Some(inner.arenas.get(arena_id as usize)?)
         };
         let bm = PmBitmap::new(slab_off + g.bitmap_off as u64, g.bitmap);
         if !bm.get(pool, idx) {
             return Some(Err(PmError::NotAllocated));
         }
-        let strong = self.strong();
-        if self.use_small_wal() {
-            self.wal_append(WalOp::Free, addr, dest, 0);
+        let strong = inner.strong();
+        if inner.use_small_wal() {
+            self.wal_append(inner, WalOp::Free, addr, dest, 0);
         }
         // The atomic word RMW arbitrates racing frees of the same block:
         // exactly one clearer observes the bit still set.
@@ -1247,10 +1264,10 @@ impl NvThread {
         if !prev {
             return Some(Err(PmError::NotAllocated));
         }
-        self.write_dest(dest, 0, strong);
+        self.write_dest(inner, dest, 0, strong);
         inner.live_bytes.fetch_sub(class_size(class), Ordering::Relaxed);
         // Provenance after the commit, before the block can be reused.
-        self.prof_free_hook(addr);
+        self.prof_free_hook(inner, addr);
         if local {
             let stripe = g.bitmap.stripe_of(idx);
             let pushed = self.tcache.push(class, addr, stripe);
@@ -1269,14 +1286,14 @@ impl NvThread {
     /// ill-formed request diverted by the fast path.
     fn free_small_locked(
         &mut self,
+        inner: &NvInner,
         slab_off: PmOffset,
         arena_id: u32,
         addr: PmOffset,
         dest: PmOffset,
     ) -> PmResult<()> {
-        let inner = Arc::clone(&self.inner);
         let pool = &inner.pool;
-        let strong = self.strong();
+        let strong = inner.strong();
         let arena =
             inner.arenas.get(arena_id as usize).ok_or(PmError::Corrupt("bad arena id in rtree"))?;
         let wait = Instant::now();
@@ -1289,16 +1306,16 @@ impl NvThread {
         if morph::find_old_block(&ai, slab_off, addr).is_some() {
             let old_class =
                 ai.slabs[&slab_off].morph.as_ref().expect("morph state present").old_class;
-            if self.use_small_wal() {
-                self.wal_append(WalOp::Free, addr, dest, 0);
+            if inner.use_small_wal() {
+                self.wal_append(inner, WalOp::Free, addr, dest, 0);
             }
             morph::release_old_block(pool, &mut self.pm, &mut ai, slab_off, addr)?;
-            self.write_dest(dest, 0, strong);
+            self.write_dest(inner, dest, 0, strong);
             inner.live_bytes.fetch_sub(class_size(old_class), Ordering::Relaxed);
             // Provenance after the commit (prof is a leaf lock; holding
             // the arena lock here is fine), before the slab can retire.
-            self.prof_free_hook(addr);
-            self.maybe_destroy_slab(&mut ai, slab_off)?;
+            self.prof_free_hook(inner, addr);
+            inner.destroy_or_reserve(&mut self.pm, &mut ai, slab_off)?;
             return Ok(());
         }
 
@@ -1310,18 +1327,18 @@ impl NvThread {
         if !bm.get(pool, idx) {
             return Err(PmError::NotAllocated);
         }
-        if self.use_small_wal() {
-            self.wal_append(WalOp::Free, addr, dest, 0);
+        if inner.use_small_wal() {
+            self.wal_append(inner, WalOp::Free, addr, dest, 0);
         }
         if strong {
             bm.clear_persist(pool, &mut self.pm, idx);
         } else {
             bm.write_volatile(pool, idx, false);
         }
-        self.write_dest(dest, 0, strong);
+        self.write_dest(inner, dest, 0, strong);
         inner.live_bytes.fetch_sub(class_size(class), Ordering::Relaxed);
         // Provenance after the commit, before the block can be reused.
-        self.prof_free_hook(addr);
+        self.prof_free_hook(inner, addr);
 
         // The freed block goes to *this* thread's tcache; when the tcache
         // is full it returns to its slab directly, bypassing the cache
@@ -1331,20 +1348,10 @@ impl NvThread {
             inner.metrics.tcache_event(class, TcacheEvent::Flush);
             self.pm.trace(EventKind::TcacheFlush.code(), class as u64, 1);
             if ai.return_block_to_slab(slab_off, idx) {
-                self.maybe_destroy_slab(&mut ai, slab_off)?;
+                inner.destroy_or_reserve(&mut self.pm, &mut ai, slab_off)?;
             }
         }
         Ok(())
-    }
-
-    /// Destroy `slab_off` if it is completely free: unregister it and
-    /// reserve or return its extent. Caller holds the slab's arena lock.
-    fn maybe_destroy_slab(
-        &mut self,
-        ai: &mut crate::arena::ArenaInner,
-        slab_off: PmOffset,
-    ) -> PmResult<()> {
-        self.inner.destroy_or_reserve(&mut self.pm, ai, slab_off)
     }
 
     // ----- large path -----
@@ -1353,8 +1360,7 @@ impl NvThread {
     /// malloc slow path. `try_lock` only — an arena whose owner is busy
     /// is skipped, so this never blocks and never inverts the lock
     /// order (the caller holds no locks).
-    fn drain_idle_arenas(&mut self) {
-        let inner = Arc::clone(&self.inner);
+    fn drain_idle_arenas(&mut self, inner: &NvInner) {
         for a in &inner.arenas {
             if a.id == self.arena.id || a.remote.is_empty() {
                 continue;
@@ -1366,20 +1372,16 @@ impl NvThread {
         }
     }
 
-    fn malloc_large(&mut self, size: usize, dest: PmOffset) -> PmResult<PmOffset> {
-        self.malloc_large_aligned(size, PAGE, dest)
-    }
-
     fn malloc_large_aligned(
         &mut self,
+        inner: &NvInner,
         size: usize,
         align: usize,
         dest: PmOffset,
     ) -> PmResult<PmOffset> {
         // A large malloc is a slow path: run the remote-free drain hook
         // before taking any shard lock.
-        self.drain_idle_arenas();
-        let inner = Arc::clone(&self.inner);
+        self.drain_idle_arenas(inner);
         let pool = &inner.pool;
         // Reserve (volatile), then WAL, then persist the extent record,
         // then commit via the dest install — each crash window is covered
@@ -1399,8 +1401,8 @@ impl NvThread {
                 }
                 Err(e) => return Err(e),
             };
-            if self.use_large_wal() {
-                self.wal_append(WalOp::Alloc, off, dest, size as u32);
+            if inner.use_large_wal() {
+                self.wal_append(inner, WalOp::Alloc, off, dest, size as u32);
             }
             large.commit_extent(pool, &mut self.pm, veh)?;
             let actual = large.veh(veh).map(|v| v.size).unwrap_or(size);
@@ -1408,8 +1410,8 @@ impl NvThread {
             // Provenance before the commit: the extent record is already
             // persisted, so the address cannot be re-granted elsewhere,
             // and a survivor must have its record before the install.
-            self.prof_alloc_hook(off, actual);
-            self.write_dest(dest, off, true);
+            self.prof_alloc_hook(inner, off, actual);
+            self.write_dest(inner, dest, off, true);
             inner.live_bytes.fetch_add(actual, Ordering::Relaxed);
             return Ok(off);
         }
@@ -1418,11 +1420,11 @@ impl NvThread {
 
     fn free_large(
         &mut self,
+        inner: &NvInner,
         veh: crate::large::VehId,
         addr: PmOffset,
         dest: PmOffset,
     ) -> PmResult<()> {
-        let inner = Arc::clone(&self.inner);
         let pool = &inner.pool;
         // One critical section on the owning shard (routed by the id's
         // shard tag): validate, log, zero the destination, and free, all
@@ -1435,25 +1437,25 @@ impl NvThread {
             return Err(PmError::NotAllocated);
         }
         let size = v.size;
-        if self.use_large_wal() {
-            self.wal_append(WalOp::Free, addr, dest, 0);
+        if inner.use_large_wal() {
+            self.wal_append(inner, WalOp::Free, addr, dest, 0);
         }
-        self.write_dest(dest, 0, true);
+        self.write_dest(inner, dest, 0, true);
         // Provenance after the commit, before `free` returns the extent
         // to the shard's free lists (prof is a leaf lock; the shard
         // guard is still held, so the address cannot be re-granted
         // before the FREE record is fenced).
-        self.prof_free_hook(addr);
+        self.prof_free_hook(inner, addr);
         large.free(pool, &mut self.pm, veh)?;
         drop(large);
         inner.live_bytes.fetch_sub(size, Ordering::Relaxed);
         Ok(())
     }
-}
 
-impl AllocThread for NvThread {
-    fn malloc_to(&mut self, size: usize, dest: PmOffset) -> PmResult<PmOffset> {
-        self.check_dest(dest)?;
+    // ----- operations -----
+
+    fn malloc_to(&mut self, inner: &NvInner, size: usize, dest: PmOffset) -> PmResult<PmOffset> {
+        inner.check_dest(dest)?;
         if size == 0 {
             return Err(PmError::InvalidRequest("zero-size allocation"));
         }
@@ -1461,14 +1463,14 @@ impl AllocThread for NvThread {
         self.pm.trace(EventKind::MallocBegin.code(), size as u64, 0);
         let r = match size_to_class(size) {
             Some(class) => {
-                let r = self.malloc_small(class, size, dest);
+                let r = self.malloc_small(inner, class, size, dest);
                 if r.is_ok() {
                     self.hists.record(OpKind::MallocSmall, span.elapsed_ns(&self.pm));
                 }
                 r
             }
             None => {
-                let r = self.malloc_large(size, dest);
+                let r = self.malloc_large_aligned(inner, size, PAGE, dest);
                 if r.is_ok() {
                     self.hists.record(OpKind::MallocLarge, span.elapsed_ns(&self.pm));
                 }
@@ -1476,17 +1478,18 @@ impl AllocThread for NvThread {
             }
         };
         self.pm.trace(EventKind::MallocEnd.code(), r.as_ref().map_or(0, |a| *a), 0);
-        self.timeline_tick();
+        self.timeline_tick(inner);
         r
     }
 
     fn malloc_aligned_to(
         &mut self,
+        inner: &NvInner,
         size: usize,
         align: usize,
         dest: PmOffset,
     ) -> PmResult<PmOffset> {
-        self.check_dest(dest)?;
+        inner.check_dest(dest)?;
         if size == 0 {
             return Err(PmError::InvalidRequest("zero-size allocation"));
         }
@@ -1495,45 +1498,44 @@ impl AllocThread for NvThread {
         }
         if align <= 8 {
             // Every block and extent base is at least 8-byte aligned.
-            return self.malloc_to(size, dest);
+            return self.malloc_to(inner, size, dest);
         }
         // Oversize alignment: serve a naturally aligned extent. Aligning
         // to at least a page keeps one code path — any power of two
         // below it divides the page.
         let span = self.pm.span();
         self.pm.trace(EventKind::MallocBegin.code(), size as u64, 0);
-        let r = self.malloc_large_aligned(size, align.max(PAGE), dest);
+        let r = self.malloc_large_aligned(inner, size, align.max(PAGE), dest);
         if r.is_ok() {
             self.hists.record(OpKind::MallocLarge, span.elapsed_ns(&self.pm));
         }
         self.pm.trace(EventKind::MallocEnd.code(), r.as_ref().map_or(0, |a| *a), 0);
-        self.timeline_tick();
+        self.timeline_tick(inner);
         r
     }
 
-    fn free_from(&mut self, dest: PmOffset) -> PmResult<()> {
-        self.check_dest(dest)?;
-        let addr = self.inner.pool.read_u64(dest);
+    fn free_from(&mut self, inner: &NvInner, dest: PmOffset) -> PmResult<()> {
+        inner.check_dest(dest)?;
+        let addr = inner.pool.read_u64(dest);
         if addr == 0 {
             return Err(PmError::NotAllocated);
         }
-        let owner = self.inner.rtree.lookup(addr).ok_or(PmError::NotAllocated)?;
+        let owner = inner.rtree.lookup(addr).ok_or(PmError::NotAllocated)?;
         let span = self.pm.span();
         self.pm.trace(EventKind::FreeBegin.code(), addr, 0);
         let r = match Owner::unpack(owner) {
-            Owner::Slab { slab, arena } => self.free_small(slab, arena, addr, dest),
-            Owner::Extent { veh } => self.free_large(veh, addr, dest),
+            Owner::Slab { slab, arena } => self.free_small(inner, slab, arena, addr, dest),
+            Owner::Extent { veh } => self.free_large(inner, veh, addr, dest),
         };
         if r.is_ok() {
             self.hists.record(OpKind::Free, span.elapsed_ns(&self.pm));
         }
         self.pm.trace(EventKind::FreeEnd.code(), addr, 0);
-        self.timeline_tick();
+        self.timeline_tick(inner);
         r
     }
 
-    fn flush_cache(&mut self) {
-        let inner = Arc::clone(&self.inner);
+    fn flush_cache(&mut self, inner: &NvInner) {
         for class in 0..crate::size_class::NUM_CLASSES {
             let drained = self.tcache.drain(class);
             if !drained.is_empty() {
@@ -1543,37 +1545,58 @@ impl AllocThread for NvThread {
                 let slab_off = addr & !(SLAB_SIZE as u64 - 1);
                 let Some(owner) = inner.rtree.lookup(addr) else { continue };
                 let Owner::Slab { arena, .. } = Owner::unpack(owner) else { continue };
-                let arena = Arc::clone(&inner.arenas[arena as usize]);
-                let mut ai = arena.inner.lock();
+                let mut ai = inner.arenas[arena as usize].inner.lock();
                 let Some(vs) = ai.slabs.get(&slab_off) else { continue };
                 let Some(idx) = vs.block_index(addr) else { continue };
                 if ai.return_block_to_slab(slab_off, idx) {
-                    let _ = self.maybe_destroy_slab(&mut ai, slab_off);
+                    let _ = inner.destroy_or_reserve(&mut self.pm, &mut ai, slab_off);
                 }
             }
         }
         // Drain our own arena's deferred frees too: a departing thread
         // must not leave queued blocks' volatile state stranded.
-        let arena = Arc::clone(&self.arena);
-        let mut ai = arena.inner.lock();
-        inner.drain_remote(&mut self.pm, &arena, &mut ai);
+        let mut ai = self.arena.inner.lock();
+        inner.drain_remote(&mut self.pm, &self.arena, &mut ai);
+    }
+}
+
+impl AllocThread for NvThread {
+    fn malloc_to(&mut self, size: usize, dest: PmOffset) -> PmResult<PmOffset> {
+        self.t.malloc_to(&self.inner, size, dest)
+    }
+
+    fn malloc_aligned_to(
+        &mut self,
+        size: usize,
+        align: usize,
+        dest: PmOffset,
+    ) -> PmResult<PmOffset> {
+        self.t.malloc_aligned_to(&self.inner, size, align, dest)
+    }
+
+    fn free_from(&mut self, dest: PmOffset) -> PmResult<()> {
+        self.t.free_from(&self.inner, dest)
+    }
+
+    fn flush_cache(&mut self) {
+        self.t.flush_cache(&self.inner);
     }
 
     fn pm(&self) -> &PmThread {
-        &self.pm
+        &self.t.pm
     }
 
     fn pm_mut(&mut self) -> &mut PmThread {
-        &mut self.pm
+        &mut self.t.pm
     }
 }
 
 impl Drop for NvThread {
     fn drop(&mut self) {
         self.flush_cache();
-        self.inner.metrics.add(Counter::CursorRotations, self.tcache.rotations());
-        self.inner.metrics.merge_hists(&self.hists);
-        self.arena.threads.fetch_sub(1, Ordering::Relaxed);
+        self.inner.metrics.add(Counter::CursorRotations, self.t.tcache.rotations());
+        self.inner.metrics.merge_hists(&self.t.hists);
+        self.t.arena.threads.fetch_sub(1, Ordering::Relaxed);
     }
 }
 

@@ -15,9 +15,12 @@
 //!   media write-amplification penalty — the effect that makes *too many*
 //!   bit stripes slow (Fig. 16a).
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use parking_lot::Mutex;
 
 use crate::layout::{line_of, xpline_of};
+use crate::stats::{FlushKind, FlushRecord, StatsSnapshot};
 use crate::thread::PmThread;
 use crate::{LatencyMode, PmemMode};
 
@@ -83,15 +86,17 @@ impl Default for ModelParams {
 /// reflush (conservative), never invent one.
 #[derive(Debug)]
 struct ReflushCache {
-    tags: Vec<u64>, // line index + 1; 0 = empty
-    seqs: Vec<u64>,
+    /// `(tag, seq)` side by side, so a lookup reads one cache line; the
+    /// tag is the line index + 1, 0 = empty. Built with `vec!` of zeros,
+    /// which the allocator hands out already zeroed (no memset per pool).
+    entries: Vec<(u64, u64)>,
     mask: usize,
 }
 
 impl ReflushCache {
     fn new(entries: usize) -> Self {
         let entries = entries.next_power_of_two();
-        ReflushCache { tags: vec![0; entries], seqs: vec![0; entries], mask: entries - 1 }
+        ReflushCache { entries: vec![(0u64, 0u64); entries], mask: entries - 1 }
     }
 
     /// Record a flush of `line` at `seq`; returns the previous sequence
@@ -99,9 +104,9 @@ impl ReflushCache {
     fn touch(&mut self, line: u64, seq: u64) -> Option<u64> {
         let idx = (line as usize).wrapping_mul(0x9E37_79B9_7F4A_7C15_usize) >> 13 & self.mask;
         let tag = line + 1;
-        let prev = if self.tags[idx] == tag { Some(self.seqs[idx]) } else { None };
-        self.tags[idx] = tag;
-        self.seqs[idx] = seq;
+        let e = &mut self.entries[idx];
+        let prev = (e.0 == tag).then_some(e.1);
+        *e = (tag, seq);
         prev
     }
 }
@@ -137,8 +142,9 @@ impl LruSet {
     }
 }
 
+/// Everything one flushed line reads or writes, behind one lock.
 #[derive(Debug)]
-struct ModelCore {
+pub(crate) struct ModelCore {
     reflush: ReflushCache,
     xpbuf: LruSet,
     /// XPLine → last flush seq, for separating capacity misses from cold
@@ -146,12 +152,16 @@ struct ModelCore {
     xp_recent: ReflushCache,
     eadr_wc: LruSet,
     seq: u64,
+    /// Flush counters as plain integers (`fences` stays 0 here: fences
+    /// take no lock and count in [`LatencyModel::fences`]).
+    pub(crate) counts: StatsSnapshot,
+    /// The Fig. 2 flush-address trace; `None` while disabled.
+    pub(crate) trace: Option<Vec<FlushRecord>>,
 }
 
 /// Outcome of modelling one flush.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FlushOutcome {
-    pub seq: u64,
     pub cost_ns: u64,
     pub is_reflush: bool,
     pub is_sequential: bool,
@@ -160,26 +170,48 @@ pub(crate) struct FlushOutcome {
 
 /// The shared latency model for one pool.
 ///
-/// A single short critical section per flush models the fact that the real
-/// DIMM's buffers are themselves a shared, contended resource.
+/// A single short critical section per flushed line classifies it,
+/// counts it and traces it; this also models the fact that the real
+/// DIMM's buffers are themselves a shared, contended resource. The
+/// latency is charged after the lock is released, so
+/// [`LatencyMode::Spin`] and [`LatencyMode::Sleep`] never wait while
+/// holding it.
 #[derive(Debug)]
 pub struct LatencyModel {
     params: ModelParams,
     mode: LatencyMode,
     pmem_mode: PmemMode,
-    core: Mutex<ModelCore>,
+    pub(crate) core: Mutex<ModelCore>,
+    /// Fence count (a fence takes no lock).
+    pub(crate) fences: AtomicU64,
+    /// Records the flush-address trace keeps after it is enabled.
+    trace_capacity: usize,
 }
 
 impl LatencyModel {
-    pub(crate) fn new(params: ModelParams, mode: LatencyMode, pmem_mode: PmemMode) -> Self {
+    pub(crate) fn new(
+        params: ModelParams,
+        mode: LatencyMode,
+        pmem_mode: PmemMode,
+        trace_capacity: usize,
+    ) -> Self {
         let core = ModelCore {
             reflush: ReflushCache::new(1 << 20),
             xpbuf: LruSet::new(params.xpbuf_lines),
             xp_recent: ReflushCache::new(1 << 18),
             eadr_wc: LruSet::new(params.eadr_wc_lines),
             seq: 0,
+            counts: StatsSnapshot::default(),
+            trace: None,
         };
-        LatencyModel { params, mode, pmem_mode, core: Mutex::new(core) }
+        LatencyModel {
+            params,
+            mode,
+            pmem_mode,
+            core: Mutex::new(core),
+            fences: AtomicU64::new(0),
+            trace_capacity,
+        }
     }
 
     /// The model parameters in force.
@@ -197,8 +229,14 @@ impl LatencyModel {
         self.pmem_mode
     }
 
-    /// Model one cache-line flush at byte offset `addr`.
-    pub(crate) fn flush_line(&self, thread: &mut PmThread, addr: u64) -> FlushOutcome {
+    /// Model, count and trace one cache-line flush at byte offset `addr`,
+    /// attributed to `kind`.
+    pub(crate) fn flush_line(
+        &self,
+        thread: &mut PmThread,
+        addr: u64,
+        kind: FlushKind,
+    ) -> FlushOutcome {
         let line = line_of(addr);
         // Per-thread sequential/random classification: a flush within
         // `seq_threshold` bytes of the previous flush from this thread is
@@ -211,55 +249,64 @@ impl LatencyModel {
         };
         thread.set_last_flush_addr(addr);
 
-        if self.pmem_mode == PmemMode::Eadr {
-            // eADR: explicit flushes are free; the store already paid.
+        let outcome = {
             let mut core = self.core.lock();
             core.seq += 1;
             let seq = core.seq;
-            return FlushOutcome {
-                seq,
-                cost_ns: 0,
-                is_reflush: false,
-                is_sequential,
-                xpbuf_miss: false,
+            let outcome = if self.pmem_mode == PmemMode::Eadr {
+                // eADR: explicit flushes are free; the store already paid.
+                FlushOutcome { cost_ns: 0, is_reflush: false, is_sequential, xpbuf_miss: false }
+            } else {
+                let prev = core.reflush.touch(line, seq);
+                let distance =
+                    prev.map(|p| seq - p - 1).filter(|&d| d < self.params.reflush_window);
+                let xp = xpline_of(addr);
+                let in_buffer = core.xpbuf.touch(xp);
+                let last_seen = core.xp_recent.touch(xp, seq);
+                // Capacity miss: seen recently, but the buffer already
+                // evicted it (lost write combining). Cold misses are free
+                // beyond the base media cost.
+                let xpbuf_miss =
+                    !in_buffer && last_seen.is_some_and(|p| seq - p <= self.params.xpbuf_history);
+                let mut cost = if let Some(d) = distance {
+                    self.params.reflush_ns[(d as usize).min(self.params.reflush_ns.len() - 1)]
+                } else if is_sequential {
+                    self.params.seq_flush_ns
+                } else {
+                    self.params.random_flush_ns
+                };
+                if xpbuf_miss {
+                    cost += self.params.xpbuf_miss_ns;
+                }
+                FlushOutcome {
+                    cost_ns: cost,
+                    is_reflush: distance.is_some(),
+                    is_sequential,
+                    xpbuf_miss,
+                }
             };
-        }
-
-        let (seq, reflush_distance, xpbuf_miss) = {
-            let mut core = self.core.lock();
-            core.seq += 1;
-            let seq = core.seq;
-            let prev = core.reflush.touch(line, seq);
-            let distance = prev.map(|p| seq - p - 1);
-            let xp = xpline_of(addr);
-            let in_buffer = core.xpbuf.touch(xp);
-            let last_seen = core.xp_recent.touch(xp, seq);
-            // Capacity miss: seen recently, but the buffer already evicted
-            // it (lost write combining). Cold misses are free beyond the
-            // base media cost.
-            let miss =
-                !in_buffer && last_seen.is_some_and(|p| seq - p <= self.params.xpbuf_history);
-            (seq, distance, miss)
+            // What `charge` below accrues.
+            let charged = if self.mode == LatencyMode::Off { 0 } else { outcome.cost_ns };
+            core.counts.record_line(
+                kind,
+                outcome.is_reflush,
+                outcome.is_sequential,
+                outcome.xpbuf_miss,
+                charged,
+            );
+            let capacity = self.trace_capacity;
+            if let Some(trace) = core.trace.as_mut().filter(|t| t.len() < capacity) {
+                trace.push(FlushRecord { seq, addr: line, kind });
+            }
+            outcome
         };
-
-        let is_reflush = matches!(reflush_distance, Some(d) if d < self.params.reflush_window);
-        let mut cost = if let Some(d) = reflush_distance.filter(|&d| d < self.params.reflush_window)
-        {
-            self.params.reflush_ns[(d as usize).min(self.params.reflush_ns.len() - 1)]
-        } else if is_sequential {
-            self.params.seq_flush_ns
-        } else {
-            self.params.random_flush_ns
-        };
-        if xpbuf_miss {
-            cost += self.params.xpbuf_miss_ns;
-        }
-        let charged = self.charge(thread, cost);
-        FlushOutcome { seq, cost_ns: charged, is_reflush, is_sequential, xpbuf_miss }
+        let charged = self.charge(thread, outcome.cost_ns);
+        FlushOutcome { cost_ns: charged, ..outcome }
     }
 
     /// Model a fence.
     pub(crate) fn fence(&self, thread: &mut PmThread) -> u64 {
+        self.fences.fetch_add(1, Ordering::Relaxed);
         self.charge(thread, self.params.fence_ns)
     }
 
@@ -330,7 +377,7 @@ mod tests {
     use super::*;
 
     fn model(mode: LatencyMode, pmem: PmemMode) -> LatencyModel {
-        LatencyModel::new(ModelParams::default(), mode, pmem)
+        LatencyModel::new(ModelParams::default(), mode, pmem, 0)
     }
 
     fn thread() -> PmThread {
@@ -341,8 +388,8 @@ mod tests {
     fn back_to_back_flush_is_reflush_at_distance_zero() {
         let m = model(LatencyMode::Virtual, PmemMode::Adr);
         let mut t = thread();
-        m.flush_line(&mut t, 0);
-        let o = m.flush_line(&mut t, 0);
+        m.flush_line(&mut t, 0, FlushKind::Data);
+        let o = m.flush_line(&mut t, 0, FlushKind::Data);
         assert!(o.is_reflush);
         assert_eq!(o.cost_ns, 800 + if o.xpbuf_miss { m.params().xpbuf_miss_ns } else { 0 });
     }
@@ -352,9 +399,9 @@ mod tests {
         // A, B, A -> distance 1 -> 700 ns.
         let m = model(LatencyMode::Virtual, PmemMode::Adr);
         let mut t = thread();
-        m.flush_line(&mut t, 0);
-        m.flush_line(&mut t, 64);
-        let o = m.flush_line(&mut t, 0);
+        m.flush_line(&mut t, 0, FlushKind::Data);
+        m.flush_line(&mut t, 64, FlushKind::Data);
+        let o = m.flush_line(&mut t, 0, FlushKind::Data);
         assert!(o.is_reflush);
         assert_eq!(o.cost_ns - if o.xpbuf_miss { m.params().xpbuf_miss_ns } else { 0 }, 700);
     }
@@ -363,11 +410,11 @@ mod tests {
     fn distance_beyond_window_is_regular_flush() {
         let m = model(LatencyMode::Virtual, PmemMode::Adr);
         let mut t = thread();
-        m.flush_line(&mut t, 0);
+        m.flush_line(&mut t, 0, FlushKind::Data);
         for i in 1..=4u64 {
-            m.flush_line(&mut t, i * 64);
+            m.flush_line(&mut t, i * 64, FlushKind::Data);
         }
-        let o = m.flush_line(&mut t, 0);
+        let o = m.flush_line(&mut t, 0, FlushKind::Data);
         assert!(!o.is_reflush);
     }
 
@@ -375,10 +422,10 @@ mod tests {
     fn sequential_cheaper_than_random() {
         let m = model(LatencyMode::Virtual, PmemMode::Adr);
         let mut t = thread();
-        m.flush_line(&mut t, 0);
-        let seq = m.flush_line(&mut t, 64);
+        m.flush_line(&mut t, 0, FlushKind::Data);
+        let seq = m.flush_line(&mut t, 64, FlushKind::Data);
         assert!(seq.is_sequential);
-        let rand = m.flush_line(&mut t, 10 << 20);
+        let rand = m.flush_line(&mut t, 10 << 20, FlushKind::Data);
         assert!(!rand.is_sequential);
         let seq_base = seq.cost_ns - if seq.xpbuf_miss { m.params().xpbuf_miss_ns } else { 0 };
         let rand_base = rand.cost_ns - if rand.xpbuf_miss { m.params().xpbuf_miss_ns } else { 0 };
@@ -389,8 +436,8 @@ mod tests {
     fn backward_jump_is_random() {
         let m = model(LatencyMode::Virtual, PmemMode::Adr);
         let mut t = thread();
-        m.flush_line(&mut t, 1 << 20);
-        let o = m.flush_line(&mut t, 64);
+        m.flush_line(&mut t, 1 << 20, FlushKind::Data);
+        let o = m.flush_line(&mut t, 64, FlushKind::Data);
         assert!(!o.is_sequential);
     }
 
@@ -398,7 +445,7 @@ mod tests {
     fn eadr_flush_is_free_but_store_charges() {
         let m = model(LatencyMode::Virtual, PmemMode::Eadr);
         let mut t = thread();
-        let o = m.flush_line(&mut t, 0);
+        let o = m.flush_line(&mut t, 0, FlushKind::Data);
         assert_eq!(o.cost_ns, 0);
         let c = m.store(&mut t, 1 << 20, 8);
         assert!(c > 0, "cold store should miss the WC buffer");
@@ -417,8 +464,8 @@ mod tests {
     fn off_mode_accrues_nothing() {
         let m = model(LatencyMode::Off, PmemMode::Adr);
         let mut t = thread();
-        m.flush_line(&mut t, 0);
-        m.flush_line(&mut t, 0);
+        m.flush_line(&mut t, 0, FlushKind::Data);
+        m.flush_line(&mut t, 0, FlushKind::Data);
         m.fence(&mut t);
         assert_eq!(t.virtual_ns(), 0);
     }
@@ -427,7 +474,7 @@ mod tests {
     fn virtual_mode_accrues_on_thread_clock() {
         let m = model(LatencyMode::Virtual, PmemMode::Adr);
         let mut t = thread();
-        m.flush_line(&mut t, 0);
+        m.flush_line(&mut t, 0, FlushKind::Data);
         m.fence(&mut t);
         assert!(t.virtual_ns() >= 110 + 30);
     }
@@ -435,12 +482,12 @@ mod tests {
     #[test]
     fn xpbuffer_working_set_detects_misses() {
         let p = ModelParams { xpbuf_lines: 2, ..ModelParams::default() };
-        let m = LatencyModel::new(p, LatencyMode::Virtual, PmemMode::Adr);
+        let m = LatencyModel::new(p, LatencyMode::Virtual, PmemMode::Adr, 0);
         let mut t = thread();
         // Three distinct XPLines cycle through a 2-line buffer: all misses.
         for round in 0..2 {
             for i in 0..3u64 {
-                let o = m.flush_line(&mut t, i * 256);
+                let o = m.flush_line(&mut t, i * 256, FlushKind::Data);
                 if round > 0 {
                     assert!(o.xpbuf_miss, "line {i} should keep missing");
                 }
@@ -451,14 +498,15 @@ mod tests {
             ModelParams { xpbuf_lines: 2, ..ModelParams::default() },
             LatencyMode::Virtual,
             PmemMode::Adr,
+            0,
         );
         let mut t = thread();
         for i in 0..2u64 {
-            m.flush_line(&mut t, i * 256);
+            m.flush_line(&mut t, i * 256, FlushKind::Data);
         }
         for i in 0..2u64 {
             // Interleave >=4 unique lines apart to dodge reflush accounting.
-            let o = m.flush_line(&mut t, i * 256 + 64);
+            let o = m.flush_line(&mut t, i * 256 + 64, FlushKind::Data);
             assert!(!o.xpbuf_miss, "warm XPLine {i} should hit");
         }
     }
@@ -481,11 +529,11 @@ mod spin_tests {
 
     #[test]
     fn spin_mode_injects_wall_clock_delay() {
-        let m = LatencyModel::new(ModelParams::default(), LatencyMode::Spin, PmemMode::Adr);
+        let m = LatencyModel::new(ModelParams::default(), LatencyMode::Spin, PmemMode::Adr, 0);
         let mut t = PmThread::new(0);
         let start = std::time::Instant::now();
         for i in 0..200u64 {
-            m.flush_line(&mut t, i * 64);
+            m.flush_line(&mut t, i * 64, FlushKind::Data);
         }
         let wall = start.elapsed().as_nanos() as u64;
         let virt = t.virtual_ns();

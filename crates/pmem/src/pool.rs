@@ -151,7 +151,6 @@ pub struct PmemPool {
     shadow: Option<Box<[AtomicU64]>>,
     size: usize,
     model: LatencyModel,
-    stats: PmemStats,
     next_thread: AtomicUsize,
     config: PmemConfig,
     /// Remaining line-flushes that still reach the persistent image
@@ -179,8 +178,12 @@ impl PmemPool {
             words: alloc_words(nwords),
             shadow,
             size,
-            model: LatencyModel::new(config.params.clone(), config.latency_mode, config.pmem_mode),
-            stats: PmemStats::new(config.trace_capacity),
+            model: LatencyModel::new(
+                config.params.clone(),
+                config.latency_mode,
+                config.pmem_mode,
+                config.trace_capacity,
+            ),
             next_thread: AtomicUsize::new(0),
             pmsan: config.pmsan.then(|| PmsanState::new(size)),
             config,
@@ -209,8 +212,12 @@ impl PmemPool {
             words,
             shadow,
             size: nwords * 8,
-            model: LatencyModel::new(config.params.clone(), config.latency_mode, config.pmem_mode),
-            stats: PmemStats::new(config.trace_capacity),
+            model: LatencyModel::new(
+                config.params.clone(),
+                config.latency_mode,
+                config.pmem_mode,
+                config.trace_capacity,
+            ),
             next_thread: AtomicUsize::new(0),
             // Fresh sanitizer state: the image's contents are the
             // already-durable baseline, i.e. every line starts persisted.
@@ -243,8 +250,8 @@ impl PmemPool {
     }
 
     /// Event counters.
-    pub fn stats(&self) -> &PmemStats {
-        &self.stats
+    pub fn stats(&self) -> PmemStats<'_> {
+        PmemStats(&self.model)
     }
 
     /// The latency model (for parameter inspection).
@@ -529,17 +536,7 @@ impl PmemPool {
         }
         let mut line = first;
         while line <= last {
-            let outcome = self.model.flush_line(thread, line);
-            self.stats.record_flush(
-                outcome.seq,
-                line,
-                kind,
-                outcome.is_reflush,
-                outcome.is_sequential,
-                outcome.xpbuf_miss,
-                outcome.cost_ns,
-                CACHE_LINE as u64,
-            );
+            self.model.flush_line(thread, line, kind);
             if let Some(shadow) = &self.shadow {
                 // Crash-injection hook: once the persistence budget runs
                 // out, flushes keep "succeeding" from the program's point
@@ -578,7 +575,6 @@ impl PmemPool {
         }
         thread.flushed_since_fence = 0;
         self.model.fence(thread);
-        self.stats.record_fence();
     }
 
     /// Fence only if this thread has flushes pending since its last

@@ -5,10 +5,16 @@
 //! sequential-vs-random classification (§3.3), per-category flush time for
 //! the Fig. 11 breakdowns, and a bounded trace of flush addresses that
 //! regenerates the Fig. 2 scatter plots.
+//!
+//! The flush counters and the trace live inside the latency model's
+//! critical section ([`crate::LatencyModel`]): a flushed line is
+//! classified, counted and traced under one lock, with no other
+//! shared-line write. [`PmemStats`] reads them under that same lock.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
-use parking_lot::Mutex;
+use crate::layout::CACHE_LINE;
+use crate::model::LatencyModel;
 
 /// What kind of state a flush persists. Used to attribute flush time in the
 /// Fig. 11 execution-time breakdown and to separate *allocator-induced*
@@ -64,167 +70,70 @@ pub struct FlushRecord {
 
 const KINDS: usize = 4;
 
-/// Atomic event counters for one [`crate::PmemPool`].
+/// The event counters of one [`crate::PmemPool`], from
+/// [`crate::PmemPool::stats`].
 ///
-/// All counters are monotone; read a consistent-enough view with
+/// All counters are monotone; read a consistent view with
 /// [`PmemStats::snapshot`] or reset between benchmark phases with
 /// [`PmemStats::reset`].
-#[derive(Debug)]
-pub struct PmemStats {
-    flushes: AtomicU64,
-    reflushes: AtomicU64,
-    fences: AtomicU64,
-    seq_writes: AtomicU64,
-    rand_writes: AtomicU64,
-    bytes_flushed: AtomicU64,
-    xpbuf_misses: AtomicU64,
-    kind_flushes: [AtomicU64; KINDS],
-    kind_reflushes: [AtomicU64; KINDS],
-    kind_ns: [AtomicU64; KINDS],
-    /// Bounded flush-address trace (first `capacity` flushes after a reset).
-    trace: Mutex<Vec<FlushRecord>>,
-    trace_capacity: usize,
-    trace_enabled: AtomicU64,
+#[derive(Clone, Copy)]
+pub struct PmemStats<'a>(pub(crate) &'a LatencyModel);
+
+impl std::fmt::Debug for PmemStats<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("PmemStats").field(&self.snapshot()).finish()
+    }
 }
 
-impl PmemStats {
-    pub(crate) fn new(trace_capacity: usize) -> Self {
-        PmemStats {
-            flushes: AtomicU64::new(0),
-            reflushes: AtomicU64::new(0),
-            fences: AtomicU64::new(0),
-            seq_writes: AtomicU64::new(0),
-            rand_writes: AtomicU64::new(0),
-            bytes_flushed: AtomicU64::new(0),
-            xpbuf_misses: AtomicU64::new(0),
-            kind_flushes: Default::default(),
-            kind_reflushes: Default::default(),
-            kind_ns: Default::default(),
-            trace: Mutex::new(Vec::new()),
-            trace_capacity,
-            trace_enabled: AtomicU64::new(0),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn record_flush(
-        &self,
-        seq: u64,
-        addr: u64,
-        kind: FlushKind,
-        is_reflush: bool,
-        is_sequential: bool,
-        xpbuf_miss: bool,
-        cost_ns: u64,
-        bytes: u64,
-    ) {
-        self.flushes.fetch_add(1, Ordering::Relaxed);
-        if is_reflush {
-            self.reflushes.fetch_add(1, Ordering::Relaxed);
-        }
-        if is_sequential {
-            self.seq_writes.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.rand_writes.fetch_add(1, Ordering::Relaxed);
-        }
-        if xpbuf_miss {
-            self.xpbuf_misses.fetch_add(1, Ordering::Relaxed);
-        }
-        self.bytes_flushed.fetch_add(bytes, Ordering::Relaxed);
-        self.kind_flushes[kind.index()].fetch_add(1, Ordering::Relaxed);
-        if is_reflush {
-            self.kind_reflushes[kind.index()].fetch_add(1, Ordering::Relaxed);
-        }
-        self.kind_ns[kind.index()].fetch_add(cost_ns, Ordering::Relaxed);
-        if self.trace_enabled.load(Ordering::Relaxed) != 0 {
-            let mut trace = self.trace.lock();
-            if trace.len() < self.trace_capacity {
-                trace.push(FlushRecord { seq, addr, kind });
-            }
-        }
-    }
-
-    pub(crate) fn record_fence(&self) {
-        self.fences.fetch_add(1, Ordering::Relaxed);
-    }
-
+impl PmemStats<'_> {
     /// Total number of flush operations.
     pub fn flushes(&self) -> u64 {
-        self.flushes.load(Ordering::Relaxed)
+        self.0.core.lock().counts.flushes
     }
 
     /// Number of flushes classified as *reflushes* (same cache line flushed
     /// again at reflush distance < 4 — §3.1 of the paper).
     pub fn reflushes(&self) -> u64 {
-        self.reflushes.load(Ordering::Relaxed)
+        self.0.core.lock().counts.reflushes
     }
 
     /// Number of fences.
     pub fn fences(&self) -> u64 {
-        self.fences.load(Ordering::Relaxed)
+        self.0.fences.load(Ordering::Relaxed)
     }
 
     /// Enable the flush-address trace (records the next
     /// `trace_capacity` flushes).
     pub fn enable_trace(&self) {
-        self.trace_enabled.store(1, Ordering::Relaxed);
+        self.0.core.lock().trace.get_or_insert_with(Vec::new);
     }
 
     /// Disable and clear the flush-address trace.
     pub fn disable_trace(&self) {
-        self.trace_enabled.store(0, Ordering::Relaxed);
-        self.trace.lock().clear();
+        self.0.core.lock().trace = None;
     }
 
     /// A copy of the recorded flush trace.
     pub fn trace(&self) -> Vec<FlushRecord> {
-        self.trace.lock().clone()
+        self.0.core.lock().trace.clone().unwrap_or_default()
     }
 
     /// Zero all counters and the trace. Virtual clocks of registered threads
     /// are *not* affected.
     pub fn reset(&self) {
-        self.flushes.store(0, Ordering::Relaxed);
-        self.reflushes.store(0, Ordering::Relaxed);
-        self.fences.store(0, Ordering::Relaxed);
-        self.seq_writes.store(0, Ordering::Relaxed);
-        self.rand_writes.store(0, Ordering::Relaxed);
-        self.bytes_flushed.store(0, Ordering::Relaxed);
-        self.xpbuf_misses.store(0, Ordering::Relaxed);
-        for c in &self.kind_flushes {
-            c.store(0, Ordering::Relaxed);
+        let mut core = self.0.core.lock();
+        core.counts = StatsSnapshot::default();
+        if let Some(trace) = &mut core.trace {
+            trace.clear();
         }
-        for c in &self.kind_reflushes {
-            c.store(0, Ordering::Relaxed);
-        }
-        for c in &self.kind_ns {
-            c.store(0, Ordering::Relaxed);
-        }
-        self.trace.lock().clear();
+        self.0.fences.store(0, Ordering::Relaxed);
     }
 
-    /// A point-in-time copy of every counter.
+    /// A point-in-time copy of every counter. The flush counters are one
+    /// consistent cut; `fences` is read alongside.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let mut kind_flushes = [0u64; KINDS];
-        let mut kind_reflushes = [0u64; KINDS];
-        let mut kind_ns = [0u64; KINDS];
-        for i in 0..KINDS {
-            kind_flushes[i] = self.kind_flushes[i].load(Ordering::Relaxed);
-            kind_reflushes[i] = self.kind_reflushes[i].load(Ordering::Relaxed);
-            kind_ns[i] = self.kind_ns[i].load(Ordering::Relaxed);
-        }
-        StatsSnapshot {
-            flushes: self.flushes.load(Ordering::Relaxed),
-            reflushes: self.reflushes.load(Ordering::Relaxed),
-            fences: self.fences.load(Ordering::Relaxed),
-            seq_writes: self.seq_writes.load(Ordering::Relaxed),
-            rand_writes: self.rand_writes.load(Ordering::Relaxed),
-            bytes_flushed: self.bytes_flushed.load(Ordering::Relaxed),
-            xpbuf_misses: self.xpbuf_misses.load(Ordering::Relaxed),
-            kind_flushes,
-            kind_reflushes,
-            kind_ns,
-        }
+        let counts = self.0.core.lock().counts;
+        StatsSnapshot { fences: self.0.fences.load(Ordering::Relaxed), ..counts }
     }
 }
 
@@ -254,6 +163,33 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
+    /// Count one flushed line of `kind` charged `ns`; runs inside the
+    /// model's critical section.
+    pub(crate) fn record_line(
+        &mut self,
+        kind: FlushKind,
+        is_reflush: bool,
+        is_sequential: bool,
+        xpbuf_miss: bool,
+        ns: u64,
+    ) {
+        let k = kind.index();
+        self.flushes += 1;
+        self.kind_flushes[k] += 1;
+        self.kind_ns[k] += ns;
+        if is_reflush {
+            self.reflushes += 1;
+            self.kind_reflushes[k] += 1;
+        }
+        if is_sequential {
+            self.seq_writes += 1;
+        } else {
+            self.rand_writes += 1;
+        }
+        self.xpbuf_misses += u64::from(xpbuf_miss);
+        self.bytes_flushed += CACHE_LINE as u64;
+    }
+
     /// Counter-wise difference `self - earlier` (for phase measurements).
     ///
     /// Each field is computed with saturating subtraction: if `earlier` was
@@ -294,7 +230,10 @@ impl StatsSnapshot {
 
     /// Allocator-induced flushes: everything except [`FlushKind::Data`].
     pub fn allocator_flushes(&self) -> u64 {
-        self.flushes - self.flushes_of(FlushKind::Data)
+        [FlushKind::Meta, FlushKind::Wal, FlushKind::BookLog]
+            .iter()
+            .map(|k| self.flushes_of(*k))
+            .sum()
     }
 
     /// Reflush count for one attribution kind.
@@ -329,19 +268,22 @@ impl StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::ModelParams;
+    use crate::thread::PmThread;
+    use crate::{LatencyMode, PmemMode};
 
     #[test]
     fn snapshot_diff() {
-        let s = PmemStats::new(16);
-        s.record_flush(0, 0, FlushKind::Meta, false, true, false, 100, 64);
-        let a = s.snapshot();
-        s.record_flush(1, 64, FlushKind::Wal, true, false, true, 700, 64);
-        let b = s.snapshot();
-        let d = b.since(&a);
+        let mut s = StatsSnapshot::default();
+        s.record_line(FlushKind::Meta, false, true, false, 100);
+        let a = s;
+        s.record_line(FlushKind::Wal, true, false, true, 700);
+        let d = s.since(&a);
         assert_eq!(d.flushes, 1);
         assert_eq!(d.reflushes, 1);
         assert_eq!(d.rand_writes, 1);
         assert_eq!(d.xpbuf_misses, 1);
+        assert_eq!(d.bytes_flushed, 64);
         assert_eq!(d.flushes_of(FlushKind::Wal), 1);
         assert_eq!(d.ns_of(FlushKind::Wal), 700);
         assert_eq!(d.flushes_of(FlushKind::Meta), 0);
@@ -349,25 +291,26 @@ mod tests {
 
     #[test]
     fn snapshot_diff_saturates_on_reversed_order() {
-        let s = PmemStats::new(16);
-        s.record_flush(0, 0, FlushKind::Meta, false, true, false, 100, 64);
-        let later = s.snapshot();
-        s.record_flush(1, 64, FlushKind::Wal, true, false, true, 700, 64);
-        let even_later = s.snapshot();
+        let mut s = StatsSnapshot::default();
+        s.record_line(FlushKind::Meta, false, true, false, 100);
+        let later = s;
+        s.record_line(FlushKind::Wal, true, false, true, 700);
         // Diffing the wrong way round clamps to zero rather than underflowing.
-        let d = later.since(&even_later);
+        let d = later.since(&s);
         assert_eq!(d, StatsSnapshot::default());
     }
 
     #[test]
     fn trace_bounded_and_gated() {
-        let s = PmemStats::new(2);
+        let m = LatencyModel::new(ModelParams::default(), LatencyMode::Off, PmemMode::Adr, 2);
+        let s = PmemStats(&m);
+        let mut t = PmThread::new(0);
         // Disabled: nothing recorded.
-        s.record_flush(0, 0, FlushKind::Data, false, true, false, 0, 64);
+        m.flush_line(&mut t, 0, FlushKind::Data);
         assert!(s.trace().is_empty());
         s.enable_trace();
         for i in 0..5 {
-            s.record_flush(i, i * 64, FlushKind::Data, false, true, false, 0, 64);
+            m.flush_line(&mut t, i * 64, FlushKind::Data);
         }
         assert_eq!(s.trace().len(), 2);
         s.disable_trace();
@@ -376,10 +319,10 @@ mod tests {
 
     #[test]
     fn reflush_pct() {
-        let s = PmemStats::new(0);
+        let mut s = StatsSnapshot::default();
         for i in 0..4 {
-            s.record_flush(i, 0, FlushKind::Meta, i % 2 == 0, true, false, 0, 64);
+            s.record_line(FlushKind::Meta, i % 2 == 0, true, false, 0);
         }
-        assert_eq!(s.snapshot().reflush_pct(), 50.0);
+        assert_eq!(s.reflush_pct(), 50.0);
     }
 }
