@@ -70,7 +70,6 @@ impl Baseline {
                 booklog_stripes: 1,
                 booklog_gc: false,
                 slow_gc_threshold: usize::MAX,
-                decay_ms: 10_000,
                 region_table_base: layout.region_table,
                 region_table_bytes: layout.region_table_bytes,
                 shard_tag: 0, // baselines run a single unsharded large allocator

@@ -110,10 +110,10 @@ fn main() -> ExitCode {
             eprintln!("VIOLATION [{}] {}", v.check, v.detail);
         }
         eprintln!(
-            "{} slab(s) (+{} reservoir), {} extent(s), {} booklog entr(ies), \
+            "{} slab(s) (+{} headerless), {} extent(s), {} booklog entr(ies), \
              {} WAL entr(ies), {} violation(s)",
             rep.slabs,
-            rep.reservoir_slabs,
+            rep.headerless_slabs,
             rep.extents,
             rep.booklog_entries,
             rep.wal_entries,

@@ -22,13 +22,10 @@
 //!   "sample":{…}}` — one embedded [`nvalloc::observe::TimelineSample`]
 //!   per virtual-clock tick.
 //!
-//! The NVAlloc series is deterministic end to end: the churn is seeded
-//! and single-threaded, the sampler ticks on the virtual clock, and the
-//! config pins `decay_ms(u64::MAX)` to freeze the one wall-clock-driven
-//! mechanism (extent decay), so its lines are byte-identical across
-//! runs. The baselines keep their jemalloc-style 10 s decay window, so
-//! their polled `mapped` can differ by an extent or two run to run —
-//! the wobble is part of the behaviour being plotted.
+//! Every series is deterministic end to end: the churn is seeded and
+//! single-threaded, and both the sampler and every allocator's extent
+//! decay run on the virtual clock, so all three series are
+//! byte-identical across runs.
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -104,7 +101,6 @@ pub fn run_frag_timeline(scale: &Scale) {
                     .roots(1 << 20)
                     .timeline(interval)
                     .timeline_capacity(RING)
-                    .decay_ms(u64::MAX)
                     .trace(scale.tracing())
                     .trace_events_per_thread(scale.trace_events())
                     .profiling(scale.profile_sample()),

@@ -4,10 +4,10 @@
 //! hides host-side lock contention. This one sweeps thread counts over
 //! the [`nvalloc_workloads::remote_mix`] workload and reports real
 //! wall-clock throughput, which is exactly where the lock-free free fast
-//! path, the per-arena remote-free queues, the slab reservoirs, and the
-//! sharded large allocator show up: with them, adding threads adds
-//! throughput; without them, every free serialises on the arena mutex
-//! and every extent op serialises on one large-allocator lock.
+//! path, the per-arena remote-free queues, and the sharded large
+//! allocator show up: with them, adding threads adds throughput; without
+//! them, every free serialises on the arena mutex and every extent op
+//! serialises on one large-allocator lock.
 //!
 //! Four series per thread count:
 //! * `NVAlloc-LOG` — sharded large allocator (one shard per arena);
@@ -25,10 +25,6 @@ use nvalloc_workloads::{remote_mix, BenchMeasurement, Reporter};
 
 use crate::experiments::{mops_cell, pool_sleep_mb};
 use crate::Scale;
-
-/// Per-arena slab reservoir size used by the sweep (batch carves and
-/// parked retirees; see `NvConfig::slab_reservoir`).
-pub const RESERVOIR: usize = 8;
 
 /// Fraction of frees handed to the ring neighbour.
 pub const REMOTE_FRAC: f64 = 0.4;
@@ -64,8 +60,6 @@ fn run_series(
     let locks_per_op = m.metrics.free_locks as f64 / m.ops.max(1) as f64;
     let large_locks_per_op = m.metrics.large_lock_acquires as f64 / m.ops.max(1) as f64;
     let large_cont_per_op = m.metrics.large_lock_contended as f64 / m.ops.max(1) as f64;
-    let reservoir_ops = m.metrics.reservoir_hits + m.metrics.reservoir_misses;
-    let hit_pct = 100.0 * m.metrics.reservoir_hits as f64 / reservoir_ops.max(1) as f64;
     // Modelled small-malloc tail latency, from the same log2 histograms
     // the JSON `latency` object is reduced from (baselines have no
     // internal histograms and report 0).
@@ -80,7 +74,6 @@ fn run_series(
         &format!("{large_locks_per_op:.4}"),
         &format!("{large_cont_per_op:.4}"),
         &format!("{:.0}", m.lock_wait_ns_per_op()),
-        &format!("{hit_pct:.1}"),
         &alloc_hist.quantile(0.50).to_string(),
         &alloc_hist.quantile(0.99).to_string(),
         &alloc_hist.quantile(0.999).to_string(),
@@ -106,7 +99,6 @@ pub fn run_fig22(scale: &Scale) {
         "large locks/op",
         "large cont/op",
         "lock wait ns/op",
-        "rsv hit %",
         "alloc p50 ns",
         "alloc p99 ns",
         "alloc p999 ns",
@@ -119,7 +111,6 @@ pub fn run_fig22(scale: &Scale) {
             pool_sleep_mb(512),
             NvConfig::log()
                 .arenas(t)
-                .slab_reservoir(RESERVOIR)
                 .trace(scale.tracing())
                 .trace_events_per_thread(scale.trace_events())
                 .timeline(scale.timeline_ns())
@@ -132,7 +123,6 @@ pub fn run_fig22(scale: &Scale) {
             pool_sleep_mb(512),
             NvConfig::log()
                 .arenas(t)
-                .slab_reservoir(RESERVOIR)
                 .large_shards(1)
                 .trace(scale.tracing())
                 .trace_events_per_thread(scale.trace_events()),

@@ -20,7 +20,6 @@ use parking_lot::Mutex;
 use nvalloc_pmem::{PmOffset, PmThread, PmemPool};
 
 use crate::geometry::GeometryTable;
-use crate::large::VehId;
 use crate::remote::RemoteFreeQueue;
 use crate::size_class::{ClassId, NUM_CLASSES};
 use crate::slab::VSlab;
@@ -47,11 +46,6 @@ pub struct ArenaInner {
     /// LRU over regular (non-`slab_in`) slabs: token → slab offset;
     /// ascending iteration = least recently used first.
     pub lru: BTreeMap<u64, PmOffset>,
-    /// Pre-carved 64 KB slab extents, grabbed from the large allocator in
-    /// batches so refills touch the global large mutex once per batch.
-    /// Volatile only: a crash reclaims reservoir extents as leaks during
-    /// recovery (their headers are scrubbed when they enter the pool).
-    pub reservoir: Vec<(VehId, PmOffset)>,
     next_token: u64,
 }
 
@@ -61,7 +55,6 @@ impl ArenaInner {
             slabs: HashMap::new(),
             freelist: (0..NUM_CLASSES).map(|_| VecDeque::new()).collect(),
             lru: BTreeMap::new(),
-            reservoir: Vec::new(),
             next_token: 1,
         }
     }

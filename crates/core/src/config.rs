@@ -69,17 +69,6 @@ pub struct NvConfig {
     pub usage_pmem: f64,
     /// Number of arenas (paper: one per CPU core).
     pub arenas: usize,
-    /// Max cached blocks per tcache size class.
-    pub tcache_cap: usize,
-    /// Per-arena slab reservoir size: slab frames are carved from the
-    /// large allocator in batches of this many, so the global large mutex
-    /// is touched once per batch, and retired frames are parked here for
-    /// reuse instead of being returned. `0` disables the reservoir
-    /// (every carve and retire goes through the large allocator, the
-    /// pre-reservoir behaviour). Reserved frames survive only in volatile
-    /// state; after a crash, recovery reclaims them as leaked slab
-    /// extents.
-    pub slab_reservoir: usize,
     /// Number of independent large-allocation shards (power of two).
     /// Each shard owns a contiguous sub-heap, its own region list,
     /// extent freelists, and bookkeeping-log head, so large allocs,
@@ -89,13 +78,8 @@ pub struct NvConfig {
     /// allocator. The effective count is clamped so every shard keeps a
     /// workable booklog slice and heap span.
     pub large_shards: usize,
-    /// WAL capacity per arena, in entries.
-    pub wal_entries: usize,
     /// Number of 8-byte root slots to reserve.
     pub roots: usize,
-    /// Bytes reserved for the bookkeeping log region
-    /// (paper: a 100 MB file; scaled to pool size by default).
-    pub booklog_bytes: usize,
     /// Disable interleaving automatically when the pool is in eADR mode
     /// (the paper disables it via `pmem_has_auto_flush()`, §6.7).
     pub auto_eadr: bool,
@@ -113,18 +97,6 @@ pub struct NvConfig {
     /// Oldest events are overwritten once a ring is full (surfaced by the
     /// `trace_dropped` metric).
     pub trace_events_per_thread: usize,
-    /// Persist-ordering sanitizer ([`nvalloc_pmem::pmsan`]): every 64 B
-    /// line carries a persist-state machine and ordering violations are
-    /// recorded with flight-recorder context, counted in telemetry
-    /// (`pmsan_*`), and reportable as JSON. Also enables crash-image
-    /// enumeration windows. The sanitizer itself lives in the pool
-    /// ([`nvalloc_pmem::PmemConfig::pmsan`] — it must size shadow state
-    /// at pool construction); this knob declares intent at the allocator
-    /// level and is reconciled to the pool's actual state at
-    /// create/recover, so `config()` always reports what is running.
-    /// Off by default: the shadow cells cost 8 B per 64 B of pool and a
-    /// few atomics per persistence call.
-    pub pmsan: bool,
     /// Timeline sampler tick interval in **virtual** nanoseconds
     /// ([`crate::observe`]); `0` (the default) disables the sampler.
     /// Ticks are driven by the virtual PM clock, so sampled runs stay
@@ -133,13 +105,6 @@ pub struct NvConfig {
     pub timeline_interval_ns: u64,
     /// Max samples retained by the timeline ring (oldest dropped first).
     pub timeline_capacity: usize,
-    /// Window of the large allocator's jemalloc-style extent decay
-    /// schedule in **wall-clock** milliseconds (default 10 000). Decay
-    /// is the one deliberately wall-clock-driven mechanism in the
-    /// allocator; runs that must be bit-reproducible end to end (e.g.
-    /// `fig_frag_timeline`) pin it to `u64::MAX`, which freezes the
-    /// demotion threshold at its peak so no extent ever decays.
-    pub decay_ms: u64,
     /// Heap-profiler sampling period in bytes ([`crate::prof`]); `0`
     /// (the default) disables profiling. When non-zero, roughly one
     /// allocation per `profile_sample_bytes` allocated bytes is sampled:
@@ -168,20 +133,14 @@ impl NvConfig {
             booklog_gc: true,
             usage_pmem: 0.002,
             arenas: 4,
-            tcache_cap: 64,
-            slab_reservoir: 8,
             large_shards: 0,
-            wal_entries: 4096,
             roots: 1 << 16,
-            booklog_bytes: 4 << 20,
             auto_eadr: true,
             telemetry: true,
             trace: false,
             trace_events_per_thread: 4096,
-            pmsan: false,
             timeline_interval_ns: 0,
             timeline_capacity: 4096,
-            decay_ms: 10_000,
             profile_sample_bytes: 0,
         }
     }
@@ -264,12 +223,6 @@ impl NvConfig {
         self
     }
 
-    /// Set the booklog region size in bytes.
-    pub fn booklog_bytes(mut self, bytes: usize) -> Self {
-        self.booklog_bytes = bytes;
-        self
-    }
-
     /// Set the number of root slots.
     pub fn roots(mut self, n: usize) -> Self {
         self.roots = n;
@@ -288,13 +241,6 @@ impl NvConfig {
         self
     }
 
-    /// Enable or disable the persist-ordering sanitizer
-    /// ([`NvConfig::pmsan`]).
-    pub fn pmsan(mut self, on: bool) -> Self {
-        self.pmsan = on;
-        self
-    }
-
     /// Set the timeline sampler tick interval in virtual nanoseconds
     /// ([`NvConfig::timeline_interval_ns`]; 0 disables the sampler).
     pub fn timeline(mut self, interval_ns: u64) -> Self {
@@ -309,14 +255,6 @@ impl NvConfig {
         self
     }
 
-    /// Set the extent-decay window in wall-clock milliseconds
-    /// ([`NvConfig::decay_ms`]; `u64::MAX` disables decay for
-    /// bit-reproducible runs).
-    pub fn decay_ms(mut self, ms: u64) -> Self {
-        self.decay_ms = ms.max(1);
-        self
-    }
-
     /// Set the heap-profiler sampling period in bytes
     /// ([`NvConfig::profile_sample_bytes`]; 0 disables profiling).
     pub fn profiling(mut self, sample_bytes: u64) -> Self {
@@ -327,12 +265,6 @@ impl NvConfig {
     /// Set the flight-recorder ring capacity per thread, in events.
     pub fn trace_events_per_thread(mut self, n: usize) -> Self {
         self.trace_events_per_thread = n.max(1);
-        self
-    }
-
-    /// Set the per-arena slab reservoir size (0 disables it).
-    pub fn slab_reservoir(mut self, n: usize) -> Self {
-        self.slab_reservoir = n;
         self
     }
 
@@ -396,14 +328,10 @@ mod tests {
     }
 
     #[test]
-    fn reservoir_defaults_on_and_shards_default_auto() {
-        // PR 3 flips the slab reservoir on by default and adds sharding
-        // (0 = auto-size from the arena count).
-        let c = NvConfig::log();
-        assert!(c.slab_reservoir > 0, "slab reservoir must default on");
-        assert_eq!(c.large_shards, 0, "shards default to auto");
+    fn shards_default_auto() {
+        // 0 = auto-size the shard count from the arena count.
+        assert_eq!(NvConfig::log().large_shards, 0, "shards default to auto");
         assert_eq!(NvConfig::log().large_shards(3).large_shards, 3);
-        assert_eq!(NvConfig::log().slab_reservoir(0).slab_reservoir, 0);
     }
 
     #[test]

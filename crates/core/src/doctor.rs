@@ -13,9 +13,10 @@
 //!   per-shard region-header slots instead of the log;
 //! * slab headers: class range, morph-step flag (a quiesced image must
 //!   not be mid-morph), data-offset bounds, and — for morphing slabs —
-//!   index-table bounds and old-block geometry. Headerless slab extents
-//!   are counted as parked reservoir frames, not flagged: their header
-//!   is only written on claim and recovery reclaims them as leaks;
+//!   index-table bounds and old-block geometry. A headerless slab extent
+//!   can only come from a crash between a carve's booklog commit and its
+//!   header write (recovery reclaims it as a leak), so it is counted on a
+//!   crashed image and flagged on a cleanly shut down one;
 //! * slab bitmaps: no ghost bits set beyond the slab's block count;
 //! * WAL vs. committed state (LOG mode, crashed images only): the newest
 //!   entry per block whose destination slot committed must agree with the
@@ -96,9 +97,10 @@ pub struct DoctorReport {
     pub large_shards: usize,
     /// Slab extents with a persisted header.
     pub slabs: usize,
-    /// Headerless slab extents — parked reservoir frames whose header was
-    /// never written. Benign: crash recovery reclaims them as leaks.
-    pub reservoir_slabs: usize,
+    /// Headerless slab extents: a crash landed between a carve's booklog
+    /// commit and its header write. Recovery reclaims them as leaks; on a
+    /// cleanly shut down image each is also a `slab_header` violation.
+    pub headerless_slabs: usize,
     /// Slabs with a live morph index table.
     pub morphing_slabs: usize,
     /// Non-slab extents audited.
@@ -151,8 +153,10 @@ impl DoctorReport {
     /// the offline and online views can never disagree on a quiesced
     /// heap.
     pub fn external_fragmentation(&self) -> f64 {
-        let covered =
-            crate::observe::covered_bytes(self.slabs + self.reservoir_slabs, self.live_large_bytes);
+        let covered = crate::observe::covered_bytes(
+            self.slabs + self.headerless_slabs,
+            self.live_large_bytes,
+        );
         crate::observe::external_fragmentation(self.heap_used_bytes, covered)
     }
 
@@ -184,7 +188,7 @@ impl DoctorReport {
         o.field_u64("arenas", self.arenas as u64);
         o.field_u64("large_shards", self.large_shards as u64);
         o.field_u64("slabs", self.slabs as u64);
-        o.field_u64("reservoir_slabs", self.reservoir_slabs as u64);
+        o.field_u64("headerless_slabs", self.headerless_slabs as u64);
         o.field_u64("morphing_slabs", self.morphing_slabs as u64);
         o.field_u64("extents", self.extents as u64);
         o.field_u64("booklog_entries", self.booklog_entries as u64);
@@ -395,10 +399,10 @@ pub fn audit_pool(pool: &PmemPool, cfg: &NvConfig) -> DoctorReport {
             continue;
         }
         let Some(h) = SlabHeader::read(pool, addr) else {
-            // A pre-carved reservoir frame: its header is only written
-            // when the frame is claimed. Recovery reclaims these as
-            // leaks, so a quiesced image may legitimately contain them.
-            rep.reservoir_slabs += 1;
+            rep.headerless_slabs += 1;
+            if normal_shutdown {
+                viol(&mut rep, "slab_header", format!("slab extent {addr:#x} has no header"));
+            }
             continue;
         };
         rep.slabs += 1;
@@ -456,45 +460,38 @@ pub fn audit_pool(pool: &PmemPool, cfg: &NvConfig) -> DoctorReport {
         if h.old_class != NO_OLD_CLASS {
             rep.morphing_slabs += 1;
             let old_class = h.old_class as usize;
-            if old_class >= NUM_CLASSES {
-                viol(
-                    &mut rep,
-                    "morph_class",
-                    format!("slab {addr:#x}: old class {old_class} out of range"),
-                );
-            } else {
+            if !h.morph_index_valid(header_end, doff) {
                 let table_off = h.index_table_off as usize;
                 let table_end = table_off + 2 * h.index_len as usize;
-                if table_off < header_end || table_end > doff {
-                    viol(
-                        &mut rep,
-                        "morph_index",
-                        format!(
-                            "slab {addr:#x}: index table [{table_off:#x}, {table_end:#x}) \
-                             outside [bitmap end, data offset)"
-                        ),
-                    );
-                } else {
-                    let old_bs = class_size(old_class);
-                    let old_doff = h.old_data_offset as usize;
-                    for i in 0..h.index_len as usize {
-                        let e = read_index_entry(pool, addr, h.index_table_off, i);
-                        let start = old_doff + e.old_idx as usize * old_bs;
-                        if start + old_bs > SLAB_SIZE {
-                            viol(
-                                &mut rep,
-                                "morph_index",
-                                format!(
-                                    "slab {addr:#x}: index entry {i} names old block \
-                                     {start:#x}+{old_bs:#x} past the slab end"
-                                ),
-                            );
-                        } else if e.allocated {
-                            rep.live_small_bytes += old_bs as u64;
-                            morph_live.push(addr + start as u64);
-                            if prof_on {
-                                prof_live.insert(addr + start as u64, old_bs);
-                            }
+                viol(
+                    &mut rep,
+                    "morph_index",
+                    format!(
+                        "slab {addr:#x}: old class {old_class}, index table \
+                         [{table_off:#x}, {table_end:#x}) not an even offset inside \
+                         [bitmap end, data offset)"
+                    ),
+                );
+            } else {
+                let old_bs = class_size(old_class);
+                let old_doff = h.old_data_offset as usize;
+                for i in 0..h.index_len as usize {
+                    let e = read_index_entry(pool, addr, h.index_table_off, i);
+                    let start = old_doff + e.old_idx as usize * old_bs;
+                    if start + old_bs > SLAB_SIZE {
+                        viol(
+                            &mut rep,
+                            "morph_index",
+                            format!(
+                                "slab {addr:#x}: index entry {i} names old block \
+                                 {start:#x}+{old_bs:#x} past the slab end"
+                            ),
+                        );
+                    } else if e.allocated {
+                        rep.live_small_bytes += old_bs as u64;
+                        morph_live.push(addr + start as u64);
+                        if prof_on {
+                            prof_live.insert(addr + start as u64, old_bs);
                         }
                     }
                 }
@@ -529,11 +526,15 @@ pub fn audit_pool(pool: &PmemPool, cfg: &NvConfig) -> DoctorReport {
             );
             for e in region.replay_entries(pool) {
                 rep.wal_entries += 1;
-                if e.addr + 8 > pool.size() as u64 || e.dest + 8 > pool.size() as u64 {
+                if !e.is_valid(layout.heap_base, pool.size()) {
                     viol(
                         &mut rep,
                         "wal_bounds",
-                        format!("WAL entry seq {}: addr/dest outside the pool", e.seq),
+                        format!(
+                            "WAL entry seq {}: addr {:#x} / dest {:#x} misaligned or outside \
+                             the heap / pool",
+                            e.seq, e.addr, e.dest
+                        ),
                     );
                     continue;
                 }
@@ -767,11 +768,7 @@ mod tests {
         assert_eq!(live.external_frag, rep.external_fragmentation());
         assert_eq!(live.slab_utilization, rep.slab_utilization());
         let frames: usize = live.shards.iter().map(|s| s.active_slabs).sum();
-        assert_eq!(
-            frames,
-            rep.slabs + rep.reservoir_slabs,
-            "live slab frames == headered + reservoir slabs"
-        );
+        assert_eq!(frames, rep.slabs, "every live slab frame has a header");
         let large: u64 = live.shards.iter().map(|s| s.live_large_bytes).sum();
         assert_eq!(large, rep.live_large_bytes);
         let extents: usize = live.shards.iter().map(|s| s.active_extents).sum();
@@ -842,6 +839,25 @@ mod tests {
         p.write_u64(slab, crate::slab::header_word0(999, flag::NONE));
         let rep = audit_pool(&p, &cfg);
         assert!(rep.violations.iter().any(|v| v.check == "slab_class"), "{:?}", rep.violations);
+    }
+
+    /// A headerless slab extent is a crash between a carve's booklog
+    /// commit and its header write: counted on a crashed image, a
+    /// violation on a cleanly shut down one.
+    #[test]
+    fn headerless_slab_is_flagged_only_after_clean_shutdown() {
+        let (p, cfg) = quiesced(NvConfig::log());
+        let layout = Layout::compute(&cfg, p.size()).unwrap();
+        // Root 1 survives `quiesced`'s frees; scrub its slab's header.
+        let slab = p.read_u64(layout.roots + 8) & !(SLAB_SIZE as u64 - 1);
+        p.write_u64(slab, 0);
+        let rep = audit_pool(&p, &cfg);
+        assert_eq!(rep.headerless_slabs, 1);
+        assert!(rep.violations.iter().any(|v| v.check == "slab_header"), "{:?}", rep.violations);
+        p.write_u64(layout.arena_flags, arena_state::RUNNING);
+        let rep = audit_pool(&p, &cfg);
+        assert_eq!(rep.headerless_slabs, 1);
+        assert!(rep.clean(), "{:?}", rep.violations);
     }
 
     #[test]

@@ -46,6 +46,15 @@ use crate::wal::{MicroWal, WalOp, WalRegion, MICRO_ENTRIES};
 /// Magic tag identifying an NVAlloc-formatted pool.
 pub const POOL_MAGIC: u64 = 0x4E56_414C_4C4F_4331; // "NVALLOC1"
 
+/// WAL capacity per arena: 4096 entries, in micro-logs of
+/// [`MICRO_ENTRIES`] slots.
+const WAL_MICRO_LOGS: usize = 4096 / MICRO_ENTRIES;
+/// Bookkeeping-log region size (paper: a 100 MB file), clamped to a
+/// quarter of the pool by [`Layout::compute`].
+const BOOKLOG_BYTES: usize = 4 << 20;
+/// Max cached blocks per tcache size class.
+const TCACHE_CAP: usize = 64;
+
 /// Computed pool layout (all offsets in bytes).
 #[derive(Debug, Clone)]
 pub(crate) struct Layout {
@@ -78,10 +87,9 @@ impl Layout {
         let roots = crate::align_up64(flags_end, 64);
         let roots_end = roots + cfg.roots as u64 * 8;
         let wal_base = crate::align_up64(roots_end, 64);
-        let wal_micro_count = (cfg.wal_entries / MICRO_ENTRIES).max(16);
-        let wal_bytes = cfg.arenas * WalRegion::region_bytes(wal_micro_count);
+        let wal_bytes = cfg.arenas * WalRegion::region_bytes(WAL_MICRO_LOGS);
         let wal_end = wal_base + wal_bytes as u64;
-        let booklog_bytes = cfg.booklog_bytes.min(pool_size / 4).max(64 << 10);
+        let booklog_bytes = BOOKLOG_BYTES.min(pool_size / 4).max(64 << 10);
         // Shard count: requested (0 = one per arena), rounded up to a
         // power of two, then halved until every shard keeps a workable
         // booklog slice and a two-region heap span — small pools degrade
@@ -119,7 +127,7 @@ impl Layout {
                 roots,
                 roots_count: cfg.roots,
                 wal_base,
-                wal_micro_count,
+                wal_micro_count: WAL_MICRO_LOGS,
                 region_table,
                 region_table_bytes,
                 booklog,
@@ -147,7 +155,6 @@ impl Layout {
             booklog_stripes: cfg.stripes_for(cfg.interleave_booklog),
             booklog_gc: cfg.booklog_gc,
             slow_gc_threshold: usize::MAX, // set by NvInner from usage_pmem
-            decay_ms: cfg.decay_ms,
             region_table_base: self.region_table,
             region_table_bytes: self.region_table_bytes,
             shard_tag: 0, // per-shard tags are applied by ShardedLarge
@@ -241,18 +248,16 @@ impl NvInner {
                 continue;
             }
             if ai.return_block_to_slab(f.slab, idx) {
-                let _ = self.destroy_or_reserve(t, ai, f.slab);
+                let _ = self.destroy_if_free(t, ai, f.slab);
             }
         }
         items.len()
     }
 
     /// Retire `slab_off` if it is completely free: dismantle it under its
-    /// exclusive gate, then park the frame in the arena's reservoir
-    /// (header scrubbed, so crash recovery reclaims it as a leaked slab
-    /// extent) or return it to the large allocator. Caller holds the
-    /// arena lock.
-    pub(crate) fn destroy_or_reserve(
+    /// exclusive gate and return the frame to the large allocator. Caller
+    /// holds the arena lock.
+    pub(crate) fn destroy_if_free(
         &self,
         t: &mut PmThread,
         ai: &mut crate::arena::ArenaInner,
@@ -267,20 +272,10 @@ impl NvInner {
         self.slab_gates.lock(slab_off);
         let vs = ai.remove_slab(slab_off);
         self.metrics.bump(Counter::SlabRetires);
-        let res = if ai.reservoir.len() < self.cfg.slab_reservoir {
-            // Scrub the header magic and hide the frame from address
-            // lookups: until it is re-carved it must be invisible to
-            // frees, and a crash image reclaims it as a leak.
-            self.pool.persist_u64(t, slab_off, 0, FlushKind::Meta);
-            self.rtree.remove_range(slab_off, SLAB_SIZE);
-            ai.reservoir.push((vs.veh, slab_off));
-            Ok(())
-        } else {
-            // large.free re-registers nothing; it removes the range
-            // (which the slab owner entry overwrote) from the rtree. The
-            // shard is selected by the frame's veh tag.
-            self.large.free(&self.pool, t, vs.veh)
-        };
+        // large.free re-registers nothing; it removes the range (which
+        // the slab owner entry overwrote) from the rtree. The shard is
+        // selected by the frame's veh tag.
+        let res = self.large.free(&self.pool, t, vs.veh);
         self.slab_gates.unlock(slab_off);
         res
     }
@@ -331,14 +326,11 @@ impl NvInner {
                         live_blocks,
                     })
                     .collect(),
-                reservoir: ai.reservoir.len(),
                 remote_depth,
             });
         }
-        // Reservoir frames keep their (header-scrubbed) slab extents
-        // Active in the large allocator, so `active_slabs` already counts
-        // claimed + parked frames — the same coverage the doctor derives
-        // from `slabs + reservoir_slabs`.
+        // Every Active slab extent backs a claimed slab, so this is the
+        // same coverage the doctor derives from its `slabs` count.
         let slab_frames: usize = shards.iter().map(|s| s.active_slabs).sum();
         let live_large: u64 = shards.iter().map(|s| s.live_large_bytes).sum();
         let max_end = shards.iter().map(|s| s.max_extent_end).max().filter(|&e| e > 0);
@@ -482,10 +474,6 @@ impl NvAllocator {
         }
         cfg.arenas = cfg.arenas.max(1);
         cfg.stripes = cfg.stripes.max(1);
-        // The sanitizer lives in the pool; the allocator-side knob just
-        // declares intent. Reflect the pool's reality so `config()` and
-        // the config log never disagree with what is actually running.
-        cfg.pmsan = pool.pmsan_enabled();
         // The sampling period is part of the pool layout (it sizes the
         // provenance-sidelog region), so on a formatted pool the header's
         // word is authoritative — recover and the offline doctor must see
@@ -587,8 +575,7 @@ impl NvAllocator {
 
     /// Force a decay pass on every large shard's free lists.
     pub fn drain_free_lists(&self) {
-        let mut t = self.0.pool.register_thread();
-        let _ = self.0.large.drain_free_lists(&self.0.pool, &mut t);
+        self.0.large.drain_free_lists();
     }
 
     /// The flight recorder, when `NvConfig::trace` is on.
@@ -652,7 +639,7 @@ impl PmAllocator for NvAllocator {
             inner: Arc::clone(&self.0),
             t: ThreadState {
                 pm,
-                tcache: TCache::new(tc_stripes, self.0.cfg.tcache_cap),
+                tcache: TCache::new(tc_stripes, TCACHE_CAP),
                 arena,
                 wal,
                 hists: OpHistograms::default(),
@@ -1054,8 +1041,7 @@ impl ThreadState {
     }
 
     /// Refill the tcache for `class`: remote-free drain → freelist slabs →
-    /// slab morphing → a slab frame from the reservoir or the large
-    /// allocator (§4.2).
+    /// slab morphing → a fresh slab frame from the large allocator (§4.2).
     fn refill(&mut self, inner: &NvInner, class: ClassId) -> PmResult<()> {
         // A refill is already a slow path: opportunistically help other
         // arenas clear their remote-free queues before taking our own
@@ -1098,9 +1084,8 @@ impl ThreadState {
                 }
             }
         }
-        // New slab frame (64 KB aligned): reservoir first, then the
-        // large allocator.
-        let (veh, off) = self.acquire_slab_frame(inner, &mut ai)?;
+        // New slab frame (64 KB aligned) from the large allocator.
+        let (veh, off) = self.carve_slab_frame(inner)?;
         inner.rtree.insert_range(
             off,
             SLAB_SIZE,
@@ -1113,51 +1098,20 @@ impl ThreadState {
         Ok(())
     }
 
-    /// Pop a pre-carved slab frame from the arena's reservoir, refilling
-    /// the reservoir with one batched carve on a miss so a shard mutex
-    /// is touched once per `cfg.slab_reservoir` frames. Reserved frames
-    /// have scrubbed headers and no rtree range: they are invisible to
-    /// frees, and a crash image reclaims them as leaked slab extents.
-    /// Carving probes the arena's hint shard first and falls back
-    /// round-robin; the whole batch stays in one shard.
-    fn acquire_slab_frame(
-        &mut self,
-        inner: &NvInner,
-        ai: &mut crate::arena::ArenaInner,
-    ) -> PmResult<(VehId, PmOffset)> {
-        let pool = &inner.pool;
-        let batch = inner.cfg.slab_reservoir;
-        if batch > 0 {
-            if let Some(frame) = ai.reservoir.pop() {
-                inner.metrics.bump(Counter::ReservoirHits);
-                return Ok(frame);
-            }
-            inner.metrics.bump(Counter::ReservoirMisses);
-        }
+    /// Carve one slab frame, probing the arena's hint shard first and
+    /// falling back round-robin.
+    fn carve_slab_frame(&mut self, inner: &NvInner) -> PmResult<(VehId, PmOffset)> {
         let mut oom = PmError::OutOfMemory { requested: SLAB_SIZE };
         for s in inner.large.shard_order(self.arena.id as usize) {
             let mut large = inner.large.lock_traced(s, &self.pm);
-            let first = match large.alloc_aligned(pool, &mut self.pm, SLAB_SIZE, SLAB_SIZE, true) {
-                Ok(f) => f,
-                Err(e @ PmError::OutOfMemory { .. }) => {
-                    oom = e;
-                    continue;
+            match large.alloc_aligned(&inner.pool, &mut self.pm, SLAB_SIZE, SLAB_SIZE, true) {
+                Ok(frame) => {
+                    inner.metrics.bump(Counter::SlabAllocs);
+                    return Ok(frame);
                 }
+                Err(e @ PmError::OutOfMemory { .. }) => oom = e,
                 Err(e) => return Err(e),
-            };
-            inner.metrics.bump(Counter::SlabAllocs);
-            for _ in 1..batch {
-                let Ok((veh, off)) =
-                    large.alloc_aligned(pool, &mut self.pm, SLAB_SIZE, SLAB_SIZE, true)
-                else {
-                    break; // partial batch: serve what we got
-                };
-                inner.metrics.bump(Counter::SlabAllocs);
-                pool.persist_u64(&mut self.pm, off, 0, FlushKind::Meta);
-                inner.rtree.remove_range(off, SLAB_SIZE);
-                ai.reservoir.push((veh, off));
             }
-            return Ok(first);
         }
         Err(oom)
     }
@@ -1315,7 +1269,7 @@ impl ThreadState {
             // Provenance after the commit (prof is a leaf lock; holding
             // the arena lock here is fine), before the slab can retire.
             self.prof_free_hook(inner, addr);
-            inner.destroy_or_reserve(&mut self.pm, &mut ai, slab_off)?;
+            inner.destroy_if_free(&mut self.pm, &mut ai, slab_off)?;
             return Ok(());
         }
 
@@ -1348,7 +1302,7 @@ impl ThreadState {
             inner.metrics.tcache_event(class, TcacheEvent::Flush);
             self.pm.trace(EventKind::TcacheFlush.code(), class as u64, 1);
             if ai.return_block_to_slab(slab_off, idx) {
-                inner.destroy_or_reserve(&mut self.pm, &mut ai, slab_off)?;
+                inner.destroy_if_free(&mut self.pm, &mut ai, slab_off)?;
             }
         }
         Ok(())
@@ -1549,7 +1503,7 @@ impl ThreadState {
                 let Some(vs) = ai.slabs.get(&slab_off) else { continue };
                 let Some(idx) = vs.block_index(addr) else { continue };
                 if ai.return_block_to_slab(slab_off, idx) {
-                    let _ = inner.destroy_or_reserve(&mut self.pm, &mut ai, slab_off);
+                    let _ = inner.destroy_if_free(&mut self.pm, &mut ai, slab_off);
                 }
             }
         }

@@ -8,7 +8,12 @@
 //! `mmap` a fresh 4 MB region and split it. Freed extents coalesce with
 //! address-adjacent reclaimed neighbours through an ordered address index.
 //! A smootherstep *decay* schedule demotes reclaimed → retained → OS, as in
-//! jemalloc (§2.2).
+//! jemalloc (§2.2). It runs on a per-allocator *decay clock*: the largest
+//! [`PmThread::virtual_ns`] any alloc, free or decay call has brought in,
+//! so it is monotone across threads and across `reset_clock`, and a
+//! same-seed run decays identically every time. Pools on
+//! `LatencyMode::Off` never advance a virtual clock, so there extents
+//! decay only through [`LargeAlloc::drain_free_lists`].
 //!
 //! Extent metadata persistence has two modes:
 //!
@@ -23,8 +28,6 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-// nvalloc-lint: allow(determinism) — lock profiling and deferred-free epoch pacing only; never feeds persistent state.
-use std::time::Instant;
 
 use nvalloc_pmem::{FlushKind, PmError, PmOffset, PmResult, PmThread, PmemPool};
 
@@ -72,6 +75,11 @@ const CHUNK_GRANULE: usize = 4 << 10;
 /// Largest size served through the extent lists; bigger objects get a
 /// dedicated mapping.
 pub const HUGE_MIN: usize = 2 << 20;
+/// Decay-schedule tick interval on the decay clock (jemalloc's 50 ms).
+const DECAY_TICK_NS: u64 = 50_000_000;
+/// Smootherstep window over which a decaying list drains from its peak
+/// to zero (10 s).
+const DECAY_WINDOW_NS: u64 = 10_000_000_000;
 
 /// A live extent found during recovery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,8 +134,6 @@ pub struct Veh {
     book: Option<EntryRef>,
     /// In-place header slot (region index, slot index) (in-place mode).
     hdr: Option<(u32, u16)>,
-    /// When the extent entered a free list (decay bookkeeping).
-    freed_at: Option<Instant>,
     /// True for > 2 MB dedicated mappings.
     huge: bool,
 }
@@ -144,34 +150,30 @@ struct DecayList {
     queue: std::collections::VecDeque<VehId>,
     bytes: usize,
     peak: usize,
-    epoch_start: Instant,
+    /// Decay-clock time at which `peak` was last raised.
+    epoch_start: u64,
 }
 
 impl DecayList {
     fn new() -> Self {
-        DecayList {
-            queue: std::collections::VecDeque::new(),
-            bytes: 0,
-            peak: 0,
-            epoch_start: Instant::now(),
-        }
+        DecayList { queue: std::collections::VecDeque::new(), bytes: 0, peak: 0, epoch_start: 0 }
     }
 
-    fn push(&mut self, id: VehId, size: usize) {
+    fn push(&mut self, id: VehId, size: usize, now: u64) {
         self.queue.push_back(id);
         self.bytes += size;
         if self.bytes > self.peak {
             self.peak = self.bytes;
-            self.epoch_start = Instant::now();
+            self.epoch_start = now;
         }
     }
 
-    fn threshold(&self, now: Instant, window_ms: u64) -> usize {
+    /// Bytes the list may still hold at decay-clock time `now`.
+    fn threshold(&self, now: u64) -> usize {
         if self.peak == 0 {
             return 0;
         }
-        let elapsed = now.duration_since(self.epoch_start).as_millis() as f64;
-        let t = elapsed / window_ms as f64;
+        let t = now.saturating_sub(self.epoch_start) as f64 / DECAY_WINDOW_NS as f64;
         (self.peak as f64 * (1.0 - smootherstep(t))) as usize
     }
 }
@@ -202,8 +204,6 @@ pub struct LargeConfig {
     pub booklog_gc: bool,
     /// Slow-GC threshold in bytes.
     pub slow_gc_threshold: usize,
-    /// Decay window in milliseconds (reclaimed → retained → OS).
-    pub decay_ms: u64,
     /// Persistent region-table base (in-place mode: lets recovery find the
     /// 4 MB regions and their header areas).
     pub region_table_base: PmOffset,
@@ -239,7 +239,10 @@ pub struct LargeAlloc {
     booklog: Option<BookLog>,
     decay_reclaimed: DecayList,
     decay_retained: DecayList,
-    last_tick: Instant,
+    /// The decay clock: the largest virtual time seen (see module docs).
+    clock: u64,
+    /// Decay-clock time of the last decay tick.
+    last_tick: u64,
     mapped_bytes: usize,
     peak_mapped: usize,
     stats: LargeStats,
@@ -273,7 +276,8 @@ impl LargeAlloc {
             booklog,
             decay_reclaimed: DecayList::new(),
             decay_retained: DecayList::new(),
-            last_tick: Instant::now(),
+            clock: 0,
+            last_tick: 0,
             mapped_bytes: 0,
             peak_mapped: 0,
             stats: LargeStats::default(),
@@ -731,7 +735,7 @@ impl LargeAlloc {
         }
         debug_assert!(align.is_power_of_two() && align >= PAGE);
         let size = size.next_multiple_of(PAGE);
-        self.maybe_decay(pool, t)?;
+        self.maybe_decay(t);
 
         if size > HUGE_MIN {
             debug_assert_eq!(align, PAGE, "huge allocations are page-aligned only");
@@ -766,7 +770,6 @@ impl LargeAlloc {
                 is_slab: false,
                 book: None,
                 hdr: None,
-                freed_at: None,
                 huge: false,
             });
             self.by_addr.insert(base, id);
@@ -776,7 +779,6 @@ impl LargeAlloc {
         let v = self.vehs[id as usize].as_mut().expect("live veh");
         v.state = ExtentState::Active;
         v.is_slab = is_slab;
-        v.freed_at = None;
         let off = v.off;
         debug_assert_eq!(v.size, size);
         debug_assert_eq!(off % align as u64, 0);
@@ -822,12 +824,11 @@ impl LargeAlloc {
                 is_slab: false,
                 book: None,
                 hdr: None,
-                freed_at: Some(Instant::now()),
                 huge: false,
             });
             self.by_addr.insert(off, head_id);
             self.reclaimed.insert((head, off), head_id);
-            self.decay_reclaimed.push(head_id, head);
+            self.decay_reclaimed.push(head_id, head, self.clock);
             self.by_addr.insert(body, id);
         }
         {
@@ -845,12 +846,11 @@ impl LargeAlloc {
                 is_slab: false,
                 book: None,
                 hdr: None,
-                freed_at: Some(Instant::now()),
                 huge: false,
             });
             self.by_addr.insert(tail_off, tail_id);
             self.reclaimed.insert((tail, tail_off), tail_id);
-            self.decay_reclaimed.push(tail_id, tail);
+            self.decay_reclaimed.push(tail_id, tail, self.clock);
         }
         id
     }
@@ -865,7 +865,6 @@ impl LargeAlloc {
             is_slab,
             book: None,
             hdr: None,
-            freed_at: None,
             huge: true,
         });
         self.by_addr.insert(off, id);
@@ -916,14 +915,14 @@ impl LargeAlloc {
             let v = self.vehs[id as usize].as_mut().expect("live veh");
             v.state = ExtentState::Reclaimed;
             v.is_slab = false;
-            v.freed_at = Some(Instant::now());
         }
         let id = self.coalesce(id);
         let v = self.vehs[id as usize].as_ref().expect("live veh");
         self.reclaimed.insert((v.size, v.off), id);
         let sz = v.size;
-        self.decay_reclaimed.push(id, sz);
-        self.maybe_decay(pool, t)?;
+        let now = self.advance_clock(t);
+        self.decay_reclaimed.push(id, sz, now);
+        self.maybe_decay(t);
         Ok(())
     }
 
@@ -982,21 +981,28 @@ impl LargeAlloc {
 
     // ----- decay -----
 
-    /// Run the decay schedule if ≥ 50 ms elapsed since the last tick
-    /// (jemalloc's interval, §2.2).
-    pub fn maybe_decay(&mut self, pool: &PmemPool, t: &mut PmThread) -> PmResult<()> {
-        let now = Instant::now();
-        if now.duration_since(self.last_tick).as_millis() < 50 {
-            return Ok(());
-        }
-        self.last_tick = now;
-        self.decay_tick(pool, t, now)
+    /// Bring the decay clock up to `t`'s virtual time (it never moves
+    /// back) and return it.
+    fn advance_clock(&mut self, t: &PmThread) -> u64 {
+        self.clock = self.clock.max(t.virtual_ns());
+        self.clock
     }
 
-    fn decay_tick(&mut self, _pool: &PmemPool, _t: &mut PmThread, now: Instant) -> PmResult<()> {
+    /// Run the decay schedule if a tick interval has elapsed on the decay
+    /// clock since the last tick (jemalloc's 50 ms, §2.2).
+    pub fn maybe_decay(&mut self, t: &PmThread) {
+        let now = self.advance_clock(t);
+        if now - self.last_tick < DECAY_TICK_NS {
+            return;
+        }
+        self.last_tick = now;
+        self.decay_tick(now);
+    }
+
+    fn decay_tick(&mut self, now: u64) {
         self.stats.decay_epochs += 1;
         // Reclaimed → retained.
-        let th = self.decay_reclaimed.threshold(now, self.cfg.decay_ms);
+        let th = self.decay_reclaimed.threshold(now);
         while self.decay_reclaimed.bytes > th {
             let Some(id) = self.decay_reclaimed.queue.pop_front() else { break };
             // Skip ids that were coalesced away or re-activated.
@@ -1012,7 +1018,7 @@ impl LargeAlloc {
             let v = self.vehs[id as usize].as_mut().expect("live veh");
             v.state = ExtentState::Retained;
             self.retained.insert((size, off), id);
-            self.decay_retained.push(id, size);
+            self.decay_retained.push(id, size, now);
             // Unmapping releases physical memory.
             self.add_mapped(-(size as isize));
         }
@@ -1021,7 +1027,7 @@ impl LargeAlloc {
         }
 
         // Retained → OS.
-        let th = self.decay_retained.threshold(now, self.cfg.decay_ms);
+        let th = self.decay_retained.threshold(now);
         while self.decay_retained.bytes > th {
             let Some(id) = self.decay_retained.queue.pop_front() else { break };
             let Some(v) = self.vehs.get(id as usize).and_then(|v| v.as_ref()) else {
@@ -1040,7 +1046,6 @@ impl LargeAlloc {
         if self.decay_retained.bytes == 0 {
             self.decay_retained.peak = 0;
         }
-        Ok(())
     }
 
     // ----- recovery -----
@@ -1075,7 +1080,6 @@ impl LargeAlloc {
                     is_slab: e.is_slab,
                     book: Some(er),
                     hdr: None,
-                    freed_at: None,
                     huge: e.size as usize > HUGE_MIN,
                 });
                 la.by_addr.insert(e.addr, id);
@@ -1102,7 +1106,6 @@ impl LargeAlloc {
                             is_slab,
                             book: None,
                             hdr: Some(((r - 1) as u32, s as u16)),
-                            freed_at: None,
                             huge: size > HUGE_MIN,
                         });
                         la.by_addr.insert(off, id);
@@ -1161,12 +1164,11 @@ impl LargeAlloc {
                 is_slab: false,
                 book: None,
                 hdr: None,
-                freed_at: Some(Instant::now()),
                 huge: false,
             });
             la.by_addr.insert(off, id);
             la.reclaimed.insert((size, off), id);
-            la.decay_reclaimed.push(id, size);
+            la.decay_reclaimed.push(id, size, 0);
         }
 
         // Accounting: everything up to brk is mapped.
@@ -1208,7 +1210,8 @@ impl LargeAlloc {
             booklog: None,
             decay_reclaimed: DecayList::new(),
             decay_retained: DecayList::new(),
-            last_tick: Instant::now(),
+            clock: 0,
+            last_tick: 0,
             mapped_bytes: 0,
             peak_mapped: 0,
             stats: LargeStats::default(),
@@ -1216,13 +1219,13 @@ impl LargeAlloc {
     }
 
     /// Force a full decay pass regardless of thresholds (shutdown, tests).
-    pub fn drain_free_lists(&mut self, pool: &PmemPool, t: &mut PmThread) -> PmResult<()> {
+    pub fn drain_free_lists(&mut self) {
         self.decay_reclaimed.peak = 0;
         self.decay_retained.peak = 0;
-        self.decay_tick(pool, t, Instant::now())?;
+        self.decay_tick(self.clock);
         // Second pass: extents demoted above may now retire fully.
         self.decay_retained.peak = 0;
-        self.decay_tick(pool, t, Instant::now())
+        self.decay_tick(self.clock);
     }
 }
 
@@ -1244,7 +1247,6 @@ mod tests {
             booklog_stripes: 6,
             booklog_gc: true,
             slow_gc_threshold: 4 << 10, // 4 chunks — small enough for tests to exercise slow GC
-            decay_ms: 10_000,
             region_table_base: 1 << 20,
             region_table_bytes: 64 << 10,
             shard_tag: 0,
@@ -1485,13 +1487,55 @@ mod tests {
         let (id, _) = la.alloc(&pool, &mut t, 1 << 20, false).unwrap();
         la.free(&pool, &mut t, id).unwrap();
         let mapped_before = la.mapped_bytes();
-        la.drain_free_lists(&pool, &mut t).unwrap();
+        la.drain_free_lists();
         assert!(
             la.mapped_bytes() < mapped_before,
             "drain must unmap reclaimed extents ({} !< {})",
             la.mapped_bytes(),
             mapped_before
         );
+    }
+
+    /// Fill one region with four 1 MiB extents and free two
+    /// non-adjacent ones at decay-clock time 0, on a fresh schedule (the
+    /// carves' split remainders are dropped from it). Returns the
+    /// allocator with 2 MiB reclaimed.
+    fn two_reclaimed_mib() -> (Arc<PmemPool>, LargeAlloc, PmThread) {
+        let (pool, mut la, mut t) = setup(true);
+        let ids: Vec<VehId> =
+            (0..4).map(|_| la.alloc(&pool, &mut t, 1 << 20, false).unwrap().0).collect();
+        assert!(la.reclaimed.is_empty(), "four 1 MiB extents fill the region");
+        la.decay_reclaimed = DecayList::new();
+        la.free(&pool, &mut t, ids[0]).unwrap();
+        la.free(&pool, &mut t, ids[2]).unwrap();
+        assert_eq!((la.clock, la.decay_reclaimed.bytes), (0, 2 << 20));
+        (pool, la, t)
+    }
+
+    #[test]
+    fn decay_demotes_half_at_half_the_window() {
+        let (_pool, mut la, _t) = two_reclaimed_mib();
+        let mapped = la.mapped_bytes();
+        la.decay_tick(DECAY_WINDOW_NS / 2);
+        // smootherstep(0.5) = 0.5: the threshold is half the 2 MiB peak,
+        // so exactly one 1 MiB extent moves to retained (and unmaps).
+        assert_eq!((la.reclaimed.len(), la.retained.len()), (1, 1));
+        assert_eq!(la.mapped_bytes(), mapped - (1 << 20));
+        la.decay_tick(DECAY_WINDOW_NS);
+        assert!(la.reclaimed.is_empty(), "the full window drains the reclaimed list");
+    }
+
+    #[test]
+    fn decay_ignores_wall_time() {
+        let (_pool, mut la, t) = two_reclaimed_mib();
+        let mapped = la.mapped_bytes();
+        // Longer than a tick of wall time, but no virtual time elapses
+        // (the pool's latency mode is Off).
+        std::thread::sleep(std::time::Duration::from_millis(60));
+        la.maybe_decay(&t);
+        la.decay_tick(la.clock);
+        assert_eq!((la.reclaimed.len(), la.retained.len()), (2, 0));
+        assert_eq!(la.mapped_bytes(), mapped);
     }
 
     #[test]
@@ -1501,7 +1545,7 @@ mod tests {
         la.free(&pool, &mut t, id).unwrap();
         // Demote to retained only (first drain pass).
         la.decay_reclaimed.peak = 0;
-        la.decay_tick(&pool, &mut t, Instant::now()).unwrap();
+        la.decay_tick(la.clock);
         assert!(!la.retained.is_empty());
         let (_, off2) = la.alloc(&pool, &mut t, 256 << 10, false).unwrap();
         // The retained extent (or a prefix of the coalesced one) comes back.

@@ -51,8 +51,8 @@ pub const DECILE_BINS: [f64; 9] = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9];
 
 // ----- shared heap-health math (doctor + live sampler) -----
 
-/// Heap bytes covered by live extents: every live slab frame (claimed or
-/// parked in a reservoir) plus the live non-slab extent bytes.
+/// Heap bytes covered by live extents: every live slab frame plus the
+/// live non-slab extent bytes.
 pub fn covered_bytes(slab_frames: usize, live_large_bytes: u64) -> u64 {
     slab_frames as u64 * SLAB_SIZE as u64 + live_large_bytes
 }
@@ -92,7 +92,7 @@ pub fn heap_used_bytes(max_extent_end: Option<u64>, heap_base: u64) -> u64 {
 /// Point-in-time occupancy gauge for one large-allocator shard.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardGauge {
-    /// Live slab-frame extents (claimed slabs + parked reservoir frames).
+    /// Live slab-frame extents (one per slab claimed by an arena).
     pub active_slabs: usize,
     /// Live non-slab extents.
     pub active_extents: usize,
@@ -135,8 +135,6 @@ pub struct ArenaGauge {
     /// Per-class occupancy rows (classes with at least one slab, by
     /// ascending class index).
     pub classes: Vec<ClassGauge>,
-    /// Pre-carved slab frames parked in the arena's reservoir.
-    pub reservoir: usize,
     /// Deferred cross-arena frees queued on the remote-free queue.
     pub remote_depth: usize,
 }
@@ -284,8 +282,7 @@ impl TimelineSample {
                 field(out, ",\"live_blocks\":", c.live_blocks as u64);
                 out.push('}');
             }
-            field(out, "],\"reservoir\":", a.reservoir as u64);
-            field(out, ",\"remote_depth\":", a.remote_depth as u64);
+            field(out, "],\"remote_depth\":", a.remote_depth as u64);
             out.push('}');
         }
         out.push_str("],\"latency\":{");
@@ -496,7 +493,6 @@ impl TimelineSampler {
             out.push(counter("heap_bytes", heap));
             let mut q = json::JsonObj::new();
             q.field_u64("remote", s.arenas.iter().map(|a| a.remote_depth as u64).sum());
-            q.field_u64("reservoir", s.arenas.iter().map(|a| a.reservoir as u64).sum());
             q.field_u64("free_extents", s.shards.iter().map(|g| g.free_extents as u64).sum());
             out.push(counter("queues", q));
             let mut b = json::JsonObj::new();
@@ -590,7 +586,7 @@ mod tests {
         };
         let j = s.to_json();
         assert!(!j.contains('\n'));
-        assert!(j.starts_with("{\"schema_version\":3,\"sample\":3,\"ns\":4000,"));
+        assert!(j.starts_with("{\"schema_version\":4,\"sample\":3,\"ns\":4000,"));
         assert!(j.contains("\"external_frag\":0.25"));
         assert!(j.contains("\"occupancy_hist\":[0,0,0,0,0,0,0,0,0,0]"));
         assert!(j.contains("\"latency\":{\"malloc_small\":{\"count\":0"));

@@ -25,7 +25,7 @@ use crate::arena::{arena_state, Arena};
 use crate::bitmap::PmBitmap;
 use crate::config::{NvConfig, Variant};
 use crate::front::{Layout, NvAllocator, NvInner, RecoveryReport, POOL_MAGIC};
-use crate::geometry::GeometryTable;
+use crate::geometry::{GeometryTable, SLAB_FIXED_HEADER};
 use crate::large::{RecoveredExtent, VehId};
 use crate::rtree::{Owner, RTree};
 use crate::shards::ShardedLarge;
@@ -72,6 +72,16 @@ pub(crate) fn recover(
         })
         .collect();
     report.normal_shutdown = arenas.iter().all(|a| a.state(&pool) == arena_state::NORMAL_SHUTDOWN);
+    // The WAL entries a crashed LOG image replays, validated before any
+    // repair writes to the image.
+    let wal_entries: Vec<WalEntry> = if !report.normal_shutdown && cfg.variant == Variant::Log {
+        arenas.iter().flat_map(|a| a.wal.replay_entries(&pool)).collect()
+    } else {
+        Vec::new()
+    };
+    if wal_entries.iter().any(|e| !e.is_valid(layout.heap_base, pool.size())) {
+        return Err(PmError::Corrupt("WAL entry outside the heap or pool"));
+    }
     for a in &arenas {
         a.set_state(&pool, &mut t, arena_state::RECOVERY);
     }
@@ -120,15 +130,13 @@ pub(crate) fn recover(
                 replay_wals(
                     &pool,
                     &mut t,
-                    &cfg,
-                    &layout,
+                    wal_entries,
                     &geoms,
-                    &arenas,
                     &large,
                     &rtree,
                     &mut vslabs,
                     &mut report,
-                )?;
+                );
                 t.trace(EventKind::RecoveryPhase.code(), 2, report.wal_replayed as u64);
             }
             Variant::Gc => {
@@ -238,7 +246,7 @@ pub(crate) fn recover(
 
 /// Rebuild one slab's vslab from its persistent header, rolling
 /// interrupted morphs back or forward first. Returns `None` for slabs
-/// whose header never persisted.
+/// whose header never persisted or is not one recovery can trust.
 fn recover_slab(
     pool: &PmemPool,
     t: &mut nvalloc_pmem::PmThread,
@@ -265,13 +273,18 @@ fn recover_slab(
             flag::INDEX_WRITTEN => {
                 // Undo steps 1–2. The bitmap may be partially overwritten
                 // by an interrupted step 3: rebuild it from the index
-                // table, which is authoritative at this point.
+                // table, which is authoritative at this point. The table
+                // sits at the new class's bitmap end, which may reach past
+                // the old data offset, so only the slab bounds it.
+                if !h.morph_index_valid(SLAB_FIXED_HEADER, SLAB_SIZE) {
+                    return None;
+                }
                 let g = geoms.of(h.class as usize);
                 let bm = PmBitmap::new(e.off + g.bitmap_off as u64, g.bitmap);
                 bm.clear_all(pool);
                 for i in 0..h.index_len as usize {
                     let entry = read_index_entry(pool, e.off, h.index_table_off, i);
-                    if entry.allocated {
+                    if entry.allocated && (entry.old_idx as usize) < g.bitmap.nbits() {
                         bm.write_volatile(pool, entry.old_idx as usize, true);
                     }
                 }
@@ -297,11 +310,16 @@ fn recover_slab(
         return None;
     }
     let nblocks = g.nblocks_at(data_offset);
+    if h.old_class != NO_OLD_CLASS
+        && !h.morph_index_valid(g.bitmap_off + g.bitmap.bytes(), data_offset)
+    {
+        return None;
+    }
     let morph_state = (h.old_class != NO_OLD_CLASS).then(|| {
         let index: Vec<IndexEntry> = (0..h.index_len as usize)
             .map(|i| read_index_entry(pool, e.off, h.index_table_off, i))
             .collect();
-        let old_class = (h.old_class as usize).min(crate::size_class::NUM_CLASSES - 1);
+        let old_class = h.old_class as usize;
         let old_bs = class_size(old_class);
         let mut cnt_block = vec![0u16; nblocks];
         let mut cnt_slab = 0;
@@ -334,23 +352,19 @@ fn recover_slab(
 }
 
 /// NVAlloc-LOG failure recovery: replay the newest WAL entry of every
-/// micro-log in global sequence order (§4.4).
+/// micro-log (`entries`, already validated) in global sequence order
+/// (§4.4).
 #[allow(clippy::too_many_arguments)]
 fn replay_wals(
     pool: &PmemPool,
     t: &mut PmThread,
-    cfg: &NvConfig,
-    layout: &Layout,
+    mut entries: Vec<WalEntry>,
     geoms: &GeometryTable,
-    arenas: &[Arc<Arena>],
     large: &ShardedLarge,
     rtree: &RTree,
     vslabs: &mut [VSlab],
     report: &mut RecoveryReport,
-) -> PmResult<()> {
-    let _ = (cfg, layout);
-    let mut entries: Vec<WalEntry> =
-        arenas.iter().flat_map(|a| a.wal.replay_entries(pool)).collect();
+) {
     entries.sort_by_key(|e| e.seq);
     // Later entries supersede earlier ones for the same block.
     let mut latest: HashMap<PmOffset, WalEntry> = HashMap::new();
@@ -425,7 +439,6 @@ fn replay_wals(
             // Nothing persisted for this allocation: nothing to undo.
         }
     }
-    Ok(())
 }
 
 fn large_owner_of(large: &ShardedLarge, rtree: &RTree, addr: PmOffset) -> Option<Owner> {

@@ -101,20 +101,21 @@ impl RTree {
         RTree { root: v.into_boxed_slice() }
     }
 
+    /// The three level indexes of `off`; `None` past the tree's
+    /// coverage (2^45 bytes), where a caller-supplied address can land.
     #[inline]
-    fn split(off: PmOffset) -> (usize, usize, usize) {
+    fn split(off: PmOffset) -> Option<(usize, usize, usize)> {
         let page = off >> PAGE_SHIFT;
         let i3 = (page & ((1 << L3_BITS) - 1)) as usize;
         let i2 = (page >> L3_BITS & ((1 << L2_BITS) - 1)) as usize;
         let i1 = (page >> (L3_BITS + L2_BITS)) as usize;
-        debug_assert!(i1 < 1 << L1_BITS, "offset {off:#x} beyond rtree coverage");
-        (i1, i2, i3)
+        (i1 < FANOUT).then_some((i1, i2, i3))
     }
 
     /// The leaf slot for `off`, descending without installing anything.
     #[inline]
     fn slot(&self, off: PmOffset) -> Option<&AtomicU64> {
-        let (i1, i2, i3) = Self::split(off);
+        let (i1, i2, i3) = Self::split(off)?;
         let mid = self.root[i1].load(Ordering::Acquire);
         if mid.is_null() {
             return None;
@@ -133,7 +134,9 @@ impl RTree {
     /// The leaf slot for `off`, CAS-installing missing interior nodes.
     #[inline]
     fn slot_or_install(&self, off: PmOffset) -> &AtomicU64 {
-        let (i1, i2, i3) = Self::split(off);
+        // Only the allocator's own layout inserts, so this cannot fail.
+        let (i1, i2, i3) =
+            Self::split(off).unwrap_or_else(|| panic!("offset {off:#x} beyond rtree coverage"));
         let mid = install(&self.root[i1], new_mid);
         trace_read(mid, "rtree-node");
         // SAFETY: installed nodes live until Drop (&self borrow).
@@ -144,7 +147,8 @@ impl RTree {
     }
 
     /// Look up the value covering `off` (any byte within a registered
-    /// range). Returns `None` for unmapped addresses. Lock-free.
+    /// range). Returns `None` for unmapped addresses, including any past
+    /// the tree's coverage. Lock-free.
     pub fn lookup(&self, off: PmOffset) -> Option<u64> {
         let v = self.slot(off)?.load(Ordering::Acquire);
         (v != 0).then_some(v)

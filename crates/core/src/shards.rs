@@ -333,11 +333,10 @@ impl ShardedLarge {
     }
 
     /// Force a full decay pass on every shard.
-    pub fn drain_free_lists(&self, pool: &PmemPool, t: &mut PmThread) -> PmResult<()> {
+    pub fn drain_free_lists(&self) {
         for s in &self.shards {
-            s.lock().drain_free_lists(pool, t)?;
+            s.lock().drain_free_lists();
         }
-        Ok(())
     }
 
     /// Per-shard (acquires, contended) lock counters.
@@ -378,7 +377,6 @@ mod tests {
             booklog_stripes: 6,
             booklog_gc: true,
             slow_gc_threshold: 1 << 20,
-            decay_ms: 10_000,
             region_table_base: 6 << 20,
             region_table_bytes: 64 << 10,
             shard_tag: 0,

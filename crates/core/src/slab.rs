@@ -346,6 +346,20 @@ impl SlabHeader {
         })
     }
 
+    /// True when the morph fields name an index table that can be read
+    /// in place: `index_table_off` is even, the table lies inside
+    /// `[lo, hi)`, and `old_class` is a real class. For a settled header
+    /// the bounds are the class's bitmap end and `data_offset`. Recovery
+    /// reclaims a slab failing this as a leak; the doctor reports it as
+    /// `morph_index`.
+    pub fn morph_index_valid(&self, lo: usize, hi: usize) -> bool {
+        let off = self.index_table_off as usize;
+        off.is_multiple_of(2)
+            && off >= lo
+            && off + 2 * self.index_len as usize <= hi
+            && (self.old_class as usize) < crate::size_class::NUM_CLASSES
+    }
+
     /// True if the header records a morph in progress or a live `slab_in`.
     #[allow(dead_code)] // exercised by unit and integration tests
     pub fn is_morphed(&self) -> bool {

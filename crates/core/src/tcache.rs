@@ -130,26 +130,6 @@ impl TCache {
         out
     }
 
-    /// Remove roughly half the cached blocks of `class` (overflow flush).
-    #[allow(dead_code)] // alternative overflow policy, kept for experiments
-    pub fn drain_half(&mut self, class: ClassId) -> Vec<PmOffset> {
-        let bin = &mut self.bins[class];
-        let target = bin.count / 2;
-        let mut out = Vec::with_capacity(target);
-        while out.len() < target {
-            // Take from the currently longest sub to keep subs balanced.
-            let s = (0..bin.subs.len())
-                .max_by_key(|&s| bin.subs[s].len())
-                .expect("bins have at least one sub");
-            match bin.subs[s].pop() {
-                Some(a) => out.push(a),
-                None => break,
-            }
-        }
-        bin.count -= out.len();
-        out
-    }
-
     /// Iterate over all cached blocks (diagnostics, leak checks in tests).
     #[allow(dead_code)]
     pub fn iter(&self) -> impl Iterator<Item = (ClassId, PmOffset)> + '_ {
@@ -225,18 +205,13 @@ mod tests {
     }
 
     #[test]
-    fn drain_and_drain_half() {
+    fn drain_empties_the_class() {
         let mut tc = TCache::new(3, 64);
         for i in 0..9u64 {
             tc.push(1, i, i as usize % 3);
         }
-        let half = tc.drain_half(1);
-        assert_eq!(half.len(), 4);
-        assert_eq!(tc.len(1), 5);
-        let rest = tc.drain(1);
-        assert_eq!(rest.len(), 5);
+        let mut all = tc.drain(1);
         assert!(tc.is_empty(1));
-        let mut all: Vec<u64> = half.into_iter().chain(rest).collect();
         all.sort_unstable();
         assert_eq!(all, (0..9u64).collect::<Vec<_>>());
     }

@@ -294,10 +294,6 @@ pub enum Counter {
     /// Foreign-arena remote queues drained opportunistically by a malloc
     /// slow path (the drain hook; counts non-empty drains).
     RemoteDrainForeign,
-    /// Slab carves served from a per-arena reservoir.
-    ReservoirHits,
-    /// Slab carves that had to take a large-shard lock.
-    ReservoirMisses,
     /// Wall-clock nanoseconds spent waiting to acquire instrumented
     /// mutexes (arena free/refill locks; large-shard waits are merged in
     /// by the front end at snapshot time).
@@ -306,7 +302,7 @@ pub enum Counter {
     LockHoldNs,
 }
 
-const NUM_COUNTERS: usize = 19;
+const NUM_COUNTERS: usize = 17;
 const TCACHE_EVENTS: usize = 4;
 
 /// A lock-free log2-bucketed histogram: the shared-atomic counterpart of
@@ -478,8 +474,6 @@ impl CoreMetrics {
         s.remote_drain_batches = c(Counter::RemoteDrainBatches);
         s.remote_drained = c(Counter::RemoteDrained);
         s.remote_drain_foreign = c(Counter::RemoteDrainForeign);
-        s.reservoir_hits = c(Counter::ReservoirHits);
-        s.reservoir_misses = c(Counter::ReservoirMisses);
         s.lock_wait_ns = c(Counter::LockWaitNs);
         s.lock_hold_ns = c(Counter::LockHoldNs);
         s.lock_wait_hist = self.lock_wait.snapshot();
@@ -528,8 +522,11 @@ impl TcacheClassCounters {
 /// History: 1 = metrics + timeline; 2 = explicit `schema_version` field
 /// everywhere + profiler fields/dumps; 3 = the slow-path offload thread
 /// removed, taking its four metrics counters, the per-arena queue-depth
-/// timeline gauge, and the profile dump's `snapshots` ring with it.
-pub const SCHEMA_VERSION: u64 = 3;
+/// timeline gauge, and the profile dump's `snapshots` ring with it;
+/// 4 = the slab reservoir removed, taking the metrics
+/// `reservoir_hits`/`reservoir_misses` fields, the per-arena timeline
+/// `reservoir` gauge and the Chrome `queues` counter's `reservoir` arg.
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// A point-in-time copy of the allocator's internal metrics, cheap to
 /// diff between benchmark phases with [`MetricsSnapshot::since`].
@@ -592,9 +589,13 @@ pub struct MetricsSnapshot {
     /// Per-shard breakdown of [`Self::large_lock_contended`], indexed by
     /// shard number.
     pub large_shard_contended: Vec<u64>,
-    /// Slab carves served from a per-arena reservoir.
+    /// Always 0: the per-arena slab reservoir these counted is gone.
+    /// Kept (and left out of [`Self::to_json`]) only because the
+    /// benchmark ledger still reads it for its
+    /// `arena.reservoir_hit_ratio` row; the next benchmark change
+    /// removes the row and these two fields together.
     pub reservoir_hits: u64,
-    /// Slab carves that had to take the large-allocator lock.
+    /// Always 0; see [`Self::reservoir_hits`].
     pub reservoir_misses: u64,
     /// Wall-clock nanoseconds spent waiting to acquire instrumented
     /// mutexes (arena free/refill locks and large-shard locks for
@@ -713,8 +714,8 @@ impl MetricsSnapshot {
                 &self.large_shard_contended,
                 &earlier.large_shard_contended,
             ),
-            reservoir_hits: self.reservoir_hits.saturating_sub(earlier.reservoir_hits),
-            reservoir_misses: self.reservoir_misses.saturating_sub(earlier.reservoir_misses),
+            reservoir_hits: 0,
+            reservoir_misses: 0,
             lock_wait_ns: self.lock_wait_ns.saturating_sub(earlier.lock_wait_ns),
             lock_hold_ns: self.lock_hold_ns.saturating_sub(earlier.lock_hold_ns),
             lock_wait_hist: self.lock_wait_hist.since(&earlier.lock_wait_hist),
@@ -814,8 +815,6 @@ impl MetricsSnapshot {
         o.field_u64("large_lock_contended", self.large_lock_contended);
         o.field_raw("large_shard_acquires", &json::u64_array(&self.large_shard_acquires));
         o.field_raw("large_shard_contended", &json::u64_array(&self.large_shard_contended));
-        o.field_u64("reservoir_hits", self.reservoir_hits);
-        o.field_u64("reservoir_misses", self.reservoir_misses);
         o.field_u64("lock_wait_ns", self.lock_wait_ns);
         o.field_u64("lock_hold_ns", self.lock_hold_ns);
         o.field_u64("trace_events", self.trace_events);

@@ -73,6 +73,21 @@ pub struct WalEntry {
     pub seq: u64,
 }
 
+impl WalEntry {
+    /// True when replaying the entry stays inside memory it may touch:
+    /// `addr` and `dest` are 8-aligned, `addr` lies in the heap
+    /// `[heap_base, pool_size)`, and the destination word lies in the
+    /// pool. Recovery refuses an image holding an invalid entry with
+    /// `PmError::Corrupt`; the doctor reports it as `wal_bounds`.
+    pub fn is_valid(&self, heap_base: PmOffset, pool_size: usize) -> bool {
+        let pool_end = pool_size as u64;
+        self.addr.is_multiple_of(8)
+            && self.dest.is_multiple_of(8)
+            && (heap_base..pool_end).contains(&self.addr)
+            && self.dest.checked_add(8).is_some_and(|end| end <= pool_end)
+    }
+}
+
 /// Raw media image of one 32 B WAL entry slot, word for word. The live
 /// code reads and writes these fields through `pool.read_u64`/`write_u64`
 /// at the offsets this struct pins down; it exists so the persistent
@@ -120,12 +135,6 @@ impl WalRegion {
     /// View an existing region (recovery).
     pub fn open(base: PmOffset, micro_count: usize) -> Self {
         WalRegion { base, micro_count }
-    }
-
-    /// Number of micro-logs.
-    #[allow(dead_code)]
-    pub fn micro_count(&self) -> usize {
-        self.micro_count
     }
 
     /// The micro-log at `idx` (one per thread; `idx` wraps).

@@ -47,6 +47,20 @@ fn zero_size_and_bad_dest_rejected() {
     assert!(matches!(t.malloc_to(64, u64::MAX - 7), Err(PmError::InvalidRequest(_))));
 }
 
+/// A root slot is user data: a garbage pointer in it, even one past the
+/// radix tree's 2^45-byte coverage, is "not allocated", never a panic.
+#[test]
+fn garbage_pointers_are_not_allocated() {
+    let (p, a) = mk(NvConfig::log(), 32 << 20);
+    let mut t = a.thread();
+    let root = a.root_offset(0);
+    for garbage in [0xDEAD_BEEF_0000_0000, 1 << 45, u64::MAX - 7] {
+        p.write_u64(root, garbage);
+        assert!(matches!(t.free_from(root), Err(PmError::NotAllocated)), "{garbage:#x}");
+        assert_eq!(a.usable_size(garbage), None, "{garbage:#x}");
+    }
+}
+
 #[test]
 fn double_free_detected() {
     let (_, a) = mk(NvConfig::log(), 32 << 20);

@@ -22,7 +22,7 @@ fn san_pool(bytes: usize) -> Arc<PmemPool> {
 
 fn mk_san(cfg: NvConfig, bytes: usize) -> (Arc<PmemPool>, NvAllocator) {
     let p = san_pool(bytes);
-    let a = NvAllocator::create(Arc::clone(&p), cfg.pmsan(true)).expect("create");
+    let a = NvAllocator::create(Arc::clone(&p), cfg).expect("create");
     (p, a)
 }
 
@@ -88,7 +88,7 @@ fn recovery_run_has_zero_violations() {
     let img = p.crash();
     let rp = PmemPool::from_crash_image(img);
     assert!(rp.pmsan_enabled(), "crash image must inherit pmsan config");
-    let (ra, _report) = NvAllocator::recover(Arc::clone(&rp), NvConfig::log().pmsan(true)).unwrap();
+    let (ra, _report) = NvAllocator::recover(Arc::clone(&rp), NvConfig::log()).unwrap();
     ra.exit();
     assert_eq!(rp.pmsan_total(), 0, "{}", rp.pmsan_report().unwrap().to_json());
 }
@@ -106,7 +106,7 @@ fn sanitizer_is_measurement_invariant() {
                 .crash_tracking(true)
                 .pmsan(pmsan),
         );
-        let a = NvAllocator::create(Arc::clone(&p), NvConfig::log().pmsan(pmsan)).expect("create");
+        let a = NvAllocator::create(Arc::clone(&p), NvConfig::log()).expect("create");
         churn(&a, 48, 3);
         a.quiesce();
         a.exit();
@@ -183,7 +183,7 @@ fn window_images_all_recover_clean() {
     let n = images.len();
     for (i, img) in images.into_iter().enumerate() {
         let rp = PmemPool::from_crash_image(img);
-        let (ra, _rep) = NvAllocator::recover(Arc::clone(&rp), NvConfig::log().pmsan(true))
+        let (ra, _rep) = NvAllocator::recover(Arc::clone(&rp), NvConfig::log())
             .unwrap_or_else(|e| panic!("image {i}/{n}: recovery failed: {e:?}"));
         let verdict = doctor::audit_pool(ra.pool(), &NvConfig::log());
         assert!(verdict.clean(), "image {i}/{n}: doctor violations: {:?}", verdict.violations);

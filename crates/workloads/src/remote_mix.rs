@@ -3,7 +3,8 @@
 //! of all frees is *cross-thread*. This is the workload behind the
 //! Fig. 22 scalability experiment: local frees exercise the lock-free
 //! tcache fast path, handed-off frees exercise the per-arena remote-free
-//! queues, and the steady alloc stream exercises the slab reservoirs.
+//! queues, and the steady alloc stream exercises slab carves from the
+//! large shards.
 //!
 //! Topology: thread `k` sends root-slot indices to thread `(k+1) % t`
 //! over a bounded channel and frees whatever thread `(k-1) % t` sends it.

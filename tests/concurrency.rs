@@ -60,9 +60,7 @@ fn eight_thread_stress_with_mpsc_handoff() {
     const OPS: usize = 480;
     const SIZES: [usize; 8] = [16, 48, 64, 200, 512, 1344, 2048, 24 * 1024];
 
-    let alloc =
-        NvAllocator::create(pool_mb(256), NvConfig::log().arenas(THREADS).slab_reservoir(4))
-            .unwrap();
+    let alloc = NvAllocator::create(pool_mb(256), NvConfig::log().arenas(THREADS)).unwrap();
     let (mut txs, mut rxs): (Vec<_>, Vec<_>) =
         (0..THREADS).map(|_| mpsc::channel::<usize>()).unzip();
     // Thread k frees what its predecessor sends on rxs[k] and hands off
@@ -119,8 +117,7 @@ fn crash_mid_remote_free_recovers_log() {
             .latency_mode(LatencyMode::Off)
             .crash_tracking(true),
     );
-    let alloc = NvAllocator::create(Arc::clone(&pool), NvConfig::log().arenas(2).slab_reservoir(4))
-        .unwrap();
+    let alloc = NvAllocator::create(Arc::clone(&pool), NvConfig::log().arenas(2)).unwrap();
     let mut t0 = alloc.thread(); // arena 0
     let mut t1 = alloc.thread(); // arena 1 (least-loaded assignment)
     let n = 48usize;
@@ -183,8 +180,7 @@ fn crash_mid_remote_free_recovers_gc() {
             .latency_mode(LatencyMode::Off)
             .crash_tracking(true),
     );
-    let alloc =
-        NvAllocator::create(Arc::clone(&pool), NvConfig::gc().arenas(2).slab_reservoir(4)).unwrap();
+    let alloc = NvAllocator::create(Arc::clone(&pool), NvConfig::gc().arenas(2)).unwrap();
     let mut t0 = alloc.thread();
     let mut t1 = alloc.thread();
     let n = 48usize;

@@ -416,48 +416,6 @@ fn sharded_large_crash_matrix_gc() {
 }
 
 #[test]
-fn reservoir_crash_accounting_is_pinned() {
-    // The slab reservoir now defaults on (batch = 8): the first small
-    // allocation carves a batch of 8 slab frames, one becomes a live slab
-    // and 7 sit in the volatile reservoir with scrubbed headers. A crash
-    // must surface exactly those 7 as fixed leaks, and the space must be
-    // fully reusable afterwards.
-    let cfg = NvConfig::log();
-    assert_eq!(cfg.slab_reservoir, 8, "reservoir default changed; update this pin");
-    let pool = PmemPool::new(
-        PmemConfig::default()
-            .pool_size(96 << 20)
-            .latency_mode(LatencyMode::Off)
-            .crash_tracking(true)
-            .pmsan(true),
-    );
-    let alloc = NvAllocator::create(Arc::clone(&pool), NvConfig::log()).unwrap();
-    let mut t = alloc.thread();
-    let addr = t.malloc_to(100, alloc.root_offset(0)).unwrap();
-    pool.write_u64(addr, 0xFEED);
-    pool.flush(t.pm_mut(), addr, 8, nvalloc_pmem::FlushKind::Data);
-    pool.fence(t.pm_mut());
-
-    let img = PmemPool::from_crash_image(pool.crash());
-    let (alloc2, report) = NvAllocator::recover(Arc::clone(&img), NvConfig::log()).unwrap();
-    assert_eq!(report.slabs, 1, "exactly one slab has a persisted header");
-    assert_eq!(
-        report.leaks_fixed,
-        cfg.slab_reservoir - 1,
-        "reserved-but-unused slab frames must be reclaimed as leaks"
-    );
-    assert_eq!(img.read_u64(addr), 0xFEED);
-    let mut t2 = alloc2.thread();
-    t2.free_from(alloc2.root_offset(0)).unwrap();
-    assert_eq!(alloc2.live_bytes(), 0);
-    // The reclaimed frames are allocatable again.
-    for i in 0..256usize {
-        t2.malloc_to(1200, alloc2.root_offset(1 + i)).unwrap();
-    }
-    pmsan_clean(&img, "reservoir recovery");
-}
-
-#[test]
 fn crash_during_recovery_is_recoverable() {
     // §4.4: "If the recovery process finds the flag is running or
     // recovery, it indicates a failure has occurred during running or

@@ -7,6 +7,7 @@
 use std::sync::Arc;
 
 use nvalloc::api::PmAllocator;
+use nvalloc::doctor::audit_pool;
 use nvalloc::{NvAllocator, NvConfig};
 use nvalloc_pmem::{FlushKind, LatencyMode, PmemConfig, PmemPool};
 use rand::rngs::SmallRng;
@@ -16,8 +17,10 @@ const TAG: u64 = 0xF1A5 << 32;
 
 /// Run a deterministic trace with persistence frozen after `freeze`
 /// flushes, then crash, recover, and validate. Returns the total number of
-/// flushes the full trace issues (for sweep sizing).
-fn run_with_freeze(freeze: Option<u64>, ops: usize, seed: u64) -> u64 {
+/// flushes the full trace issues (for sweep sizing) and the number of
+/// headerless slab frames in the crash image: frames whose carve reached
+/// the booklog but whose header write did not.
+fn run_with_freeze(freeze: Option<u64>, ops: usize, seed: u64) -> (u64, usize) {
     let pool = PmemPool::new(
         PmemConfig::default()
             .pool_size(96 << 20)
@@ -54,11 +57,12 @@ fn run_with_freeze(freeze: Option<u64>, ops: usize, seed: u64) -> u64 {
     }
     let total_flushes = pool.stats().flushes();
     if freeze.is_none() {
-        return total_flushes;
+        return (total_flushes, 0);
     }
 
     // Crash at the frozen point and recover.
     let img = PmemPool::from_crash_image(pool.crash());
+    let headerless = audit_pool(&img, &NvConfig::log()).headerless_slabs;
     let (a2, _) = NvAllocator::recover(Arc::clone(&img), NvConfig::log())
         .unwrap_or_else(|e| panic!("freeze={freeze:?}: recover failed: {e}"));
     let mut t2 = a2.thread();
@@ -88,23 +92,30 @@ fn run_with_freeze(freeze: Option<u64>, ops: usize, seed: u64) -> u64 {
     for i in 0..256usize {
         t2.malloc_to(1000, a2.root_offset(i)).unwrap();
     }
-    total_flushes
+    (total_flushes, headerless)
 }
 
 #[test]
 fn crash_swept_across_individual_flushes() {
     let ops = 160;
     let seed = 0xF1A5;
-    let total = run_with_freeze(None, ops, seed);
+    let (total, _) = run_with_freeze(None, ops, seed);
     assert!(total > 400, "trace too small ({total} flushes)");
     // Sweep ~60 crash points spread over the whole trace, plus the first
     // dozen flushes one by one (formatting / first-slab edge cases).
     let step = (total / 48).max(1);
     let mut points: Vec<u64> = (0..12).collect();
     points.extend((12..total).step_by(step as usize));
+    let mut headerless_points = 0;
     for n in points {
-        run_with_freeze(Some(n), ops, seed);
+        if run_with_freeze(Some(n), ops, seed).1 > 0 {
+            headerless_points += 1;
+        }
     }
+    // Recovery must reclaim a slab frame whose carve committed to the
+    // booklog before its header persisted; the sweep has to hit that
+    // window for the invariants above to cover it.
+    assert!(headerless_points > 0, "no crash point fell between a carve and its header write");
 }
 
 #[test]

@@ -42,9 +42,7 @@ fn virtual_pool(mb: usize) -> Arc<PmemPool> {
 }
 
 fn run_once(timeline_ns: u64) -> NvAllocator {
-    // decay_ms(MAX) freezes the wall-clock extent-decay schedule, the
-    // one mechanism that could legitimately differ between two runs.
-    let cfg = NvConfig::log().roots(SLOTS).timeline(timeline_ns).decay_ms(u64::MAX);
+    let cfg = NvConfig::log().roots(SLOTS).timeline(timeline_ns);
     let alloc = NvAllocator::create(virtual_pool(96), cfg).unwrap();
     churn(&alloc, 6_000, 0x0B5E);
     alloc
@@ -63,7 +61,7 @@ fn same_seed_runs_emit_byte_identical_timelines() {
     // schema version tag leads so downstream parsers can dispatch on it
     // before reading anything else.
     for line in ja.lines() {
-        assert!(line.starts_with("{\"schema_version\":3,\"sample\":"), "bad line shape: {line}");
+        assert!(line.starts_with("{\"schema_version\":4,\"sample\":"), "bad line shape: {line}");
         assert!(line.ends_with('}'), "bad line shape: {line}");
         assert!(line.contains("\"external_frag\":") && line.contains("\"latency\":"));
     }
@@ -121,7 +119,7 @@ fn crash_mid_run_recovers_identically_with_and_without_sampler() {
                 .latency_mode(LatencyMode::Virtual)
                 .crash_tracking(true),
         );
-        let cfg = NvConfig::log().roots(SLOTS).timeline(timeline_ns).decay_ms(u64::MAX);
+        let cfg = NvConfig::log().roots(SLOTS).timeline(timeline_ns);
         let alloc = NvAllocator::create(Arc::clone(&pool), cfg).unwrap();
         churn(&alloc, 3_000, 0xDEAD);
         // No exit(): the image is whatever the crash left persisted.

@@ -135,7 +135,7 @@ fn same_seed_profiles_are_byte_identical() {
     let (j2, f2) = run();
     assert_eq!(j1, j2, "profile JSON must be byte-identical across same-seed runs");
     assert_eq!(f1, f2, "collapsed output must be byte-identical across same-seed runs");
-    assert!(j1.starts_with("{\"schema_version\":3,"), "{}", &j1[..60.min(j1.len())]);
+    assert!(j1.starts_with("{\"schema_version\":4,"), "{}", &j1[..60.min(j1.len())]);
     assert!(j1.contains("det_site_even") && j1.contains("det_site_odd"), "site labels in dump");
     assert!(f1.lines().any(|l| l.starts_with("det_site_even ")), "collapsed line per site");
 }
