@@ -8,17 +8,15 @@
 //! paper studies.
 
 use std::collections::{HashMap, VecDeque};
-use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 
 use nvalloc::api::{AllocThread, PmAllocator};
 use nvalloc::internals::{
-    BitmapLayout, GeometryTable, LargeAlloc, LargeConfig, Owner, PmBitmap, RTree, VehId,
-    REGION_BYTES,
+    BitmapLayout, GeometryTable, LargeAlloc, LargeConfig, LockStats, Owner, PmBitmap, RTree,
+    TimedMutex, VehId, REGION_BYTES,
 };
 use nvalloc::telemetry::MetricsSnapshot;
 use nvalloc::{
@@ -364,81 +362,40 @@ pub(crate) fn finish_entry(pool: &PmemPool, t: &mut PmThread, entry: PmOffset) {
     pool.fence(t);
 }
 
+/// A heap behind a counted lock: an arena's shared heap, or one
+/// thread's own heap in the per-thread-heap policies.
+pub(crate) type HeapLock = Arc<TimedMutex<BHeap>>;
+
+/// A fresh, empty heap. Every baseline mutex keeps its [`LockStats`]
+/// beside it, so the Fig. 22 harness can print contended nanoseconds per
+/// op for every series, as it does for NVAlloc's shard locks.
+pub(crate) fn new_heap() -> HeapLock {
+    Arc::new(TimedMutex::new(BHeap::new(), true))
+}
+
 #[derive(Debug)]
 pub(crate) struct BArena {
-    pub heap: Arc<Mutex<BHeap>>,
-    pub wal: Mutex<BWal>,
+    pub heap: HeapLock,
+    pub wal: TimedMutex<BWal>,
     pub threads: AtomicUsize,
     pub wal_next_micro: AtomicUsize,
     pub wal_base: PmOffset,
 }
 
 impl BArena {
-    /// Re-open after recovery; the WAL ring restarts at slot 0.
-    pub(crate) fn reopen(wal_base: PmOffset) -> BArena {
+    /// An arena whose WAL lane starts at `wal_base`. The first cache line
+    /// of the lane is the PMDK-style lane header; entries start behind it
+    /// (after recovery the ring restarts at slot 0).
+    pub(crate) fn new(wal_base: PmOffset) -> BArena {
+        let wal = BWal { base: wal_base + 64, cap: WAL_ENTRIES_PER_ARENA - 2, next: 0 };
         BArena {
-            heap: Arc::new(Mutex::new(BHeap::new())),
-            wal: Mutex::new(BWal { base: wal_base + 64, cap: WAL_ENTRIES_PER_ARENA - 2, next: 0 }),
+            heap: new_heap(),
+            wal: TimedMutex::new(wal, true),
             threads: AtomicUsize::new(0),
             wal_next_micro: AtomicUsize::new(0),
             wal_base,
         }
     }
-}
-
-/// Wall-clock wait/hold accounting for the engine's shared mutexes (the
-/// global large-allocator lock, arena/thread heap locks, and WAL lane
-/// locks). NVAlloc's sharded large allocator carries the same probes, so
-/// the Fig. 22 harness can print contended nanoseconds per op for every
-/// series.
-#[derive(Debug, Default)]
-pub(crate) struct BLockStats {
-    pub wait_ns: AtomicU64,
-    pub hold_ns: AtomicU64,
-    pub acquires: AtomicU64,
-    pub contended: AtomicU64,
-}
-
-/// A mutex guard that credits its hold time to [`BLockStats`] on drop.
-pub(crate) struct TimedGuard<'a, T> {
-    guard: MutexGuard<'a, T>,
-    stats: &'a BLockStats,
-    held: Instant,
-}
-
-impl<T> Deref for TimedGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.guard
-    }
-}
-
-impl<T> DerefMut for TimedGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.guard
-    }
-}
-
-impl<T> Drop for TimedGuard<'_, T> {
-    fn drop(&mut self) {
-        self.stats.hold_ns.fetch_add(self.held.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    }
-}
-
-/// Lock `m`, recording whether the acquisition contended and how long it
-/// waited; the returned guard times the hold.
-fn timed_lock<'a, T>(stats: &'a BLockStats, m: &'a Mutex<T>) -> TimedGuard<'a, T> {
-    stats.acquires.fetch_add(1, Ordering::Relaxed);
-    let wait = Instant::now();
-    let guard = match m.try_lock() {
-        Some(g) => g,
-        None => {
-            stats.contended.fetch_add(1, Ordering::Relaxed);
-            m.lock()
-        }
-    };
-    stats.wait_ns.fetch_add(wait.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    TimedGuard { guard, stats, held: Instant::now() }
 }
 
 pub(crate) struct BInner {
@@ -448,13 +405,12 @@ pub(crate) struct BInner {
     pub layout: BLayout,
     pub geoms: GeometryTable,
     pub rtree: Arc<RTree>,
-    pub large: Mutex<LargeAlloc>,
+    pub large: TimedMutex<LargeAlloc>,
     pub arenas: Vec<Arc<BArena>>,
     /// PAllocator mode: one heap per thread, registered here for cross-
     /// thread frees and recovery.
-    pub thread_heaps: Mutex<Vec<Arc<Mutex<BHeap>>>>,
+    pub thread_heaps: Mutex<Vec<HeapLock>>,
     pub live_bytes: AtomicUsize,
-    pub locks: BLockStats,
     #[allow(dead_code)] // reserved for cross-arena ordering diagnostics
     pub seq: AtomicU64,
 }
@@ -513,20 +469,7 @@ impl Baseline {
 
         let arenas = (0..policy.arenas)
             .map(|i| {
-                let wal_base = layout.wal_base + (i * layout.wal_bytes_per_arena) as u64;
-                Arc::new(BArena {
-                    heap: Arc::new(Mutex::new(BHeap::new())),
-                    // The first cache line of the region is the PMDK-style
-                    // lane header; entries start behind it.
-                    wal: Mutex::new(BWal {
-                        base: wal_base + 64,
-                        cap: WAL_ENTRIES_PER_ARENA - 2,
-                        next: 0,
-                    }),
-                    threads: AtomicUsize::new(0),
-                    wal_next_micro: AtomicUsize::new(0),
-                    wal_base,
-                })
+                Arc::new(BArena::new(layout.wal_base + (i * layout.wal_bytes_per_arena) as u64))
             })
             .collect();
 
@@ -540,11 +483,10 @@ impl Baseline {
             layout,
             geoms: GeometryTable::new(1), // sequential bitmaps only
             rtree,
-            large: Mutex::new(large),
+            large: TimedMutex::new(large, true),
             arenas,
             thread_heaps: Mutex::new(Vec::new()),
             live_bytes: AtomicUsize::new(0),
-            locks: BLockStats::default(),
             seq: AtomicU64::new(1),
         })))
     }
@@ -567,7 +509,7 @@ impl PmAllocator for Baseline {
     fn thread(&self) -> Box<dyn AllocThread> {
         let inner = Arc::clone(&self.0);
         let (arena, own_heap, heap_idx) = if inner.policy.per_thread_heaps {
-            let heap = Arc::new(Mutex::new(BHeap::new()));
+            let heap = new_heap();
             let mut reg = inner.thread_heaps.lock();
             reg.push(Arc::clone(&heap));
             let idx = reg.len() - 1;
@@ -619,16 +561,22 @@ impl PmAllocator for Baseline {
     }
 
     fn metrics(&self) -> MetricsSnapshot {
-        // Baselines carry no internal telemetry beyond the shared-mutex
-        // probes; surface those so the Fig. 22 harness can report lock
-        // wait per op for every series.
-        let mut s = MetricsSnapshot::default();
-        let l = &self.0.locks;
-        s.lock_wait_ns = l.wait_ns.load(Ordering::Relaxed);
-        s.lock_hold_ns = l.hold_ns.load(Ordering::Relaxed);
-        s.large_lock_acquires = l.acquires.load(Ordering::Relaxed);
-        s.large_lock_contended = l.contended.load(Ordering::Relaxed);
-        s
+        // Baselines carry no internal telemetry beyond their mutexes'
+        // statistics; surface those, summed over every mutex, so the
+        // Fig. 22 harness can report lock wait per op for every series.
+        let heaps = self.0.thread_heaps.lock();
+        let locks: Vec<&LockStats> = std::iter::once(self.0.large.stats())
+            .chain(self.0.arenas.iter().flat_map(|a| [a.heap.stats(), a.wal.stats()]))
+            .chain(heaps.iter().map(|h| h.stats()))
+            .collect();
+        let sum = |f: fn(&LockStats) -> u64| locks.iter().map(|l| f(l)).sum();
+        MetricsSnapshot {
+            lock_wait_ns: sum(LockStats::wait_ns),
+            lock_hold_ns: sum(LockStats::hold_ns),
+            large_lock_acquires: sum(LockStats::acquires),
+            large_lock_contended: sum(LockStats::contended),
+            ..MetricsSnapshot::default()
+        }
     }
 
     fn exit(&self) {
@@ -658,7 +606,7 @@ pub struct BaselineThread {
     pm: PmThread,
     arena: Arc<BArena>,
     /// PAllocator mode: this thread's private heap.
-    own_heap: Option<Arc<Mutex<BHeap>>>,
+    own_heap: Option<HeapLock>,
     heap_idx: u32,
     tcache: Vec<Vec<PmOffset>>,
     micro_base: PmOffset,
@@ -706,9 +654,8 @@ impl BaselineThread {
                 if self.policy().wal == WalScheme::PerOpCommit {
                     self.bump_lane(&pool);
                 }
-                let inner = Arc::clone(&self.inner);
                 let wal_arc = Arc::clone(&self.arena);
-                let mut wal = timed_lock(&inner.locks, &wal_arc.wal);
+                let mut wal = wal_arc.wal.timed(None);
                 let mut entries = Vec::with_capacity(1 + self.policy().extra_tx_entries);
                 if self.policy().wal == WalScheme::PerOpCommit {
                     // PMDK lanes re-use *fixed* undo/redo slots for every
@@ -822,7 +769,7 @@ impl BaselineThread {
     }
 
     /// The heap that owns `heap_idx` (per-thread mode) or this arena's heap.
-    fn heap_for(&self, idx: u32) -> Arc<Mutex<BHeap>> {
+    fn heap_for(&self, idx: u32) -> HeapLock {
         if self.policy().per_thread_heaps {
             Arc::clone(&self.inner.thread_heaps.lock()[idx as usize])
         } else {
@@ -838,9 +785,9 @@ impl BaselineThread {
         let heap_arc;
         let mut heap = if let Some(h) = &self.own_heap {
             heap_arc = Arc::clone(h);
-            timed_lock(&inner.locks, &heap_arc)
+            heap_arc.timed(None)
         } else {
-            timed_lock(&inner.locks, &self.arena.heap)
+            self.arena.heap.timed(None)
         };
         // Try existing freelist slabs.
         let cap = self.policy().tcache_cap.max(1);
@@ -865,7 +812,7 @@ impl BaselineThread {
             return Ok(());
         }
         // New slab (static segregation: never repurpose another class's).
-        let (veh, off) = timed_lock(&inner.locks, &inner.large).alloc_aligned(
+        let (veh, off) = inner.large.timed(None).alloc_aligned(
             pool,
             &mut self.pm,
             SLAB_SIZE,
@@ -968,8 +915,7 @@ impl BaselineThread {
         } else {
             Arc::clone(&self.inner.arenas[idx as usize].heap)
         };
-        let inner = Arc::clone(&self.inner);
-        let mut heap = timed_lock(&inner.locks, &heap_arc);
+        let mut heap = heap_arc.timed(None);
         if !heap.slabs.contains_key(&slab_off) {
             return Err(PmError::Corrupt("slab missing"));
         }
@@ -1057,10 +1003,8 @@ impl BaselineThread {
     fn malloc_large(&mut self, size: usize, dest: PmOffset) -> PmResult<PmOffset> {
         let inner = Arc::clone(&self.inner);
         let pool = &inner.pool;
-        let (veh, off) =
-            timed_lock(&inner.locks, &inner.large).alloc(pool, &mut self.pm, size, false)?;
-        let actual =
-            timed_lock(&inner.locks, &inner.large).veh(veh).map(|v| v.size).unwrap_or(size);
+        let (veh, off) = inner.large.timed(None).alloc(pool, &mut self.pm, size, false)?;
+        let actual = inner.large.timed(None).veh(veh).map(|v| v.size).unwrap_or(size);
         let entry = self.wal_begin(off, dest, size as u32, true);
         if self.policy().strong {
             pool.persist_u64(&mut self.pm, dest, off, FlushKind::Data);
@@ -1077,7 +1021,7 @@ impl BaselineThread {
         let inner = Arc::clone(&self.inner);
         let pool = &inner.pool;
         {
-            let large = timed_lock(&inner.locks, &inner.large);
+            let large = inner.large.timed(None);
             let v = large.veh(veh).ok_or(PmError::NotAllocated)?;
             if v.off != addr {
                 return Err(PmError::NotAllocated);
@@ -1090,7 +1034,7 @@ impl BaselineThread {
             pool.write_u64(dest, 0);
             pool.charge_store(&mut self.pm, dest, 8);
         }
-        let mut large = timed_lock(&inner.locks, &inner.large);
+        let mut large = inner.large.timed(None);
         let size = large.veh(veh).map(|v| v.size).unwrap_or(0);
         large.free(pool, &mut self.pm, veh)?;
         drop(large);
@@ -1155,13 +1099,13 @@ impl AllocThread for BaselineThread {
         if let MetaScheme::EmbeddedList { persist_every_free: false, .. } = self.policy().meta {
             let inner = Arc::clone(&self.inner);
             let pool = Arc::clone(&inner.pool);
-            let heaps: Vec<Arc<Mutex<BHeap>>> = if self.policy().per_thread_heaps {
+            let heaps: Vec<HeapLock> = if self.policy().per_thread_heaps {
                 inner.thread_heaps.lock().clone()
             } else {
                 inner.arenas.iter().map(|a| Arc::clone(&a.heap)).collect()
             };
             for h in heaps {
-                let mut heap = timed_lock(&inner.locks, &h);
+                let mut heap = h.timed(None);
                 let offs: Vec<u64> = heap.slabs.keys().copied().collect();
                 for off in offs {
                     let slab = heap.slabs.get_mut(&off).expect("listed");

@@ -17,13 +17,15 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use nvalloc::internals::{GeometryTable, LargeAlloc, LargeConfig, Owner, PmBitmap, RTree};
+use nvalloc::internals::{
+    GeometryTable, LargeAlloc, LargeConfig, Owner, PmBitmap, RTree, TimedMutex,
+};
 use nvalloc::{class_size, PmError, PmOffset, PmResult, SLAB_SIZE};
 use nvalloc_pmem::PmemPool;
 
 use crate::engine::{
-    geom_for, pool_magic, BArena, BHeap, BInner, BLayout, BLockStats, BSlab, BWalRecovered,
-    Baseline, SCHEME_BITMAP, SCHEME_LIST, SCHEME_STATE, SLAB_MAGIC,
+    geom_for, new_heap, pool_magic, BArena, BInner, BLayout, BSlab, BWalRecovered, Baseline,
+    HeapLock, SCHEME_BITMAP, SCHEME_LIST, SCHEME_STATE, SLAB_MAGIC,
 };
 use crate::policy::BaselineKind;
 
@@ -180,20 +182,19 @@ impl Baseline {
         // Assemble the allocator.
         let arenas: Vec<Arc<BArena>> = (0..policy.arenas)
             .map(|i| {
-                let wal_base = layout.wal_base + (i * layout.wal_bytes_per_arena) as u64;
-                Arc::new(BArena::reopen(wal_base))
+                Arc::new(BArena::new(layout.wal_base + (i * layout.wal_bytes_per_arena) as u64))
             })
             .collect();
         let thread_heaps = Mutex::new(Vec::new());
         // Per-thread-heap baselines park recovered slabs in heap 0.
         if policy.per_thread_heaps {
-            thread_heaps.lock().push(Arc::new(Mutex::new(BHeap::new())));
+            thread_heaps.lock().push(new_heap());
         }
 
         let mut live_bytes = 0usize;
         {
             // Distribute slabs and register ownership.
-            let heaps: Vec<Arc<Mutex<BHeap>>> = if policy.per_thread_heaps {
+            let heaps: Vec<HeapLock> = if policy.per_thread_heaps {
                 thread_heaps.lock().clone()
             } else {
                 arenas.iter().map(|a| Arc::clone(&a.heap)).collect()
@@ -226,11 +227,10 @@ impl Baseline {
             layout,
             geoms,
             rtree,
-            large: Mutex::new(large),
+            large: TimedMutex::new(large, true),
             arenas,
             thread_heaps,
             live_bytes: AtomicUsize::new(live_bytes),
-            locks: BLockStats::default(),
             seq: AtomicU64::new(1),
         }));
         Ok((b, report))

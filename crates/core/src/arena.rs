@@ -15,8 +15,6 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::AtomicUsize;
 
-use parking_lot::Mutex;
-
 use nvalloc_pmem::{PmOffset, PmThread, PmemPool};
 
 use crate::geometry::GeometryTable;
@@ -24,6 +22,7 @@ use crate::remote::RemoteFreeQueue;
 use crate::size_class::{ClassId, NUM_CLASSES};
 use crate::slab::VSlab;
 use crate::tcache::TCache;
+use crate::telemetry::TimedMutex;
 use crate::wal::WalRegion;
 
 /// Persistent per-arena state flag values (§4.4).
@@ -241,8 +240,9 @@ pub struct Arena {
     pub wal: WalRegion,
     /// Next micro-log index to hand to a joining thread.
     pub wal_next_micro: AtomicUsize,
-    /// Slab structures.
-    pub inner: Mutex<ArenaInner>,
+    /// Slab structures, behind a lock that counts and times the
+    /// allocator paths' acquisitions (refill, locked free).
+    pub inner: TimedMutex<ArenaInner>,
     /// Deferred cross-arena frees (volatile bookkeeping only), drained by
     /// owner threads under `inner`.
     pub remote: RemoteFreeQueue,
@@ -251,38 +251,17 @@ pub struct Arena {
 }
 
 impl Arena {
-    /// Create a fresh arena whose WAL region occupies
-    /// `[wal_base, wal_base + WalRegion::region_bytes(micro_count))`.
-    pub fn create(
-        pool: &PmemPool,
-        id: u32,
-        flag_off: PmOffset,
-        wal_base: PmOffset,
-        micro_count: usize,
-    ) -> Self {
-        let wal = WalRegion::create(pool, wal_base, micro_count);
+    /// An arena over the WAL region `wal` — freshly formatted, or reopened
+    /// for recovery: recovery reads the old entries first, and joining
+    /// threads then restart at micro-log 0 and overwrite them slot by
+    /// slot. `telemetry` enables the arena lock's statistics.
+    pub fn new(id: u32, flag_off: PmOffset, wal: WalRegion, telemetry: bool) -> Self {
         Arena {
             id,
             flag_off,
             wal,
             wal_next_micro: AtomicUsize::new(0),
-            inner: Mutex::new(ArenaInner::new()),
-            remote: RemoteFreeQueue::new(),
-            threads: AtomicUsize::new(0),
-        }
-    }
-
-    /// Re-open an arena during recovery. The WAL region is *not* cleared —
-    /// recovery reads it first — but joining threads restart at micro-log
-    /// 0 and overwrite old entries slot by slot.
-    pub fn reopen(id: u32, flag_off: PmOffset, wal_base: PmOffset, micro_count: usize) -> Self {
-        let wal = WalRegion::open(wal_base, micro_count);
-        Arena {
-            id,
-            flag_off,
-            wal,
-            wal_next_micro: AtomicUsize::new(0),
-            inner: Mutex::new(ArenaInner::new()),
+            inner: TimedMutex::new(ArenaInner::new(), telemetry),
             remote: RemoteFreeQueue::new(),
             threads: AtomicUsize::new(0),
         }
@@ -453,7 +432,7 @@ mod tests {
     fn arena_state_flag_roundtrip() {
         let p = pool();
         let mut t = p.register_thread();
-        let a = Arena::create(&p, 0, 512, 4096, 16);
+        let a = Arena::new(0, 512, WalRegion::create(&p, 4096, 16), true);
         assert_eq!(a.state(&p), 0);
         a.set_state(&p, &mut t, arena_state::RUNNING);
         assert_eq!(a.state(&p), arena_state::RUNNING);

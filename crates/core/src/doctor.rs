@@ -285,7 +285,7 @@ pub fn audit_pool(pool: &PmemPool, cfg: &NvConfig) -> DoctorReport {
     });
 
     // ----- extent inventory: booklog (LOG) or region table (in-place) -----
-    let base = layout.large_config_pub(&cfg);
+    let base = layout.large_config(&cfg);
     let mut extents: Vec<(PmOffset, usize, bool)> = Vec::new();
     for (si, sc) in ShardedLarge::shard_cfgs(&base, layout.large_shards).iter().enumerate() {
         let span_end = sc.heap_base + sc.heap_bytes as u64;
@@ -826,7 +826,7 @@ mod tests {
         assert!(audit_pool(&p, &cfg).clean());
         // Corrupt the class field of a slab header (magic preserved).
         let layout = Layout::compute(&cfg, p.size()).unwrap();
-        let base = layout.large_config_pub(&cfg);
+        let base = layout.large_config(&cfg);
         let sc = &ShardedLarge::shard_cfgs(&base, layout.large_shards)[0];
         let (_log, entries) =
             BookLog::recover(&p, sc.booklog_base, sc.booklog_bytes, sc.booklog_stripes, false, 1);
@@ -889,7 +889,7 @@ mod tests {
     fn orphaned_booklog_entry_is_detected() {
         let (p, cfg) = quiesced(NvConfig::log());
         let layout = Layout::compute(&cfg, p.size()).unwrap();
-        let base = layout.large_config_pub(&cfg);
+        let base = layout.large_config(&cfg);
         let sc = &ShardedLarge::shard_cfgs(&base, layout.large_shards)[0];
         // Forge an extent entry pointing past the pool into a free slot of
         // chunk 0 (the head chunk of shard 0's chain).

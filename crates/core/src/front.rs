@@ -18,11 +18,9 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-// nvalloc-lint: allow(determinism) — lock wait/hold profiling timestamps only; never feeds persistent state.
-use std::time::Instant;
 
 use nvalloc_pmem::{
-    FlushKind, PmError, PmOffset, PmResult, PmThread, PmemMode, PmemPool, TracerHandle,
+    ClockSpan, FlushKind, PmError, PmOffset, PmResult, PmThread, PmemMode, PmemPool,
 };
 
 use crate::api::{AllocThread, PmAllocator};
@@ -33,13 +31,14 @@ use crate::geometry::GeometryTable;
 use crate::large::{LargeConfig, VehId, PAGE, REGION_BYTES};
 use crate::morph;
 use crate::observe::{ArenaGauge, ClassGauge, TimelineSample, TimelineSampler};
+use crate::prof::Prof;
 use crate::remote::{RemoteFree, SlabGates};
 use crate::rtree::{Owner, RTree};
 use crate::shards::ShardedLarge;
 use crate::size_class::{class_size, size_to_class, ClassId, SLAB_SIZE};
 use crate::slab::{flag, SlabHeader, VSlab};
 use crate::tcache::TCache;
-use crate::telemetry::{CoreMetrics, Counter, MetricsSnapshot, OpHistograms, OpKind, TcacheEvent};
+use crate::telemetry::{MetricsSnapshot, OpKind, Probe, Probes};
 use crate::trace::{EventKind, TraceRecorder};
 use crate::wal::{MicroWal, WalOp, WalRegion, MICRO_ENTRIES};
 
@@ -141,11 +140,25 @@ impl Layout {
         }
     }
 
-    pub(crate) fn large_config_pub(&self, cfg: &NvConfig) -> LargeConfig {
-        self.large_config(cfg)
+    /// The arenas over this layout's state flags and WAL regions; `wal`
+    /// formats a region (`create`) or reopens it for recovery.
+    pub(crate) fn arenas(
+        &self,
+        cfg: &NvConfig,
+        wal: impl Fn(PmOffset, usize) -> WalRegion,
+    ) -> Vec<Arc<Arena>> {
+        (0..cfg.arenas)
+            .map(|i| {
+                let base =
+                    self.wal_base + (i * WalRegion::region_bytes(self.wal_micro_count)) as u64;
+                let flag_off = self.arena_flags + (i * 64) as u64;
+                let wal = wal(base, self.wal_micro_count);
+                Arc::new(Arena::new(i as u32, flag_off, wal, cfg.telemetry))
+            })
+            .collect()
     }
 
-    fn large_config(&self, cfg: &NvConfig) -> LargeConfig {
+    pub(crate) fn large_config(&self, cfg: &NvConfig) -> LargeConfig {
         LargeConfig {
             heap_base: self.heap_base,
             heap_bytes: self.heap_bytes,
@@ -206,7 +219,8 @@ pub(crate) struct NvInner {
     pub rtree: Arc<RTree>,
     pub live_bytes: AtomicUsize,
     pub wal_seq: AtomicU64,
-    pub metrics: CoreMetrics,
+    /// Probe registry (`NvConfig::telemetry`); snapshots fold its probes.
+    pub probes: Arc<Probes>,
     /// Flight recorder (`NvConfig::trace`); threads register a ring on
     /// creation and emit through their `PmThread`.
     pub tracer: Option<Arc<TraceRecorder>>,
@@ -218,16 +232,80 @@ pub(crate) struct NvInner {
     /// winner records one [`TimelineSample`].
     pub observe: Option<Arc<TimelineSampler>>,
     /// Sampled heap profiler (`NvConfig::profiling`); `None` when off.
-    pub prof: Option<Arc<crate::prof::Prof>>,
+    pub prof: Option<Arc<Prof>>,
+}
+
+/// An allocator's instrumentation and volatile side tables, built from
+/// its configuration before any heap work (so recovery's own thread
+/// records into them) and handed to [`NvInner::assemble`].
+pub(crate) struct Instruments {
+    pub probes: Arc<Probes>,
+    pub tracer: Option<Arc<TraceRecorder>>,
+    pub slab_gates: SlabGates,
+    pub observe: Option<Arc<TimelineSampler>>,
+    pub prof: Option<Arc<Prof>>,
+}
+
+impl Instruments {
+    pub(crate) fn new(cfg: &NvConfig, layout: &Layout, pool_size: usize) -> Instruments {
+        Instruments {
+            probes: Arc::new(Probes::new(cfg.telemetry)),
+            tracer: cfg.trace.then(|| Arc::new(TraceRecorder::new(cfg.trace_events_per_thread))),
+            slab_gates: SlabGates::new(pool_size),
+            observe: (cfg.timeline_interval_ns > 0).then(|| {
+                Arc::new(TimelineSampler::new(cfg.timeline_interval_ns, cfg.timeline_capacity))
+            }),
+            prof: (cfg.profile_sample_bytes > 0).then(|| {
+                Arc::new(Prof::new(cfg.profile_sample_bytes, layout.prof_base, cfg.arenas))
+            }),
+        }
+    }
+}
+
+/// The heap parts `create` formats and `recover` rebuilds.
+pub(crate) struct Heap {
+    pub geoms: GeometryTable,
+    pub arenas: Vec<Arc<Arena>>,
+    pub large: ShardedLarge,
+    pub rtree: Arc<RTree>,
+    pub live_bytes: usize,
+    pub wal_seq: u64,
 }
 
 impl NvInner {
+    /// The allocator around a formatted or recovered heap.
+    pub(crate) fn assemble(
+        pool: Arc<PmemPool>,
+        cfg: NvConfig,
+        layout: Layout,
+        heap: Heap,
+        inst: Instruments,
+    ) -> NvAllocator {
+        NvAllocator(Arc::new(NvInner {
+            pool,
+            cfg,
+            geoms: heap.geoms,
+            layout,
+            arenas: heap.arenas,
+            large: heap.large,
+            rtree: heap.rtree,
+            live_bytes: AtomicUsize::new(heap.live_bytes),
+            wal_seq: AtomicU64::new(heap.wal_seq),
+            probes: inst.probes,
+            tracer: inst.tracer,
+            slab_gates: inst.slab_gates,
+            observe: inst.observe,
+            prof: inst.prof,
+        }))
+    }
+
     /// Drain `arena`'s deferred cross-arena frees into its slabs. The
     /// caller holds `ai` (the arena's lock), which makes it the queue's
     /// single consumer.
     pub(crate) fn drain_remote(
         &self,
         t: &mut PmThread,
+        probe: &Probe,
         arena: &Arena,
         ai: &mut crate::arena::ArenaInner,
     ) -> usize {
@@ -235,9 +313,7 @@ impl NvInner {
         if items.is_empty() {
             return 0;
         }
-        self.metrics.bump(Counter::RemoteDrainBatches);
-        self.metrics.add(Counter::RemoteDrained, items.len() as u64);
-        t.trace(EventKind::RemoteDrain.code(), arena.id as u64, items.len() as u64);
+        probe.event(t, EventKind::RemoteDrain, arena.id as u64, items.len() as u64);
         for f in &items {
             let idx = f.idx as usize;
             // The persistent free already happened on the freeing thread;
@@ -248,7 +324,7 @@ impl NvInner {
                 continue;
             }
             if ai.return_block_to_slab(f.slab, idx) {
-                let _ = self.destroy_if_free(t, ai, f.slab);
+                let _ = self.destroy_if_free(t, probe, ai, f.slab);
             }
         }
         items.len()
@@ -260,6 +336,7 @@ impl NvInner {
     pub(crate) fn destroy_if_free(
         &self,
         t: &mut PmThread,
+        probe: &Probe,
         ai: &mut crate::arena::ArenaInner,
         slab_off: PmOffset,
     ) -> PmResult<()> {
@@ -271,7 +348,7 @@ impl NvInner {
         // wait on the arena lock (held here), so this cannot deadlock.
         self.slab_gates.lock(slab_off);
         let vs = ai.remove_slab(slab_off);
-        self.metrics.bump(Counter::SlabRetires);
+        probe.event(t, EventKind::SlabRetire, 0, 0);
         // large.free re-registers nothing; it removes the range (which
         // the slab owner entry overwrote) from the rtree. The shard is
         // selected by the frame's veh tag.
@@ -281,12 +358,13 @@ impl NvInner {
     }
 
     /// Collect one timeline sample at virtual time `ns` (read-only; see
-    /// [`crate::observe`]). Takes each arena lock and each large-shard
-    /// lock briefly — the *uncounted* raw locks, so sampling never shows
-    /// up in the lock telemetry it observes — and makes no persistence
-    /// calls. The windowed latency quantiles are filled in later by
+    /// [`crate::observe`]) with `counts` the probes' fold. Takes each
+    /// arena lock and each large-shard lock briefly — the *uncounted*
+    /// raw locks, so sampling never shows up in the lock telemetry it
+    /// observes — and makes no persistence calls. The windowed latency
+    /// quantiles are filled in later by
     /// [`TimelineSampler::record`].
-    pub(crate) fn collect_sample(&self, ns: u64) -> TimelineSample {
+    pub(crate) fn collect_sample(&self, ns: u64, counts: &MetricsSnapshot) -> TimelineSample {
         let shards = self.large.gauges();
         let mut arenas = Vec::with_capacity(self.arenas.len());
         for a in &self.arenas {
@@ -351,7 +429,7 @@ impl NvInner {
             live_bytes: self.live_bytes.load(Ordering::Relaxed) as u64,
             booklog_live: shards.iter().map(|s| s.booklog_live).sum(),
             booklog_dead: shards.iter().map(|s| s.booklog_dead).sum(),
-            wal_appends: self.metrics.counter(Counter::WalAppends),
+            wal_appends: counts.wal_appends,
             shards,
             arenas,
             window: Default::default(),
@@ -398,21 +476,9 @@ impl NvAllocator {
         let rtree = Arc::new(RTree::new());
         let mut large_cfg = layout.large_config(&cfg);
         large_cfg.slow_gc_threshold = ((pool.size() as f64 * cfg.usage_pmem) as usize).max(4096);
-        let large = ShardedLarge::new(&pool, large_cfg, layout.large_shards, &rtree);
+        let large = ShardedLarge::new(&pool, large_cfg, layout.large_shards, &rtree, cfg.telemetry);
 
-        let arenas: Vec<Arc<Arena>> = (0..cfg.arenas)
-            .map(|i| {
-                let wal_base =
-                    layout.wal_base + (i * WalRegion::region_bytes(layout.wal_micro_count)) as u64;
-                Arc::new(Arena::create(
-                    &pool,
-                    i as u32,
-                    layout.arena_flags + (i * 64) as u64,
-                    wal_base,
-                    layout.wal_micro_count,
-                ))
-            })
-            .collect();
+        let arenas = layout.arenas(&cfg, |base, n| WalRegion::create(&pool, base, n));
         for a in &arenas {
             a.set_state(&pool, &mut t, arena_state::RUNNING);
         }
@@ -423,35 +489,12 @@ impl NvAllocator {
         pool.write_u64(24, cfg.profile_sample_bytes);
         pool.persist_u64(&mut t, 0, POOL_MAGIC, FlushKind::Meta);
 
-        let metrics = CoreMetrics::new(cfg.telemetry);
-        let tracer = cfg.trace.then(|| Arc::new(TraceRecorder::new(cfg.trace_events_per_thread)));
-        let slab_gates = SlabGates::new(pool.size());
-        let observe = (cfg.timeline_interval_ns > 0).then(|| {
-            Arc::new(TimelineSampler::new(cfg.timeline_interval_ns, cfg.timeline_capacity))
-        });
         // The sidelog region sits wholly below the heap (zeroed by the
         // format pass above alongside every other metadata region).
         debug_assert!(layout.prof_base + layout.prof_bytes as u64 <= layout.heap_base);
-        let prof = (cfg.profile_sample_bytes > 0).then(|| {
-            Arc::new(crate::prof::Prof::new(cfg.profile_sample_bytes, layout.prof_base, cfg.arenas))
-        });
-        let alloc = NvAllocator(Arc::new(NvInner {
-            pool,
-            cfg,
-            geoms,
-            layout,
-            arenas,
-            large,
-            rtree,
-            live_bytes: AtomicUsize::new(0),
-            wal_seq: AtomicU64::new(1),
-            metrics,
-            tracer,
-            slab_gates,
-            observe,
-            prof,
-        }));
-        Ok(alloc)
+        let inst = Instruments::new(&cfg, &layout, pool.size());
+        let heap = Heap { geoms, arenas, large, rtree, live_bytes: 0, wal_seq: 1 };
+        Ok(NvInner::assemble(pool, cfg, layout, heap, inst))
     }
 
     /// Recover an allocator from an existing (possibly crashed) pool image.
@@ -493,10 +536,11 @@ impl NvAllocator {
     /// deferred cross-arena frees first so the histogram reflects them.
     pub fn slab_utilization(&self, bins: &[f64]) -> SlabUtilization {
         let mut t = self.0.pool.register_thread();
+        let probe = self.0.probes.probe();
         let mut counts = vec![0usize; bins.len() + 1];
         for a in &self.0.arenas {
             let mut inner = a.inner.lock();
-            self.0.drain_remote(&mut t, a, &mut inner);
+            self.0.drain_remote(&mut t, &probe, a, &mut inner);
             for (i, c) in inner.occupancy_histogram(bins).into_iter().enumerate() {
                 counts[i] += c;
             }
@@ -578,18 +622,13 @@ impl NvAllocator {
         self.0.large.drain_free_lists();
     }
 
-    /// The flight recorder, when `NvConfig::trace` is on.
-    pub fn trace_recorder(&self) -> Option<&Arc<TraceRecorder>> {
-        self.0.tracer.as_ref()
-    }
-
     /// The timeline sampler, when `NvConfig::timeline` is on.
     pub fn timeline_sampler(&self) -> Option<&Arc<TimelineSampler>> {
         self.0.observe.as_ref()
     }
 
     /// The sampled heap profiler, when `NvConfig::profiling` is on.
-    pub fn profiler(&self) -> Option<&Arc<crate::prof::Prof>> {
+    pub fn profiler(&self) -> Option<&Arc<Prof>> {
         self.0.prof.as_ref()
     }
 
@@ -605,7 +644,7 @@ impl NvAllocator {
     /// into the ring). This is what the doctor-equivalence test compares
     /// against the offline audit on a quiesced heap.
     pub fn timeline_sample_now(&self) -> TimelineSample {
-        self.0.collect_sample(0)
+        self.0.collect_sample(0, &self.0.probes.snapshot())
     }
 }
 
@@ -639,10 +678,10 @@ impl PmAllocator for NvAllocator {
             inner: Arc::clone(&self.0),
             t: ThreadState {
                 pm,
+                probe: self.0.probes.probe(),
                 tcache: TCache::new(tc_stripes, TCACHE_CAP),
                 arena,
                 wal,
-                hists: OpHistograms::default(),
                 prof_acc: 0,
             },
         })
@@ -670,10 +709,10 @@ impl PmAllocator for NvAllocator {
     }
 
     fn metrics(&self) -> MetricsSnapshot {
-        let mut s = self.0.metrics.snapshot();
-        if self.0.metrics.enabled() {
-            // Booklog and extent counters live under the shard locks;
-            // merge the per-shard sums into the snapshot here.
+        let mut s = self.0.probes.snapshot();
+        if self.0.cfg.telemetry {
+            // Booklog, extent and lock counters live beside the structures
+            // they count; fold them in here.
             if let Some(b) = self.0.large.booklog_stats() {
                 s.booklog_appends = b.appends;
                 s.booklog_tombstones = b.tombstones;
@@ -683,25 +722,10 @@ impl PmAllocator for NvAllocator {
                 s.booklog_slow_gc_copied = b.slow_gc_copied;
                 s.booklog_alt_flips = b.alt_flips;
             }
-            let ls = self.0.large.stats();
-            s.extent_best_fit = ls.best_fit_hits;
-            s.extent_splits = ls.splits;
-            s.extent_coalesces = ls.coalesces;
-            s.decay_epochs = ls.decay_epochs;
-            s.hists.hists[OpKind::SlowGc.index()].merge(&ls.slow_gc_hist);
-            let (acq, cont) = self.0.large.lock_counts();
-            s.large_lock_acquires = acq.iter().sum();
-            s.large_lock_contended = cont.iter().sum();
-            s.large_shard_acquires = acq;
-            s.large_shard_contended = cont;
-            // Shard-mutex wait/hold times accumulate inside ShardedLarge
-            // (the guards can't reach CoreMetrics); fold them in here.
-            let (wait, hold) = self.0.large.lock_times();
-            s.lock_wait_ns += wait;
-            s.lock_hold_ns += hold;
-            let (wh, hh) = self.0.large.lock_time_hists();
-            s.lock_wait_hist.merge(&wh);
-            s.lock_hold_hist.merge(&hh);
+            self.0.large.fold_into(&mut s);
+            for a in &self.0.arenas {
+                a.inner.stats().fold_into(&mut s);
+            }
         }
         // Trace accounting is independent of the telemetry toggle: the
         // flight recorder can run with counters off.
@@ -719,7 +743,7 @@ impl PmAllocator for NvAllocator {
             s.pmsan_violations = c.iter().sum();
         }
         // Profiler counters live in `Prof`'s own atomics (it is config-
-        // gated and lock-disciplined separately from CoreMetrics).
+        // gated and lock-disciplined separately from the probes).
         if let Some(p) = &self.0.prof {
             let [samples, appends, frees, compactions, dropped] = p.counters();
             s.prof_samples = samples;
@@ -755,6 +779,7 @@ impl PmAllocator for NvAllocator {
     fn quiesce(&self) {
         let pool = &self.0.pool;
         let mut t = pool.register_thread();
+        let probe = self.0.probes.probe();
         for a in &self.0.arenas {
             // An arena whose threads have all exited has no owner left to
             // drain it on the malloc slow path; quiesce is the foreign
@@ -762,8 +787,8 @@ impl PmAllocator for NvAllocator {
             // as such.
             let stranded = a.threads.load(Ordering::Relaxed) == 0 && !a.remote.is_empty();
             let mut inner = a.inner.lock();
-            if self.0.drain_remote(&mut t, a, &mut inner) > 0 && stranded {
-                self.0.metrics.bump(Counter::RemoteDrainForeign);
+            if self.0.drain_remote(&mut t, &probe, a, &mut inner) > 0 && stranded {
+                probe.event(&t, EventKind::RemoteDrainForeign, 0, 0);
             }
         }
         // Draining is volatile, but returning the last block of a slab
@@ -780,13 +805,14 @@ impl PmAllocator for NvAllocator {
     fn exit(&self) {
         let pool = &self.0.pool;
         let mut t = pool.register_thread();
+        let probe = self.0.probes.probe();
         // Flush everything recovery reads: slab headers + bitmaps + index
         // tables (the GC variant never flushed them at runtime), and the
         // root region. These are writeback sweeps — re-flushing lines the
         // LOG variant already persisted is the point, not a bug.
         for a in &self.0.arenas {
             let mut inner = a.inner.lock();
-            self.0.drain_remote(&mut t, a, &mut inner);
+            self.0.drain_remote(&mut t, &probe, a, &mut inner);
             for vs in inner.slabs.values() {
                 pool.flush_writeback(&mut t, vs.off, vs.data_offset, FlushKind::Meta);
             }
@@ -816,43 +842,6 @@ impl PmAllocator for NvAllocator {
     }
 }
 
-/// Measures one arena-lock critical section. The caller times the
-/// acquire and hands over the wait; the hold runs from construction to
-/// drop, when both are recorded in the telemetry histograms and (if a
-/// tracer is attached) emitted as a `LockAcquire` event stamped at the
-/// acquisition's virtual-clock time. Wait/hold are wall-clock
-/// nanoseconds — lock contention is a host-side phenomenon the modelled
-/// PM clock cannot see — so recording never perturbs modelled results.
-struct LockProbe<'a> {
-    metrics: &'a CoreMetrics,
-    tracer: Option<TracerHandle>,
-    at_ns: u64,
-    wait_ns: u64,
-    held: Instant,
-}
-
-impl<'a> LockProbe<'a> {
-    fn new(metrics: &'a CoreMetrics, pm: &PmThread, wait_ns: u64) -> LockProbe<'a> {
-        LockProbe {
-            metrics,
-            tracer: pm.tracer().cloned(),
-            at_ns: pm.virtual_ns(),
-            wait_ns,
-            held: Instant::now(),
-        }
-    }
-}
-
-impl Drop for LockProbe<'_> {
-    fn drop(&mut self) {
-        let hold_ns = self.held.elapsed().as_nanos() as u64;
-        self.metrics.record_lock(self.wait_ns, hold_ns);
-        if let Some(t) = &self.tracer {
-            t.emit(self.at_ns, EventKind::LockAcquire.code(), self.wait_ns, hold_ns);
-        }
-    }
-}
-
 /// A per-thread NVAlloc handle.
 #[derive(Debug)]
 pub struct NvThread {
@@ -867,12 +856,12 @@ pub struct NvThread {
 #[derive(Debug)]
 struct ThreadState {
     pm: PmThread,
+    /// This thread's event counts, op latencies and (when tracing) ring,
+    /// all written by this thread alone.
+    probe: Probe,
     tcache: TCache,
     arena: Arc<Arena>,
     wal: MicroWal,
-    /// Thread-local op-latency histograms; merged into the shared
-    /// registry when the thread drops.
-    hists: OpHistograms,
     /// Heap-profiler byte countdown ([`crate::prof`]): granted bytes
     /// accumulated since the last sample crossing.
     prof_acc: u64,
@@ -909,28 +898,37 @@ impl NvInner {
 }
 
 impl ThreadState {
-    /// Timeline hook, run after an operation completes (no locks held).
-    /// One relaxed load + branch when the clock hasn't crossed the next
-    /// boundary; the (single, per boundary) claim winner collects and
-    /// records a sample. Driven by the virtual clock only, so sampled
-    /// single-threaded runs are deterministic.
+    /// Record one event on this thread's probe.
     #[inline]
-    fn timeline_tick(&self, inner: &NvInner) {
+    fn event(&self, kind: EventKind, a: u64, b: u64) {
+        self.probe.event(&self.pm, kind, a, b);
+    }
+
+    /// Open an operation: its begin event and its virtual-clock span.
+    #[inline]
+    fn begin(&self, kind: EventKind, a: u64) -> ClockSpan {
+        self.event(kind, a, 0);
+        self.pm.span()
+    }
+
+    /// Close an operation: its `op` latency sample when it succeeded, its
+    /// end event, then the timeline tick — one relaxed load until the
+    /// virtual clock crosses a boundary, whose single claim winner folds
+    /// every probe and records a sample (no locks held).
+    #[inline]
+    fn end(&self, inner: &NvInner, span: ClockSpan, op: OpKind, ok: bool, kind: EventKind, a: u64) {
+        if ok {
+            self.probe.record(op, span.elapsed_ns(&self.pm));
+        }
+        self.event(kind, a, 0);
         let Some(obs) = &inner.observe else { return };
         let now = self.pm.virtual_ns();
         if !obs.due(now) {
             return;
         }
         let Some(stamp) = obs.claim(now) else { return };
-        let sample = inner.collect_sample(stamp);
-        // Window base: the shared registry (threads that already merged)
-        // plus this thread's local histograms. Other live threads' local
-        // samples merge when they drop — single-threaded runs see every
-        // op; multi-threaded windows are best-effort like any cross-
-        // thread cut.
-        let mut cum = inner.metrics.hists();
-        cum.merge(&self.hists);
-        obs.record(sample, &cum);
+        let counts = inner.probes.snapshot();
+        obs.record(inner.collect_sample(stamp, &counts), &counts.hists);
     }
 
     /// Profiler allocation hook: advance the byte countdown and, on a
@@ -969,8 +967,7 @@ impl ThreadState {
     ) {
         let seq = inner.wal_seq.fetch_add(1, Ordering::Relaxed);
         self.wal.append(&inner.pool, &mut self.pm, op, addr, dest, size, seq);
-        inner.metrics.bump(Counter::WalAppends);
-        self.pm.trace(EventKind::WalAppend.code(), addr, seq);
+        self.event(EventKind::WalAppend, addr, seq);
     }
 
     /// Persist or plainly write the 8-byte destination slot, depending on
@@ -984,7 +981,7 @@ impl ThreadState {
             // In the WAL-covered variants the persisted dest install *is*
             // the commit record of the preceding append (§4.3).
             if inner.use_large_wal() {
-                self.pm.trace(EventKind::WalCommit.code(), value, dest);
+                self.event(EventKind::WalCommit, value, dest);
             }
         } else {
             pool.write_u64(dest, value);
@@ -1004,17 +1001,17 @@ impl ThreadState {
         let rot0 = self.tcache.rotations();
         let addr = match self.tcache.pop(class) {
             Some(a) => {
-                inner.metrics.tcache_event(class, TcacheEvent::Hit);
+                self.event(EventKind::TcacheHit, class as u64, 0);
                 a
             }
             None => {
-                inner.metrics.tcache_event(class, TcacheEvent::Miss);
+                self.event(EventKind::TcacheMiss, class as u64, 0);
                 self.refill(inner, class)?;
                 self.tcache.pop(class).ok_or(PmError::OutOfMemory { requested: size })?
             }
         };
-        if self.pm.tracing() && self.tcache.rotations() > rot0 {
-            self.pm.trace(EventKind::CursorRotate.code(), class as u64, 0);
+        if self.tcache.rotations() > rot0 {
+            self.event(EventKind::CursorRotate, class as u64, 0);
         }
         let pool = &inner.pool;
         let strong = inner.strong();
@@ -1048,18 +1045,16 @@ impl ThreadState {
         // lock (the ROADMAP drain hook). try_lock only — never blocks.
         self.drain_idle_arenas(inner);
         let pool = &inner.pool;
-        inner.metrics.tcache_event(class, TcacheEvent::Refill);
+        self.event(EventKind::TcacheRefillAttempt, class as u64, 0);
         let arena = Arc::clone(&self.arena);
-        let wait = Instant::now();
-        let mut ai = arena.inner.lock();
-        let _probe = LockProbe::new(&inner.metrics, &self.pm, wait.elapsed().as_nanos() as u64);
+        let mut ai = arena.inner.timed(Some(&self.pm));
         // Drain deferred cross-arena frees first: remote-freed blocks are
         // the cheapest refill source, and draining on every refill keeps
         // the queue bounded by the refill cadence.
-        inner.drain_remote(&mut self.pm, &arena, &mut ai);
+        inner.drain_remote(&mut self.pm, &self.probe, &arena, &mut ai);
         let got = ai.fill_tcache(&inner.geoms, class, &mut self.tcache);
         if got > 0 {
-            self.pm.trace(EventKind::TcacheRefill.code(), class as u64, got as u64);
+            self.event(EventKind::TcacheRefill, class as u64, got as u64);
             return Ok(());
         }
         if inner.cfg.morphing {
@@ -1072,14 +1067,14 @@ impl ThreadState {
                 inner.cfg.su_threshold,
                 class,
                 Some(&inner.slab_gates),
-                &inner.metrics,
+                &self.probe,
             )
             .is_some();
             if morphed {
-                self.hists.record(OpKind::Morph, span.elapsed_ns(&self.pm));
+                self.probe.record(OpKind::Morph, span.elapsed_ns(&self.pm));
                 let got = ai.fill_tcache(&inner.geoms, class, &mut self.tcache);
                 if got > 0 {
-                    self.pm.trace(EventKind::TcacheRefill.code(), class as u64, got as u64);
+                    self.event(EventKind::TcacheRefill, class as u64, got as u64);
                     return Ok(());
                 }
             }
@@ -1094,7 +1089,7 @@ impl ThreadState {
         let vs = VSlab::create(pool, &mut self.pm, off, class, veh, inner.geoms.of(class), true);
         ai.add_slab(vs);
         let got = ai.fill_tcache(&inner.geoms, class, &mut self.tcache);
-        self.pm.trace(EventKind::TcacheRefill.code(), class as u64, got as u64);
+        self.event(EventKind::TcacheRefill, class as u64, got as u64);
         Ok(())
     }
 
@@ -1103,10 +1098,10 @@ impl ThreadState {
     fn carve_slab_frame(&mut self, inner: &NvInner) -> PmResult<(VehId, PmOffset)> {
         let mut oom = PmError::OutOfMemory { requested: SLAB_SIZE };
         for s in inner.large.shard_order(self.arena.id as usize) {
-            let mut large = inner.large.lock_traced(s, &self.pm);
+            let mut large = inner.large.lock(s, Some(&self.pm));
             match large.alloc_aligned(&inner.pool, &mut self.pm, SLAB_SIZE, SLAB_SIZE, true) {
                 Ok(frame) => {
-                    inner.metrics.bump(Counter::SlabAllocs);
+                    self.event(EventKind::SlabCarve, 0, 0);
                     return Ok(frame);
                 }
                 Err(e @ PmError::OutOfMemory { .. }) => oom = e,
@@ -1226,12 +1221,11 @@ impl ThreadState {
             let stripe = g.bitmap.stripe_of(idx);
             let pushed = self.tcache.push(class, addr, stripe);
             debug_assert!(pushed, "tcache checked non-full above");
-            inner.metrics.bump(Counter::FreeFastLocal);
+            self.event(EventKind::FreeFastLocal, 0, 0);
         } else {
             let arena = owner.expect("resolved above");
             arena.remote.push(RemoteFree { slab: slab_off, idx: idx as u32 });
-            inner.metrics.bump(Counter::FreeRemote);
-            self.pm.trace(EventKind::RemotePush.code(), addr, arena_id as u64);
+            self.event(EventKind::RemotePush, addr, arena_id as u64);
         }
         Some(Ok(()))
     }
@@ -1250,10 +1244,8 @@ impl ThreadState {
         let strong = inner.strong();
         let arena =
             inner.arenas.get(arena_id as usize).ok_or(PmError::Corrupt("bad arena id in rtree"))?;
-        let wait = Instant::now();
-        let mut ai = arena.inner.lock();
-        let _probe = LockProbe::new(&inner.metrics, &self.pm, wait.elapsed().as_nanos() as u64);
-        inner.metrics.bump(Counter::FreeLocks);
+        let mut ai = arena.inner.timed(Some(&self.pm));
+        self.event(EventKind::FreeLocked, 0, 0);
 
         // Old-class block of a morphing slab? Released directly, bypassing
         // the tcache (§5.2).
@@ -1269,7 +1261,7 @@ impl ThreadState {
             // Provenance after the commit (prof is a leaf lock; holding
             // the arena lock here is fine), before the slab can retire.
             self.prof_free_hook(inner, addr);
-            inner.destroy_if_free(&mut self.pm, &mut ai, slab_off)?;
+            inner.destroy_if_free(&mut self.pm, &self.probe, &mut ai, slab_off)?;
             return Ok(());
         }
 
@@ -1299,10 +1291,10 @@ impl ThreadState {
         // (§4.2).
         let stripe = g.bitmap.stripe_of(idx);
         if !self.tcache.push(class, addr, stripe) {
-            inner.metrics.tcache_event(class, TcacheEvent::Flush);
-            self.pm.trace(EventKind::TcacheFlush.code(), class as u64, 1);
+            self.event(EventKind::TcacheOverflow, class as u64, 0);
+            self.event(EventKind::TcacheFlush, class as u64, 1);
             if ai.return_block_to_slab(slab_off, idx) {
-                inner.destroy_if_free(&mut self.pm, &mut ai, slab_off)?;
+                inner.destroy_if_free(&mut self.pm, &self.probe, &mut ai, slab_off)?;
             }
         }
         Ok(())
@@ -1320,8 +1312,8 @@ impl ThreadState {
                 continue;
             }
             let Some(mut ai) = a.inner.try_lock() else { continue };
-            if inner.drain_remote(&mut self.pm, a, &mut ai) > 0 {
-                inner.metrics.bump(Counter::RemoteDrainForeign);
+            if inner.drain_remote(&mut self.pm, &self.probe, a, &mut ai) > 0 {
+                self.event(EventKind::RemoteDrainForeign, 0, 0);
             }
         }
     }
@@ -1346,7 +1338,7 @@ impl ThreadState {
         // interleave half-committed records from two shards.
         let mut oom = PmError::OutOfMemory { requested: size };
         for s in inner.large.shard_order(self.arena.id as usize) {
-            let mut large = inner.large.lock_traced(s, &self.pm);
+            let mut large = inner.large.lock(s, Some(&self.pm));
             let (veh, off) = match large.alloc_deferred_aligned(pool, &mut self.pm, size, align) {
                 Ok(r) => r,
                 Err(e @ PmError::OutOfMemory { .. }) => {
@@ -1384,8 +1376,8 @@ impl ThreadState {
         // shard tag): validate, log, zero the destination, and free, all
         // under a single lock acquisition, so a racing free cannot
         // recycle the VEH between validation and release.
-        inner.metrics.bump(Counter::FreeLocks);
-        let mut large = inner.large.lock_veh_traced(veh, &self.pm).ok_or(PmError::NotAllocated)?;
+        self.event(EventKind::FreeLocked, 0, 0);
+        let mut large = inner.large.lock_veh(veh, Some(&self.pm)).ok_or(PmError::NotAllocated)?;
         let v = large.veh(veh).ok_or(PmError::NotAllocated)?;
         if v.off != addr {
             return Err(PmError::NotAllocated);
@@ -1413,26 +1405,12 @@ impl ThreadState {
         if size == 0 {
             return Err(PmError::InvalidRequest("zero-size allocation"));
         }
-        let span = self.pm.span();
-        self.pm.trace(EventKind::MallocBegin.code(), size as u64, 0);
-        let r = match size_to_class(size) {
-            Some(class) => {
-                let r = self.malloc_small(inner, class, size, dest);
-                if r.is_ok() {
-                    self.hists.record(OpKind::MallocSmall, span.elapsed_ns(&self.pm));
-                }
-                r
-            }
-            None => {
-                let r = self.malloc_large_aligned(inner, size, PAGE, dest);
-                if r.is_ok() {
-                    self.hists.record(OpKind::MallocLarge, span.elapsed_ns(&self.pm));
-                }
-                r
-            }
+        let span = self.begin(EventKind::MallocBegin, size as u64);
+        let (op, r) = match size_to_class(size) {
+            Some(class) => (OpKind::MallocSmall, self.malloc_small(inner, class, size, dest)),
+            None => (OpKind::MallocLarge, self.malloc_large_aligned(inner, size, PAGE, dest)),
         };
-        self.pm.trace(EventKind::MallocEnd.code(), r.as_ref().map_or(0, |a| *a), 0);
-        self.timeline_tick(inner);
+        self.end(inner, span, op, r.is_ok(), EventKind::MallocEnd, *r.as_ref().unwrap_or(&0));
         r
     }
 
@@ -1457,14 +1435,10 @@ impl ThreadState {
         // Oversize alignment: serve a naturally aligned extent. Aligning
         // to at least a page keeps one code path — any power of two
         // below it divides the page.
-        let span = self.pm.span();
-        self.pm.trace(EventKind::MallocBegin.code(), size as u64, 0);
+        let span = self.begin(EventKind::MallocBegin, size as u64);
         let r = self.malloc_large_aligned(inner, size, align.max(PAGE), dest);
-        if r.is_ok() {
-            self.hists.record(OpKind::MallocLarge, span.elapsed_ns(&self.pm));
-        }
-        self.pm.trace(EventKind::MallocEnd.code(), r.as_ref().map_or(0, |a| *a), 0);
-        self.timeline_tick(inner);
+        let addr = *r.as_ref().unwrap_or(&0);
+        self.end(inner, span, OpKind::MallocLarge, r.is_ok(), EventKind::MallocEnd, addr);
         r
     }
 
@@ -1475,17 +1449,12 @@ impl ThreadState {
             return Err(PmError::NotAllocated);
         }
         let owner = inner.rtree.lookup(addr).ok_or(PmError::NotAllocated)?;
-        let span = self.pm.span();
-        self.pm.trace(EventKind::FreeBegin.code(), addr, 0);
+        let span = self.begin(EventKind::FreeBegin, addr);
         let r = match Owner::unpack(owner) {
             Owner::Slab { slab, arena } => self.free_small(inner, slab, arena, addr, dest),
             Owner::Extent { veh } => self.free_large(inner, veh, addr, dest),
         };
-        if r.is_ok() {
-            self.hists.record(OpKind::Free, span.elapsed_ns(&self.pm));
-        }
-        self.pm.trace(EventKind::FreeEnd.code(), addr, 0);
-        self.timeline_tick(inner);
+        self.end(inner, span, OpKind::Free, r.is_ok(), EventKind::FreeEnd, addr);
         r
     }
 
@@ -1493,7 +1462,7 @@ impl ThreadState {
         for class in 0..crate::size_class::NUM_CLASSES {
             let drained = self.tcache.drain(class);
             if !drained.is_empty() {
-                self.pm.trace(EventKind::TcacheFlush.code(), class as u64, drained.len() as u64);
+                self.event(EventKind::TcacheFlush, class as u64, drained.len() as u64);
             }
             for addr in drained {
                 let slab_off = addr & !(SLAB_SIZE as u64 - 1);
@@ -1503,14 +1472,14 @@ impl ThreadState {
                 let Some(vs) = ai.slabs.get(&slab_off) else { continue };
                 let Some(idx) = vs.block_index(addr) else { continue };
                 if ai.return_block_to_slab(slab_off, idx) {
-                    let _ = inner.destroy_if_free(&mut self.pm, &mut ai, slab_off);
+                    let _ = inner.destroy_if_free(&mut self.pm, &self.probe, &mut ai, slab_off);
                 }
             }
         }
         // Drain our own arena's deferred frees too: a departing thread
         // must not leave queued blocks' volatile state stranded.
         let mut ai = self.arena.inner.lock();
-        inner.drain_remote(&mut self.pm, &self.arena, &mut ai);
+        inner.drain_remote(&mut self.pm, &self.probe, &self.arena, &mut ai);
     }
 }
 
@@ -1547,9 +1516,8 @@ impl AllocThread for NvThread {
 
 impl Drop for NvThread {
     fn drop(&mut self) {
+        // The probe retires into the registry's total when `t` drops.
         self.flush_cache();
-        self.inner.metrics.add(Counter::CursorRotations, self.t.tcache.rotations());
-        self.inner.metrics.merge_hists(&self.t.hists);
         self.t.arena.threads.fetch_sub(1, Ordering::Relaxed);
     }
 }

@@ -104,6 +104,7 @@ pub mod internals {
     pub use crate::rtree::{Owner, RTree};
     pub use crate::size_class::CLASS_SIZES;
     pub use crate::slab::SlabHeaderRaw;
+    pub use crate::telemetry::{LockStats, TimedGuard, TimedMutex};
     pub use crate::wal::{WalEntryRaw, WAL_ENTRY_BYTES};
 }
 

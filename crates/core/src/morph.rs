@@ -28,7 +28,8 @@ use crate::size_class::{class_size, ClassId};
 use crate::slab::{
     flag, header_word1, persist_flag, persist_index_entry, IndexEntry, MorphState, NO_OLD_CLASS,
 };
-use crate::telemetry::{CoreMetrics, Counter};
+use crate::telemetry::Probe;
+use crate::trace::EventKind;
 
 /// Geometry of a morph target, computed before committing to the transform.
 #[derive(Debug, Clone)]
@@ -77,19 +78,19 @@ pub fn try_morph(
     su_threshold: f64,
     new_class: ClassId,
     gates: Option<&SlabGates>,
-    metrics: &CoreMetrics,
+    probe: &Probe,
 ) -> Option<PmOffset> {
     let (examined, plan) = find_candidate(pool, inner, geoms, su_threshold, new_class, gates);
-    metrics.add(Counter::MorphCandidates, examined);
+    probe.event(t, EventKind::MorphScan, examined, 0);
     let plan = plan?;
     let slab = plan.slab;
-    metrics.bump(Counter::MorphStarted);
+    probe.event(t, EventKind::MorphStart, 0, 0);
     let done = apply(pool, t, inner, geoms, new_class, plan);
     if let Some(g) = gates {
         g.unlock(slab);
     }
     if done.is_some() {
-        metrics.bump(Counter::MorphCompleted);
+        probe.event(t, EventKind::MorphDone, 0, 0);
     }
     done
 }
@@ -413,11 +414,17 @@ mod tests {
     use crate::size_class::size_to_class;
     use crate::slab::{SlabHeader, VSlab};
     use crate::tcache::TCache;
+    use crate::telemetry::Probes;
     use nvalloc_pmem::{LatencyMode, PmemConfig, PmemPool};
     use std::sync::Arc;
 
     fn pool() -> Arc<PmemPool> {
         PmemPool::new(PmemConfig::default().pool_size(4 << 20).latency_mode(LatencyMode::Off))
+    }
+
+    /// A counting probe on a registry of its own.
+    fn probe() -> Probe {
+        Arc::new(Probes::new(true)).probe()
     }
 
     /// Build an arena with one slab of `class` holding `live` persistent
@@ -452,8 +459,7 @@ mod tests {
         let small = size_to_class(100).unwrap();
         let big = size_to_class(1500).unwrap();
         let (mut inner, _) = arena_with_slab(&p, &mut t, &g, small, &[]);
-        let off = try_morph(&p, &mut t, &mut inner, &g, 0.2, big, None, &CoreMetrics::new(true))
-            .expect("morphs");
+        let off = try_morph(&p, &mut t, &mut inner, &g, 0.2, big, None, &probe()).expect("morphs");
         assert_eq!(off, 0);
         let vs = &inner.slabs[&0];
         assert_eq!(vs.class, big);
@@ -480,8 +486,7 @@ mod tests {
         let nb = g.of(small).nblocks;
         let live = [nb / 2, nb / 2 + 4, nb / 2 + 8];
         let (mut inner, addrs) = arena_with_slab(&p, &mut t, &g, small, &live);
-        try_morph(&p, &mut t, &mut inner, &g, 0.2, big, None, &CoreMetrics::new(true))
-            .expect("morphs");
+        try_morph(&p, &mut t, &mut inner, &g, 0.2, big, None, &probe()).expect("morphs");
         let vs = &inner.slabs[&0];
         let m = vs.morph.as_ref().unwrap();
         assert_eq!(m.cnt_slab, 3);
@@ -517,8 +522,7 @@ mod tests {
         // 30% occupancy > SU=20%.
         let live: Vec<usize> = (0..(nb * 3 / 10)).map(|k| nb - 1 - k).collect();
         let (mut inner, _) = arena_with_slab(&p, &mut t, &g, small, &live);
-        assert!(try_morph(&p, &mut t, &mut inner, &g, 0.2, big, None, &CoreMetrics::new(true))
-            .is_none());
+        assert!(try_morph(&p, &mut t, &mut inner, &g, 0.2, big, None, &probe()).is_none());
     }
 
     #[test]
@@ -534,8 +538,7 @@ mod tests {
         let mut tc = TCache::new(6, 8);
         inner.fill_tcache(&g, small, &mut tc);
         assert!(
-            try_morph(&p, &mut t, &mut inner, &g, 0.2, big, None, &CoreMetrics::new(true))
-                .is_none(),
+            try_morph(&p, &mut t, &mut inner, &g, 0.2, big, None, &probe()).is_none(),
             "slab with tcache-cached blocks must be ineligible"
         );
     }
@@ -550,8 +553,7 @@ mod tests {
         // Block 0 sits right after the old header — inside the new header
         // area (which is at least as large).
         let (mut inner, _) = arena_with_slab(&p, &mut t, &g, small, &[0]);
-        assert!(try_morph(&p, &mut t, &mut inner, &g, 0.2, big, None, &CoreMetrics::new(true))
-            .is_none());
+        assert!(try_morph(&p, &mut t, &mut inner, &g, 0.2, big, None, &probe()).is_none());
     }
 
     #[test]
@@ -564,7 +566,7 @@ mod tests {
         let nb = g.of(small).nblocks;
         let live = [nb - 1, nb - 3];
         let (mut inner, addrs) = arena_with_slab(&p, &mut t, &g, small, &live);
-        try_morph(&p, &mut t, &mut inner, &g, 0.2, big, None, &CoreMetrics::new(true)).unwrap();
+        try_morph(&p, &mut t, &mut inner, &g, 0.2, big, None, &probe()).unwrap();
 
         assert!(find_old_block(&inner, 0, addrs[0]).is_some());
         let done = release_old_block(&p, &mut t, &mut inner, 0, addrs[0]).unwrap();
@@ -592,7 +594,7 @@ mod tests {
         let big = size_to_class(1200).unwrap();
         let nb = g.of(small).nblocks;
         let (mut inner, addrs) = arena_with_slab(&p, &mut t, &g, small, &[nb / 2]);
-        try_morph(&p, &mut t, &mut inner, &g, 0.2, big, None, &CoreMetrics::new(true)).unwrap();
+        try_morph(&p, &mut t, &mut inner, &g, 0.2, big, None, &probe()).unwrap();
         let free_before = inner.slabs[&0].nfree;
         release_old_block(&p, &mut t, &mut inner, 0, addrs[0]).unwrap();
         let free_after = inner.slabs[&0].nfree;
@@ -615,7 +617,7 @@ mod tests {
         let big = size_to_class(1200).unwrap();
         let nb = g.of(small).nblocks;
         let (mut inner, _) = arena_with_slab(&p, &mut t, &g, small, &[nb - 1]);
-        try_morph(&p, &mut t, &mut inner, &g, 0.2, big, None, &CoreMetrics::new(true)).unwrap();
+        try_morph(&p, &mut t, &mut inner, &g, 0.2, big, None, &probe()).unwrap();
         let img = PmemPool::from_crash_image(p.crash());
         let h = SlabHeader::read(&img, 0).unwrap();
         assert_eq!(h.flag, flag::NONE);
@@ -636,8 +638,8 @@ mod tests {
         let small = size_to_class(100).unwrap();
         let big = size_to_class(1500).unwrap();
         let (mut inner, _) = arena_with_slab(&p, &mut t, &g, small, &[]);
-        let m = CoreMetrics::new(true);
-        try_morph(&p, &mut t, &mut inner, &g, 0.2, big, None, &m).expect("morphs");
+        let m = Arc::new(Probes::new(true));
+        try_morph(&p, &mut t, &mut inner, &g, 0.2, big, None, &m.probe()).expect("morphs");
         let s = m.snapshot();
         assert!(s.morph_candidates >= 1);
         assert_eq!(s.morph_started, 1);
@@ -651,8 +653,7 @@ mod tests {
         let g = GeometryTable::new(6);
         let small = size_to_class(100).unwrap();
         let (mut inner, _) = arena_with_slab(&p, &mut t, &g, small, &[]);
-        assert!(try_morph(&p, &mut t, &mut inner, &g, 0.2, small, None, &CoreMetrics::new(true))
-            .is_none());
+        assert!(try_morph(&p, &mut t, &mut inner, &g, 0.2, small, None, &probe()).is_none());
     }
 
     #[test]
@@ -664,7 +665,7 @@ mod tests {
         let small = size_to_class(100).unwrap();
         let nb = g.of(big).nblocks;
         let (mut inner, addrs) = arena_with_slab(&p, &mut t, &g, big, &[nb - 1]);
-        try_morph(&p, &mut t, &mut inner, &g, 0.3, small, None, &CoreMetrics::new(true))
+        try_morph(&p, &mut t, &mut inner, &g, 0.3, small, None, &probe())
             .expect("downward morph works");
         let vs = &inner.slabs[&0];
         assert_eq!(vs.class, small);
@@ -706,7 +707,7 @@ mod tests {
         assert_eq!(p.pmsan_total(), 0, "setup must be ordering-clean");
         faults::SKIP_STEP1_FLUSH.with(|f| f.set(skip_flush));
         faults::SKIP_STEP1_FENCE.with(|f| f.set(skip_fence));
-        let r = try_morph(&p, &mut t, &mut inner, &g, 0.2, big, None, &CoreMetrics::new(true));
+        let r = try_morph(&p, &mut t, &mut inner, &g, 0.2, big, None, &probe());
         faults::SKIP_STEP1_FLUSH.with(|f| f.set(false));
         faults::SKIP_STEP1_FENCE.with(|f| f.set(false));
         r.expect("morphs");

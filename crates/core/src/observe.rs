@@ -23,7 +23,8 @@
 //! # Observational invariance
 //!
 //! Sampling is strictly read-only: gauge collection uses the uncounted
-//! observer locks (never the counted [`crate::telemetry`] lock probes),
+//! observer locks (never the counted [`crate::telemetry::TimedMutex`]
+//! acquisitions),
 //! touches no persistent memory, and never advances a virtual clock, so
 //! a timeline-on run reports the same [`crate::telemetry::MetricsSnapshot`]
 //! as a timeline-off run. With the timeline off the per-operation cost is
@@ -141,7 +142,10 @@ pub struct ArenaGauge {
 
 /// Windowed latency quantiles for one [`OpKind`]: the delta of the op
 /// histogram since the previous sample, reduced by
-/// [`crate::telemetry::LatencyHistogram::quantile`].
+/// [`crate::telemetry::LatencyHistogram::quantile`]. The histogram is
+/// the fold of every thread's probe at the tick — live handles and
+/// dropped ones alike — so the windows count every op recorded before
+/// it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpWindow {
     /// Samples recorded in the window.
@@ -350,16 +354,6 @@ impl TimelineSampler {
             next_due: AtomicU64::new(interval_ns),
             inner: Mutex::new(SamplerInner::default()),
         }
-    }
-
-    /// The configured tick interval in virtual nanoseconds.
-    pub fn interval_ns(&self) -> u64 {
-        self.interval_ns
-    }
-
-    /// Ring capacity (samples retained).
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Cheap hot-path check: is a tick owed at virtual time `now_ns`?

@@ -16,15 +16,14 @@
 //!   reclaiming leaked blocks and extents (as Makalu does).
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize};
 use std::sync::Arc;
 
 use nvalloc_pmem::{FlushKind, PmError, PmOffset, PmResult, PmThread, PmemPool};
 
-use crate::arena::{arena_state, Arena};
+use crate::arena::arena_state;
 use crate::bitmap::PmBitmap;
 use crate::config::{NvConfig, Variant};
-use crate::front::{Layout, NvAllocator, NvInner, RecoveryReport, POOL_MAGIC};
+use crate::front::{Heap, Instruments, Layout, NvAllocator, NvInner, RecoveryReport, POOL_MAGIC};
 use crate::geometry::{GeometryTable, SLAB_FIXED_HEADER};
 use crate::large::{RecoveredExtent, VehId};
 use crate::rtree::{Owner, RTree};
@@ -34,8 +33,8 @@ use crate::slab::{
     flag, header_word1, persist_flag, read_index_entry, IndexEntry, MorphState, SlabHeader, VSlab,
     NO_OLD_CLASS,
 };
-use crate::telemetry::{CoreMetrics, Counter, OpKind};
-use crate::trace::{EventKind, TraceRecorder};
+use crate::telemetry::OpKind;
+use crate::trace::EventKind;
 use crate::wal::{WalEntry, WalOp, WalRegion};
 
 pub(crate) fn recover(
@@ -49,28 +48,19 @@ pub(crate) fn recover(
     let layout = Layout::compute(&cfg, pool.size())?;
     let geoms = GeometryTable::new(cfg.stripes_for(cfg.interleave_bitmap));
     let mut t = pool.register_thread();
-    // The recorder is created before any repair work so the recovery
-    // thread's phase transitions land in the flight record too.
-    let tracer = cfg.trace.then(|| Arc::new(TraceRecorder::new(cfg.trace_events_per_thread)));
-    if let Some(rec) = &tracer {
+    // The instrumentation exists before any repair work so the recovery
+    // thread's phase transitions land in the flight record and its
+    // counts in a probe of its own.
+    let inst = Instruments::new(&cfg, &layout, pool.size());
+    if let Some(rec) = &inst.tracer {
         t.set_tracer(rec.register());
     }
+    let probe = inst.probes.probe();
     let mut report = RecoveryReport::default();
     t.trace(EventKind::RecoveryPhase.code(), 0, cfg.arenas as u64);
 
     // Arena flags decide the recovery mode (§4.4).
-    let arenas: Vec<Arc<Arena>> = (0..cfg.arenas)
-        .map(|i| {
-            let wal_base =
-                layout.wal_base + (i * WalRegion::region_bytes(layout.wal_micro_count)) as u64;
-            Arc::new(Arena::reopen(
-                i as u32,
-                layout.arena_flags + (i * 64) as u64,
-                wal_base,
-                layout.wal_micro_count,
-            ))
-        })
-        .collect();
+    let arenas = layout.arenas(&cfg, WalRegion::open);
     report.normal_shutdown = arenas.iter().all(|a| a.state(&pool) == arena_state::NORMAL_SHUTDOWN);
     // The WAL entries a crashed LOG image replays, validated before any
     // repair writes to the image.
@@ -90,9 +80,10 @@ pub(crate) fn recover(
     // Shards recover in ascending index order, so the merged extent list
     // is deterministic for a given pool image.
     let rtree = Arc::new(RTree::new());
-    let mut large_cfg = layout.large_config_pub(&cfg);
+    let mut large_cfg = layout.large_config(&cfg);
     large_cfg.slow_gc_threshold = ((pool.size() as f64 * cfg.usage_pmem) as usize).max(4096);
-    let (large, extents) = ShardedLarge::recover(&pool, large_cfg, layout.large_shards, &rtree);
+    let (large, extents) =
+        ShardedLarge::recover(&pool, large_cfg, layout.large_shards, &rtree, cfg.telemetry);
 
     // Reconstruct slabs (and resolve interrupted morphs).
     let mut vslabs: Vec<VSlab> = Vec::new();
@@ -197,38 +188,14 @@ pub(crate) fn recover(
     // Telemetry: the whole recovery ran on `t`'s virtual clock (the WAL
     // replay and conservative-GC passes share it), so its reading is the
     // modelled recovery latency.
-    let metrics = CoreMetrics::new(cfg.telemetry);
-    metrics.add(Counter::WalReplays, report.wal_replayed as u64);
-    metrics.add(Counter::MorphUndone, report.morphs_resolved as u64);
-    metrics.record_hist(OpKind::Recovery, t.virtual_ns());
+    probe.event(&t, EventKind::WalReplay, report.wal_replayed as u64, 0);
+    probe.event(&t, EventKind::MorphUndone, report.morphs_resolved as u64, 0);
+    probe.record(OpKind::Recovery, t.virtual_ns());
+    drop(probe);
     t.trace(EventKind::RecoveryPhase.code(), 4, report.leaks_fixed as u64);
 
-    let slab_gates = crate::remote::SlabGates::new(pool.size());
-    let observe = (cfg.timeline_interval_ns > 0).then(|| {
-        Arc::new(crate::observe::TimelineSampler::new(
-            cfg.timeline_interval_ns,
-            cfg.timeline_capacity,
-        ))
-    });
-    let prof = (cfg.profile_sample_bytes > 0).then(|| {
-        Arc::new(crate::prof::Prof::new(cfg.profile_sample_bytes, layout.prof_base, cfg.arenas))
-    });
-    let alloc = NvAllocator(Arc::new(NvInner {
-        pool,
-        cfg,
-        geoms,
-        layout,
-        arenas,
-        large,
-        rtree,
-        live_bytes: AtomicUsize::new(live_bytes),
-        wal_seq: AtomicU64::new(max_seq + 1),
-        metrics,
-        tracer,
-        slab_gates,
-        observe,
-        prof,
-    }));
+    let heap = Heap { geoms, arenas, large, rtree, live_bytes, wal_seq: max_seq + 1 };
+    let alloc = NvInner::assemble(pool, cfg, layout, heap, inst);
     // Provenance-sidelog replay runs after the heap is authoritative:
     // replayed records whose object did not survive (the crash landed
     // between an append and its commit point, or a repair freed the

@@ -8,9 +8,10 @@
 //! [`VEH_LOCAL_BITS`], so a free routes straight to its shard without
 //! consulting the address. Allocation starts at the caller's hint shard
 //! (its arena id) and falls back round-robin to the others on
-//! exhaustion; see [`ShardedLarge::shard_order`]. Every counted lock
-//! acquisition first tries `try_lock` and records a contention event
-//! when it has to block, which is what the fig22 CI gate watches.
+//! exhaustion; see [`ShardedLarge::shard_order`]. Each shard lock is a
+//! [`TimedMutex`]: every counted acquisition first tries `try_lock` and
+//! records a contention event when it has to block, which is what the
+//! fig22 CI gate watches.
 //!
 //! Recovery rebuilds the shards one by one in ascending shard-index
 //! order: each shard's bookkeeping log (or region-table slice) is
@@ -18,24 +19,17 @@
 //! regardless of how allocations from different shards interleaved
 //! before the crash (DESIGN.md §9).
 
-use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-// nvalloc-lint: allow(determinism) — lock wait/hold profiling timestamps only; never feeds persistent state.
-use std::time::Instant;
 
-use parking_lot::{Mutex, MutexGuard};
-
-use nvalloc_pmem::{PmError, PmOffset, PmResult, PmThread, PmemPool, TracerHandle};
+use nvalloc_pmem::{PmError, PmOffset, PmResult, PmThread, PmemPool};
 
 use crate::booklog::BookLogStats;
 use crate::large::{
-    LargeAlloc, LargeConfig, LargeStats, RecoveredExtent, Veh, VehId, REGION_BYTES, VEH_LOCAL_BITS,
+    LargeAlloc, LargeConfig, RecoveredExtent, Veh, VehId, REGION_BYTES, VEH_LOCAL_BITS,
 };
 use crate::rtree::RTree;
 use crate::size_class::SLAB_SIZE;
-use crate::telemetry::{AtomicHistogram, LatencyHistogram};
-use crate::trace::EventKind;
+use crate::telemetry::{MetricsSnapshot, OpKind, TimedGuard, TimedMutex};
 
 /// Upper bound on the shard count (the VehId tag field fits 256; 64 is
 /// already past any arena count we simulate).
@@ -49,69 +43,11 @@ pub const MIN_SHARD_BOOKLOG: usize = 64 << 10;
 /// can always hold one slab-carving region plus one extent region.
 pub const MIN_SHARD_HEAP: usize = 2 * REGION_BYTES;
 
-/// N independent large-allocator shards with per-shard lock telemetry.
+/// N independent large-allocator shards, each lock with its statistics
+/// beside it in one padded slot.
 #[derive(Debug)]
 pub(crate) struct ShardedLarge {
-    shards: Vec<Mutex<LargeAlloc>>,
-    /// Counted lock acquisitions per shard (allocation/free paths only;
-    /// observer aggregates below don't count).
-    acquires: Vec<AtomicU64>,
-    /// Acquisitions that found the shard lock held and had to block.
-    contended: Vec<AtomicU64>,
-    /// Wall-clock nanoseconds counted acquisitions spent waiting,
-    /// per shard.
-    wait_ns: Vec<AtomicU64>,
-    /// Wall-clock nanoseconds counted acquisitions held the shard lock,
-    /// per shard.
-    hold_ns: Vec<AtomicU64>,
-    /// Log₂ histogram of per-acquisition wait times (all shards).
-    wait_hist: AtomicHistogram,
-    /// Log₂ histogram of per-acquisition hold times (all shards).
-    hold_hist: AtomicHistogram,
-}
-
-/// A counted shard-lock guard. Dereferences to the shard's
-/// [`LargeAlloc`]; on drop it charges the measured wait/hold
-/// nanoseconds to the shard's counters and histograms and, when the
-/// locking thread had a flight-recorder handle attached, emits one
-/// `LockAcquire` event stamped at the acquisition's virtual-clock time.
-pub(crate) struct ShardGuard<'a> {
-    guard: MutexGuard<'a, LargeAlloc>,
-    owner: &'a ShardedLarge,
-    shard: usize,
-    wait_ns: u64,
-    /// Virtual-clock time of the acquisition (trace timestamp).
-    at_ns: u64,
-    tracer: Option<TracerHandle>,
-    held: Instant,
-}
-
-impl Deref for ShardGuard<'_> {
-    type Target = LargeAlloc;
-    fn deref(&self) -> &LargeAlloc {
-        &self.guard
-    }
-}
-
-impl DerefMut for ShardGuard<'_> {
-    fn deref_mut(&mut self) -> &mut LargeAlloc {
-        &mut self.guard
-    }
-}
-
-impl Drop for ShardGuard<'_> {
-    fn drop(&mut self) {
-        // Runs before the inner `MutexGuard` field drops, so the hold
-        // time is measured while the lock is still held.
-        let hold = self.held.elapsed().as_nanos() as u64;
-        self.owner.wait_ns[self.shard].fetch_add(self.wait_ns, Ordering::Relaxed);
-        self.owner.hold_ns[self.shard].fetch_add(hold, Ordering::Relaxed);
-        self.owner.wait_hist.record(self.wait_ns);
-        self.owner.hold_hist.record(hold);
-        if let Some(t) = &self.tracer {
-            t.emit(self.at_ns, EventKind::LockAcquire.code(), self.wait_ns, hold);
-        }
-    }
+    shards: Vec<TimedMutex<LargeAlloc>>,
 }
 
 impl ShardedLarge {
@@ -155,25 +91,19 @@ impl ShardedLarge {
     }
 
     /// Create `n` fresh shards over the (empty) large area described by
-    /// `base`.
-    pub fn new(pool: &PmemPool, base: LargeConfig, n: usize, rtree: &Arc<RTree>) -> Self {
+    /// `base`; `telemetry` enables the shard locks' statistics.
+    pub fn new(
+        pool: &PmemPool,
+        base: LargeConfig,
+        n: usize,
+        rtree: &Arc<RTree>,
+        telemetry: bool,
+    ) -> Self {
         let shards = Self::shard_cfgs(&base, n)
             .into_iter()
-            .map(|c| Mutex::new(LargeAlloc::new(pool, c, Arc::clone(rtree))))
-            .collect::<Vec<_>>();
-        Self::with_shards(shards, n)
-    }
-
-    fn with_shards(shards: Vec<Mutex<LargeAlloc>>, n: usize) -> Self {
-        ShardedLarge {
-            shards,
-            acquires: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            contended: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            wait_ns: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            hold_ns: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            wait_hist: AtomicHistogram::default(),
-            hold_hist: AtomicHistogram::default(),
-        }
+            .map(|c| TimedMutex::new(LargeAlloc::new(pool, c, Arc::clone(rtree)), telemetry))
+            .collect();
+        ShardedLarge { shards }
     }
 
     /// Recover all shards from a (possibly crashed) pool image. Shards
@@ -184,15 +114,16 @@ impl ShardedLarge {
         base: LargeConfig,
         n: usize,
         rtree: &Arc<RTree>,
+        telemetry: bool,
     ) -> (Self, Vec<RecoveredExtent>) {
         let mut shards = Vec::with_capacity(n);
         let mut extents = Vec::new();
         for c in Self::shard_cfgs(&base, n) {
             let (la, mut ex) = LargeAlloc::recover(pool, c, Arc::clone(rtree));
-            shards.push(Mutex::new(la));
+            shards.push(TimedMutex::new(la, telemetry));
             extents.append(&mut ex);
         }
-        (Self::with_shards(shards, n), extents)
+        (ShardedLarge { shards }, extents)
     }
 
     /// Number of shards.
@@ -201,54 +132,17 @@ impl ShardedLarge {
         self.shards.len()
     }
 
-    /// Lock shard `i`, counting the acquisition, whether it contended,
-    /// and (via the returned guard) the wall-clock wait/hold times.
-    pub fn lock(&self, i: usize) -> ShardGuard<'_> {
-        self.lock_impl(i, None, 0)
-    }
-
-    /// Like [`ShardedLarge::lock`], but the guard additionally emits a
-    /// `LockAcquire` flight-recorder event on release when `pm` has a
-    /// tracer attached. The `pm` borrow ends at return (the guard keeps
-    /// a cloned handle), so callers may use the thread mutably inside
-    /// the critical section.
-    pub fn lock_traced<'s>(&'s self, i: usize, pm: &PmThread) -> ShardGuard<'s> {
-        self.lock_impl(i, pm.tracer().cloned(), pm.virtual_ns())
-    }
-
-    fn lock_impl(&self, i: usize, tracer: Option<TracerHandle>, at_ns: u64) -> ShardGuard<'_> {
-        self.acquires[i].fetch_add(1, Ordering::Relaxed);
-        let wait = Instant::now();
-        let guard = match self.shards[i].try_lock() {
-            Some(g) => g,
-            None => {
-                self.contended[i].fetch_add(1, Ordering::Relaxed);
-                self.shards[i].lock()
-            }
-        };
-        ShardGuard {
-            guard,
-            owner: self,
-            shard: i,
-            wait_ns: wait.elapsed().as_nanos() as u64,
-            at_ns,
-            tracer,
-            held: Instant::now(),
-        }
+    /// Lock shard `i`: a counted [`TimedMutex::timed`] acquisition, traced
+    /// when `pm` is given and traces (the `pm` borrow ends at return).
+    pub fn lock(&self, i: usize, pm: Option<&PmThread>) -> TimedGuard<'_, LargeAlloc> {
+        self.shards[i].timed(pm)
     }
 
     /// Lock the shard owning `id`; `None` for an id whose shard index is
     /// out of range (corrupt or foreign handle).
-    pub fn lock_veh(&self, id: VehId) -> Option<ShardGuard<'_>> {
+    pub fn lock_veh(&self, id: VehId, pm: Option<&PmThread>) -> Option<TimedGuard<'_, LargeAlloc>> {
         let idx = Self::shard_of(id);
-        (idx < self.shards.len()).then(|| self.lock(idx))
-    }
-
-    /// [`ShardedLarge::lock_veh`] with the tracing behaviour of
-    /// [`ShardedLarge::lock_traced`].
-    pub fn lock_veh_traced<'s>(&'s self, id: VehId, pm: &PmThread) -> Option<ShardGuard<'s>> {
-        let idx = Self::shard_of(id);
-        (idx < self.shards.len()).then(|| self.lock_traced(idx, pm))
+        (idx < self.shards.len()).then(|| self.lock(idx, pm))
     }
 
     /// Allocation probe order: the hint shard (caller's arena id, wrapped
@@ -260,10 +154,11 @@ impl ShardedLarge {
         std::iter::once(h).chain((0..n).filter(move |&i| i != h))
     }
 
-    /// Free `id` in its owning shard. Ids with an out-of-range shard
-    /// index fail like any other stale handle.
+    /// Free `id` in its owning shard (a counted, untraced acquisition).
+    /// Ids with an out-of-range shard index fail like any other stale
+    /// handle.
     pub fn free(&self, pool: &PmemPool, t: &mut PmThread, id: VehId) -> PmResult<()> {
-        match self.lock_veh(id) {
+        match self.lock_veh(id, None) {
             Some(mut g) => g.free(pool, t, id),
             None => Err(PmError::NotAllocated),
         }
@@ -316,20 +211,24 @@ impl ShardedLarge {
         self.shards.iter().map(|s| s.lock().gauge()).collect()
     }
 
-    /// Extent-allocator counters summed across shards (histograms
-    /// merged).
-    pub fn stats(&self) -> LargeStats {
-        let mut acc = LargeStats::default();
-        for s in &self.shards {
-            let g = s.lock();
+    /// Add every shard's extent counters, slow-GC histogram and lock
+    /// statistics into `s`, with the per-shard lock counts in shard order.
+    pub fn fold_into(&self, s: &mut MetricsSnapshot) {
+        for shard in &self.shards {
+            let locks = shard.stats();
+            locks.fold_into(s);
+            s.large_shard_acquires.push(locks.acquires());
+            s.large_shard_contended.push(locks.contended());
+            let g = shard.lock();
             let st = g.stats();
-            acc.best_fit_hits += st.best_fit_hits;
-            acc.splits += st.splits;
-            acc.coalesces += st.coalesces;
-            acc.decay_epochs += st.decay_epochs;
-            acc.slow_gc_hist.merge(&st.slow_gc_hist);
+            s.extent_best_fit += st.best_fit_hits;
+            s.extent_splits += st.splits;
+            s.extent_coalesces += st.coalesces;
+            s.decay_epochs += st.decay_epochs;
+            s.hists.hists[OpKind::SlowGc.index()].merge(&st.slow_gc_hist);
         }
-        acc
+        s.large_lock_acquires = s.large_shard_acquires.iter().sum();
+        s.large_lock_contended = s.large_shard_contended.iter().sum();
     }
 
     /// Force a full decay pass on every shard.
@@ -337,28 +236,6 @@ impl ShardedLarge {
         for s in &self.shards {
             s.lock().drain_free_lists();
         }
-    }
-
-    /// Per-shard (acquires, contended) lock counters.
-    pub fn lock_counts(&self) -> (Vec<u64>, Vec<u64>) {
-        (
-            self.acquires.iter().map(|a| a.load(Ordering::Relaxed)).collect(),
-            self.contended.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-        )
-    }
-
-    /// Total wall-clock (wait, hold) nanoseconds across all counted
-    /// shard-lock acquisitions.
-    pub fn lock_times(&self) -> (u64, u64) {
-        (
-            self.wait_ns.iter().map(|a| a.load(Ordering::Relaxed)).sum(),
-            self.hold_ns.iter().map(|a| a.load(Ordering::Relaxed)).sum(),
-        )
-    }
-
-    /// Snapshots of the (wait, hold) per-acquisition time histograms.
-    pub fn lock_time_hists(&self) -> (LatencyHistogram, LatencyHistogram) {
-        (self.wait_hist.snapshot(), self.hold_hist.snapshot())
     }
 }
 
@@ -389,7 +266,7 @@ mod tests {
         );
         let t = pool.register_thread();
         let rtree = Arc::new(RTree::new());
-        let sl = ShardedLarge::new(&pool, base_cfg(), n, &rtree);
+        let sl = ShardedLarge::new(&pool, base_cfg(), n, &rtree, true);
         (pool, sl, t)
     }
 
@@ -433,9 +310,9 @@ mod tests {
         let (pool, sl, mut t) = setup(4);
         let mut ids = Vec::new();
         for s in 0..4 {
-            let (id, off) = sl.lock(s).alloc(&pool, &mut t, 64 << 10, false).unwrap();
+            let (id, off) = sl.lock(s, None).alloc(&pool, &mut t, 64 << 10, false).unwrap();
             assert_eq!(ShardedLarge::shard_of(id), s, "published id must carry shard {s}");
-            assert!(off >= sl.lock(s).veh(id).unwrap().off);
+            assert!(off >= sl.lock(s, None).veh(id).unwrap().off);
             ids.push(id);
         }
         // Frees route by id: every one succeeds exactly once.
@@ -451,7 +328,7 @@ mod tests {
         // Exhaust shard 0 with 1 MB extents.
         let mut got0 = 0;
         loop {
-            match sl.lock(0).alloc(&pool, &mut t, 1 << 20, false) {
+            match sl.lock(0, None).alloc(&pool, &mut t, 1 << 20, false) {
                 Ok(_) => got0 += 1,
                 Err(PmError::OutOfMemory { .. }) => break,
                 Err(e) => panic!("unexpected {e}"),
@@ -464,7 +341,7 @@ mod tests {
         assert_eq!(order, vec![0, 1]);
         let mut served = None;
         for s in sl.shard_order(0) {
-            if let Ok((id, _)) = sl.lock(s).alloc(&pool, &mut t, 1 << 20, false) {
+            if let Ok((id, _)) = sl.lock(s, None).alloc(&pool, &mut t, 1 << 20, false) {
                 served = Some((s, id));
                 break;
             }
@@ -485,12 +362,25 @@ mod tests {
         }
     }
 
+    /// The shards' counters folded into an empty snapshot.
+    fn folded(sl: &ShardedLarge) -> MetricsSnapshot {
+        let mut s = MetricsSnapshot::default();
+        sl.fold_into(&mut s);
+        s
+    }
+
+    /// Per-shard (acquires, contended) counts.
+    fn counts(sl: &ShardedLarge) -> (Vec<u64>, Vec<u64>) {
+        let s = folded(sl);
+        (s.large_shard_acquires, s.large_shard_contended)
+    }
+
     #[test]
     fn lock_counters_track_acquires_and_contention() {
         let (pool, sl, mut t) = setup(2);
-        let (id, _) = sl.lock(0).alloc(&pool, &mut t, 64 << 10, false).unwrap();
+        let (id, _) = sl.lock(0, None).alloc(&pool, &mut t, 64 << 10, false).unwrap();
         sl.free(&pool, &mut t, id).unwrap();
-        let (acq, cont) = sl.lock_counts();
+        let (acq, cont) = counts(&sl);
         assert_eq!(acq[0], 2, "alloc + free on shard 0");
         assert_eq!(acq[1], 0, "shard 1 untouched");
         assert_eq!(cont, vec![0, 0], "uncontended run");
@@ -507,53 +397,58 @@ mod tests {
                 std::thread::sleep(std::time::Duration::from_millis(20));
             });
             held.wait();
-            let _g = sl.lock(0); // must block, then succeed
+            let _g = sl.lock(0, None); // must block, then succeed
         });
-        let (_, cont) = sl.lock_counts();
+        let (_, cont) = counts(&sl);
         assert_eq!(cont[0], 1, "blocking acquisition must count as contended");
     }
 
     #[test]
     fn lock_times_accumulate_wait_and_hold() {
         let (pool, sl, mut t) = setup(2);
-        assert_eq!(sl.lock_times(), (0, 0), "fresh shards have no lock time");
+        assert_eq!(folded(&sl).lock_wait_ns + folded(&sl).lock_hold_ns, 0, "fresh shards");
         {
-            let mut g = sl.lock(0);
+            let mut g = sl.lock(0, None);
             g.alloc(&pool, &mut t, 64 << 10, false).unwrap();
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        let (wait, hold) = sl.lock_times();
-        assert!(hold >= 1_000_000, "guard held ≥2 ms must register ({hold} ns)");
+        let s = folded(&sl);
+        assert!(
+            s.lock_hold_ns >= 1_000_000,
+            "guard held ≥2 ms must register ({} ns)",
+            s.lock_hold_ns
+        );
         // Uncontended wait is tiny but the probe still ran: both
         // histograms carry exactly the one acquisition.
-        let (wh, hh) = sl.lock_time_hists();
-        assert_eq!(wh.count(), 1);
-        assert_eq!(hh.count(), 1);
+        assert_eq!(s.lock_wait_hist.count(), 1);
+        assert_eq!(s.lock_hold_hist.count(), 1);
         // A blocked acquisition accumulates real wait time.
         let sl = Arc::new(sl);
         let held = Arc::new(std::sync::Barrier::new(2));
-        std::thread::scope(|s| {
+        std::thread::scope(|sc| {
             let sl2 = Arc::clone(&sl);
             let held2 = Arc::clone(&held);
-            s.spawn(move || {
-                let _g = sl2.lock(0);
+            sc.spawn(move || {
+                let _g = sl2.lock(0, None);
                 held2.wait();
                 std::thread::sleep(std::time::Duration::from_millis(10));
             });
             held.wait();
-            let _g = sl.lock(0);
+            let _g = sl.lock(0, None);
         });
-        let (wait2, _) = sl.lock_times();
-        assert!(wait2 > wait + 1_000_000, "blocked lock must add ≥ the holder's sleep to wait");
-        let (wh, _) = sl.lock_time_hists();
-        assert_eq!(wh.count(), 3, "three counted acquisitions in total");
+        let s2 = folded(&sl);
+        assert!(
+            s2.lock_wait_ns > s.lock_wait_ns + 1_000_000,
+            "blocked lock must add ≥ the holder's sleep to wait"
+        );
+        assert_eq!(s2.lock_wait_hist.count(), 3, "three counted acquisitions in total");
     }
 
     #[test]
     fn aggregates_sum_across_shards() {
         let (pool, sl, mut t) = setup(4);
         for s in 0..4 {
-            sl.lock(s).alloc(&pool, &mut t, 64 << 10, false).unwrap();
+            sl.lock(s, None).alloc(&pool, &mut t, 64 << 10, false).unwrap();
         }
         assert_eq!(sl.active_extents().len(), 4);
         assert_eq!(sl.mapped_bytes(), 4 * REGION_BYTES, "one region mapped per shard");
@@ -567,13 +462,14 @@ mod tests {
         // Interleave allocations across shards in a scrambled order.
         let mut live = Vec::new();
         for (i, s) in [2usize, 0, 3, 1, 0, 2].iter().enumerate() {
-            let (id, off) = sl.lock(*s).alloc(&pool, &mut t, (16 + i) << 10, false).unwrap();
+            let (id, off) = sl.lock(*s, None).alloc(&pool, &mut t, (16 + i) << 10, false).unwrap();
             live.push((id, off));
         }
         drop(sl);
         let rtree = Arc::new(RTree::new());
         let recover_once = || {
-            let (_sl, ex) = ShardedLarge::recover(&pool, base_cfg(), 4, &Arc::new(RTree::new()));
+            let (_sl, ex) =
+                ShardedLarge::recover(&pool, base_cfg(), 4, &Arc::new(RTree::new()), true);
             ex
         };
         let ex1 = recover_once();
@@ -586,7 +482,7 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(shards_seen, sorted, "merge must be in shard order");
         // Every live extent survived with its offset.
-        let (sl, _) = ShardedLarge::recover(&pool, base_cfg(), 4, &rtree);
+        let (sl, _) = ShardedLarge::recover(&pool, base_cfg(), 4, &rtree, true);
         for (id, off) in live {
             let v = sl.veh(id).expect("extent must survive recovery");
             assert_eq!(v.off, off);

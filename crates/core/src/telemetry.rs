@@ -1,31 +1,39 @@
-//! Allocator-wide telemetry: internal event counters, op-latency
-//! histograms over the virtual PM clock, and a dependency-free JSON
-//! writer for machine-readable benchmark output.
+//! Allocator-wide telemetry: per-thread event probes, lock statistics,
+//! op-latency histograms over the virtual PM clock, and a dependency-free
+//! JSON writer for machine-readable benchmark output.
 //!
-//! Telemetry is strictly *observational*: every counter is a volatile
-//! (DRAM-side) relaxed atomic or a per-thread plain array, and latency is
-//! sampled from the PM virtual clock that the cost model already
-//! maintains. Enabling or disabling telemetry therefore never changes a
-//! [`nvalloc_pmem::StatsSnapshot`] counter or a modelled elapsed time —
-//! a property the workspace tests assert.
+//! Telemetry is strictly *observational*: every counter is volatile
+//! (DRAM-side) state, and latency is sampled from the PM virtual clock
+//! that the cost model already maintains. Enabling or disabling telemetry
+//! therefore never changes a [`nvalloc_pmem::StatsSnapshot`] counter or a
+//! modelled elapsed time — a property the workspace tests assert.
 //!
-//! Three layers:
+//! Four layers:
 //!
-//! * [`CoreMetrics`] — the atomic registry embedded in the allocator:
-//!   per-size-class tcache events, sub-tcache cursor rotations, slab
-//!   lifecycle, slab-morphing progress, WAL traffic, and (merged in at
-//!   snapshot time) bookkeeping-log and extent-allocator counters.
+//! * [`Probe`] — one per allocator thread: a cache-line-aligned block of
+//!   counters only that thread writes, holding the
+//!   [`crate::trace::EventKind`] counts, the per-class tcache counts and
+//!   the op histograms. The allocator's [`Probes`] registry folds the
+//!   retired total and every live block whenever a snapshot is read.
+//! * [`TimedMutex`] / [`TimedGuard`] — the one lock-timing guard, shared
+//!   by arena locks, large-shard locks and the baselines' mutexes; each
+//!   lock keeps its [`LockStats`] beside it.
 //! * [`LatencyHistogram`] / [`OpHistograms`] — log2-bucketed histograms of
-//!   modelled nanoseconds per operation kind ([`OpKind`]), accumulated in
-//!   per-thread plain arrays and merged when a thread handle drops.
+//!   modelled nanoseconds per operation kind ([`OpKind`]).
 //! * [`json`] — a minimal serde-free JSON-lines writer used by
 //!   [`MetricsSnapshot::to_json`] and the benchmark harness.
 
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+// nvalloc-lint: allow(determinism) — lock wait/hold timing only; never feeds persistent state.
+use std::time::Instant;
 
-use parking_lot::Mutex;
+use nvalloc_pmem::{PmThread, TracerHandle};
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::size_class::NUM_CLASSES;
+use crate::trace::EventKind;
 
 /// Number of log2 latency buckets. Bucket 0 holds 0 ns samples; bucket
 /// `b > 0` holds samples in `[2^(b-1), 2^b)` ns; the last bucket also
@@ -65,14 +73,7 @@ impl OpKind {
 
     #[inline]
     pub(crate) fn index(self) -> usize {
-        match self {
-            OpKind::MallocSmall => 0,
-            OpKind::MallocLarge => 1,
-            OpKind::Free => 2,
-            OpKind::Morph => 3,
-            OpKind::SlowGc => 4,
-            OpKind::Recovery => 5,
-        }
+        self as usize
     }
 
     /// Snake-case label used as the JSON key.
@@ -217,13 +218,6 @@ impl OpHistograms {
         &self.hists[kind.index()]
     }
 
-    /// Merge every histogram of `other` into `self`.
-    pub fn merge(&mut self, other: &OpHistograms) {
-        for (a, b) in self.hists.iter_mut().zip(other.hists.iter()) {
-            a.merge(b);
-        }
-    }
-
     /// Histogram-wise saturating difference `self - earlier`.
     pub fn since(&self, earlier: &OpHistograms) -> OpHistograms {
         let mut out = OpHistograms::default();
@@ -234,84 +228,179 @@ impl OpHistograms {
     }
 }
 
-/// Per-size-class tcache event kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TcacheEvent {
-    /// `malloc` served straight from the cache.
-    Hit,
-    /// `malloc` found the cache empty (a refill follows).
-    Miss,
-    /// A refill attempt (freelist, morph, or new slab).
-    Refill,
-    /// A freed block bypassed the full cache back to its slab.
-    Flush,
-}
+// ----- per-thread probes -----
 
-impl TcacheEvent {
+/// Per-class tcache kinds, in code order from [`EventKind::TcacheHit`].
+const TCACHE_KINDS: usize = 4;
+/// Probe-block slots: a count per event code (indexed by code), blocks
+/// returned by remote drains, per-class tcache counts, op histograms.
+const DRAINED: usize = EventKind::ALL.len() + 1;
+const TCACHE: usize = DRAINED + 1;
+const HISTS: usize = TCACHE + TCACHE_KINDS * NUM_CLASSES;
+const SLOTS: usize = HISTS + OpKind::COUNT * HIST_BUCKETS;
+
+/// One thread's counters: a cache-line-aligned block that only its
+/// owning thread writes, so recording never moves a line between cores.
+#[derive(Debug)]
+#[repr(align(64))]
+struct ProbeBlock([AtomicU64; SLOTS]);
+
+impl ProbeBlock {
+    /// Single-writer add: a relaxed load and store, never a
+    /// read-modify-write. Readers fold the block with relaxed loads.
     #[inline]
-    fn index(self) -> usize {
-        match self {
-            TcacheEvent::Hit => 0,
-            TcacheEvent::Miss => 1,
-            TcacheEvent::Refill => 2,
-            TcacheEvent::Flush => 3,
+    fn add(&self, slot: usize, n: u64) {
+        let c = &self.0[slot];
+        c.store(c.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+    }
+
+    fn add_into(&self, sum: &mut [u64]) {
+        for (s, c) in sum.iter_mut().zip(self.0.iter()) {
+            *s += c.load(Ordering::Relaxed);
         }
     }
 }
 
-/// Scalar counters kept as relaxed atomics in [`CoreMetrics`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Counter {
-    /// Sub-tcache cursor rotations (interleaved-tcache round-robin steps).
-    CursorRotations,
-    /// Slabs carved from the large allocator.
-    SlabAllocs,
-    /// Fully-free slabs returned to the large allocator.
-    SlabRetires,
-    /// Slabs examined as morph candidates (LRU scan length).
-    MorphCandidates,
-    /// Morph transforms started.
-    MorphStarted,
-    /// Morph transforms completed.
-    MorphCompleted,
-    /// Interrupted morphs rolled back or forward during recovery.
-    MorphUndone,
-    /// Micro-WAL entries appended.
-    WalAppends,
-    /// WAL entries replayed during recovery.
-    WalReplays,
-    /// Arena/large mutex acquisitions on the free path (slow frees only;
-    /// the lock-free fast path never counts here).
-    FreeLocks,
-    /// Same-thread frees completed on the lock-free fast path.
-    FreeFastLocal,
-    /// Cross-arena frees pushed onto a remote-free queue.
-    FreeRemote,
-    /// Remote-free queue drain batches (non-empty drains).
-    RemoteDrainBatches,
-    /// Blocks returned to slabs by remote-queue drains.
-    RemoteDrained,
-    /// Foreign-arena remote queues drained opportunistically by a malloc
-    /// slow path (the drain hook; counts non-empty drains).
-    RemoteDrainForeign,
-    /// Wall-clock nanoseconds spent waiting to acquire instrumented
-    /// mutexes (arena free/refill locks; large-shard waits are merged in
-    /// by the front end at snapshot time).
-    LockWaitNs,
-    /// Wall-clock nanoseconds instrumented mutexes were held.
-    LockHoldNs,
+/// The allocator's probe registry: every live probe block plus the total
+/// of dropped ones, under one mutex taken only at probe create and drop
+/// and at snapshot — never on an allocator operation.
+#[derive(Debug)]
+pub struct Probes {
+    enabled: bool,
+    set: Mutex<ProbeSet>,
 }
 
-const NUM_COUNTERS: usize = 17;
-const TCACHE_EVENTS: usize = 4;
+#[derive(Debug)]
+struct ProbeSet {
+    live: Vec<Arc<ProbeBlock>>,
+    retired: Vec<u64>,
+}
+
+impl Probes {
+    /// A registry; `enabled = false` hands out probes that record nothing.
+    pub fn new(enabled: bool) -> Probes {
+        Probes { enabled, set: Mutex::new(ProbeSet { live: Vec::new(), retired: vec![0; SLOTS] }) }
+    }
+
+    /// A new probe for one thread, registered until it drops.
+    pub fn probe(self: &Arc<Self>) -> Probe {
+        if !self.enabled {
+            return Probe { reg: None };
+        }
+        let block = Arc::new(ProbeBlock([const { AtomicU64::new(0) }; SLOTS]));
+        self.set.lock().live.push(Arc::clone(&block));
+        Probe { reg: Some((Arc::clone(self), block)) }
+    }
+
+    /// The retired total plus every live block, as a snapshot whose other
+    /// fields (locks, booklog, extents, trace, pmsan, profiler) are zero.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        let set = self.set.lock();
+        let mut sum = set.retired.clone();
+        for b in &set.live {
+            b.add_into(&mut sum);
+        }
+        drop(set);
+        let n = |k: EventKind| sum[k.code() as usize];
+        let mut s = MetricsSnapshot {
+            cursor_rotations: n(EventKind::CursorRotate),
+            slab_allocs: n(EventKind::SlabCarve),
+            slab_retires: n(EventKind::SlabRetire),
+            morph_candidates: n(EventKind::MorphScan),
+            morph_started: n(EventKind::MorphStart),
+            morph_completed: n(EventKind::MorphDone),
+            morph_undone: n(EventKind::MorphUndone),
+            wal_appends: n(EventKind::WalAppend),
+            wal_replays: n(EventKind::WalReplay),
+            free_locks: n(EventKind::FreeLocked),
+            free_fast_local: n(EventKind::FreeFastLocal),
+            free_remote: n(EventKind::RemotePush),
+            remote_drain_batches: n(EventKind::RemoteDrain),
+            remote_drained: sum[DRAINED],
+            remote_drain_foreign: n(EventKind::RemoteDrainForeign),
+            ..MetricsSnapshot::default()
+        };
+        for (class, c) in sum[TCACHE..HISTS].chunks_exact(TCACHE_KINDS).enumerate() {
+            let [hits, misses, refills, flushes] = [c[0], c[1], c[2], c[3]];
+            let c = TcacheClassCounters { class, hits, misses, refills, flushes };
+            s.tcache_hits += c.hits;
+            s.tcache_misses += c.misses;
+            s.tcache_refills += c.refills;
+            s.tcache_flushes += c.flushes;
+            s.tcache_by_class.push(c);
+        }
+        for (h, b) in s.hists.hists.iter_mut().zip(sum[HISTS..].chunks_exact(HIST_BUCKETS)) {
+            h.buckets.copy_from_slice(b);
+        }
+        s
+    }
+}
+
+/// One thread's instrumentation point: counts [`EventKind`]s and op
+/// latencies into its own block and pushes ring kinds to the thread's
+/// ring. On drop its counts join the registry's retired total.
+#[derive(Debug)]
+pub struct Probe {
+    reg: Option<(Arc<Probes>, Arc<ProbeBlock>)>,
+}
+
+impl Probe {
+    /// Record one event: count it and, for a ring kind, emit it through
+    /// `pm`'s tracer. Kinds count once, except: tcache kinds per class
+    /// `a`; `MorphScan`, `MorphUndone` and `WalReplay` by `a`;
+    /// `RemoteDrain` also adds `b` blocks drained.
+    #[inline]
+    pub fn event(&self, pm: &PmThread, kind: EventKind, a: u64, b: u64) {
+        if let Some((_, blk)) = &self.reg {
+            let slot = kind.code() as usize;
+            match kind {
+                EventKind::TcacheHit
+                | EventKind::TcacheMiss
+                | EventKind::TcacheRefillAttempt
+                | EventKind::TcacheOverflow => {
+                    let k = slot - EventKind::TcacheHit.code() as usize;
+                    blk.add(TCACHE + TCACHE_KINDS * a as usize + k, 1);
+                }
+                EventKind::MorphScan | EventKind::MorphUndone | EventKind::WalReplay => {
+                    blk.add(slot, a);
+                }
+                EventKind::RemoteDrain => {
+                    blk.add(slot, 1);
+                    blk.add(DRAINED, b);
+                }
+                _ => blk.add(slot, 1),
+            }
+        }
+        if kind.on_ring() {
+            pm.trace(kind.code(), a, b);
+        }
+    }
+
+    /// Record one `op` latency sample of `ns` modelled nanoseconds.
+    #[inline]
+    pub fn record(&self, op: OpKind, ns: u64) {
+        if let Some((_, blk)) = &self.reg {
+            blk.add(HISTS + op.index() * HIST_BUCKETS + bucket_index(ns), 1);
+        }
+    }
+}
+
+impl Drop for Probe {
+    fn drop(&mut self) {
+        let Some((probes, block)) = self.reg.take() else { return };
+        let mut set = probes.set.lock();
+        let ProbeSet { live, retired } = &mut *set;
+        block.add_into(retired);
+        live.retain(|b| !Arc::ptr_eq(b, &block));
+    }
+}
+
+// ----- lock timing -----
 
 /// A lock-free log2-bucketed histogram: the shared-atomic counterpart of
-/// [`LatencyHistogram`], for samples recorded from arbitrary threads
-/// without a mutex (lock wait/hold probes record from inside and around
-/// critical sections, where taking the histogram mutex would itself
-/// serialise).
+/// [`LatencyHistogram`], recorded by every acquirer of one lock.
 #[derive(Debug)]
-pub struct AtomicHistogram {
+struct AtomicHistogram {
     buckets: [AtomicU64; HIST_BUCKETS],
 }
 
@@ -324,12 +413,12 @@ impl Default for AtomicHistogram {
 impl AtomicHistogram {
     /// Record one sample of `ns` nanoseconds (relaxed; never blocks).
     #[inline]
-    pub fn record(&self, ns: u64) {
+    fn record(&self, ns: u64) {
         self.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// A plain-histogram copy of the current bucket counts.
-    pub fn snapshot(&self) -> LatencyHistogram {
+    fn snapshot(&self) -> LatencyHistogram {
         let mut out = LatencyHistogram::default();
         for (o, b) in out.buckets.iter_mut().zip(self.buckets.iter()) {
             *o = b.load(Ordering::Relaxed);
@@ -338,148 +427,151 @@ impl AtomicHistogram {
     }
 }
 
-/// The allocator's internal metrics registry.
-///
-/// All mutation paths are relaxed atomic adds on DRAM-side state (or, for
-/// histograms, merges of per-thread plain arrays under a mutex taken once
-/// per thread lifetime), so recording perturbs neither the PM cost model
-/// nor the virtual clocks. Constructed disabled for configurations with
-/// `telemetry = false`; every recording call is then a no-op.
-#[derive(Debug)]
-pub struct CoreMetrics {
+/// Acquisition statistics of one mutex, kept beside it in a
+/// [`TimedMutex`]: only the lock's own acquirers, who already share its
+/// line, write them. Wait and hold are wall-clock nanoseconds, which the
+/// modelled PM clock never sees.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+pub struct LockStats {
     enabled: bool,
-    tcache: Vec<[AtomicU64; TCACHE_EVENTS]>,
-    counters: [AtomicU64; NUM_COUNTERS],
-    hists: Mutex<OpHistograms>,
-    lock_wait: AtomicHistogram,
-    lock_hold: AtomicHistogram,
+    acquires: AtomicU64,
+    contended: AtomicU64,
+    wait_ns: AtomicU64,
+    hold_ns: AtomicU64,
+    wait_hist: AtomicHistogram,
+    hold_hist: AtomicHistogram,
 }
 
-impl CoreMetrics {
-    /// Create a registry; `enabled = false` turns every recording call
-    /// into a no-op and leaves the snapshot all-zero.
-    pub fn new(enabled: bool) -> Self {
-        CoreMetrics {
-            enabled,
-            tcache: (0..NUM_CLASSES).map(|_| Default::default()).collect(),
-            counters: Default::default(),
-            hists: Mutex::new(OpHistograms::default()),
-            lock_wait: AtomicHistogram::default(),
-            lock_hold: AtomicHistogram::default(),
+impl LockStats {
+    /// Counted acquisitions.
+    pub fn acquires(&self) -> u64 {
+        self.acquires.load(Ordering::Relaxed)
+    }
+
+    /// Acquisitions that found the lock held and had to block.
+    pub fn contended(&self) -> u64 {
+        self.contended.load(Ordering::Relaxed)
+    }
+
+    /// Total wall-clock nanoseconds spent waiting to acquire.
+    pub fn wait_ns(&self) -> u64 {
+        self.wait_ns.load(Ordering::Relaxed)
+    }
+
+    /// Total wall-clock nanoseconds the lock was held.
+    pub fn hold_ns(&self) -> u64 {
+        self.hold_ns.load(Ordering::Relaxed)
+    }
+
+    /// Add the wait and hold totals and histograms into `s`.
+    pub fn fold_into(&self, s: &mut MetricsSnapshot) {
+        s.lock_wait_ns += self.wait_ns();
+        s.lock_hold_ns += self.hold_ns();
+        s.lock_wait_hist.merge(&self.wait_hist.snapshot());
+        s.lock_hold_hist.merge(&self.hold_hist.snapshot());
+    }
+}
+
+/// A mutex with its [`LockStats`] beside it. [`TimedMutex::timed`] is the
+/// counted acquisition the allocator paths use; [`TimedMutex::lock`] and
+/// [`TimedMutex::try_lock`] are the uncounted ones observers use.
+#[derive(Debug)]
+pub struct TimedMutex<T> {
+    lock: Mutex<T>,
+    stats: LockStats,
+}
+
+impl<T> TimedMutex<T> {
+    /// Wrap `value`; with `enabled = false` a counted acquisition records
+    /// nothing.
+    pub fn new(value: T, enabled: bool) -> TimedMutex<T> {
+        TimedMutex { lock: Mutex::new(value), stats: LockStats { enabled, ..LockStats::default() } }
+    }
+
+    /// Acquire without counting.
+    pub fn lock(&self) -> MutexGuard<'_, T> {
+        self.lock.lock()
+    }
+
+    /// Try to acquire without blocking and without counting.
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        self.lock.try_lock()
+    }
+
+    /// The lock's statistics.
+    pub fn stats(&self) -> &LockStats {
+        &self.stats
+    }
+
+    /// Counted acquisition: counts it (contended if `try_lock` fails) and
+    /// times wait and hold; with `pm` tracing, the release emits a
+    /// `LockAcquire` stamped at the acquisition's virtual time. Stats off
+    /// and no tracer: a bare `lock()`, no clock read, no atomic.
+    pub fn timed(&self, pm: Option<&PmThread>) -> TimedGuard<'_, T> {
+        let trace = pm.and_then(|p| Some((p.tracer()?.clone(), p.virtual_ns())));
+        if !self.stats.enabled && trace.is_none() {
+            return TimedGuard { guard: self.lock.lock(), timing: None };
         }
-    }
-
-    /// Whether recording is enabled.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Count one tcache event for `class`.
-    #[inline]
-    pub fn tcache_event(&self, class: usize, ev: TcacheEvent) {
-        if self.enabled {
-            self.tcache[class][ev.index()].fetch_add(1, Ordering::Relaxed);
+        let stats = self.stats.enabled.then_some(&self.stats);
+        if let Some(s) = stats {
+            s.acquires.fetch_add(1, Ordering::Relaxed);
         }
+        let wait = Instant::now();
+        let guard = self.lock.try_lock().unwrap_or_else(|| {
+            if let Some(s) = stats {
+                s.contended.fetch_add(1, Ordering::Relaxed);
+            }
+            self.lock.lock()
+        });
+        let wait_ns = wait.elapsed().as_nanos() as u64;
+        TimedGuard { guard, timing: Some(Timing { stats, wait_ns, held: Instant::now(), trace }) }
     }
+}
 
-    /// Add `n` to a scalar counter.
-    #[inline]
-    pub fn add(&self, c: Counter, n: u64) {
-        if self.enabled && n > 0 {
-            self.counters[c as usize].fetch_add(n, Ordering::Relaxed);
+/// The guard of a [`TimedMutex::timed`] acquisition; on drop it records
+/// the hold time while the lock is still held.
+pub struct TimedGuard<'a, T> {
+    guard: MutexGuard<'a, T>,
+    timing: Option<Timing<'a>>,
+}
+
+struct Timing<'a> {
+    stats: Option<&'a LockStats>,
+    wait_ns: u64,
+    held: Instant,
+    /// The acquiring thread's tracer and virtual-clock time.
+    trace: Option<(TracerHandle, u64)>,
+}
+
+impl<T> Deref for TimedGuard<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.guard
+    }
+}
+
+impl<T> DerefMut for TimedGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.guard
+    }
+}
+
+impl<T> Drop for TimedGuard<'_, T> {
+    fn drop(&mut self) {
+        // Runs before the `guard` field drops, so the hold is measured
+        // while the lock is still held.
+        let Some(t) = &self.timing else { return };
+        let hold_ns = t.held.elapsed().as_nanos() as u64;
+        if let Some(s) = t.stats {
+            s.wait_ns.fetch_add(t.wait_ns, Ordering::Relaxed);
+            s.hold_ns.fetch_add(hold_ns, Ordering::Relaxed);
+            s.wait_hist.record(t.wait_ns);
+            s.hold_hist.record(hold_ns);
         }
-    }
-
-    /// Add 1 to a scalar counter.
-    #[inline]
-    pub fn bump(&self, c: Counter) {
-        self.add(c, 1);
-    }
-
-    /// Merge a thread's local histograms (called when the thread handle
-    /// drops, and once by recovery).
-    pub fn merge_hists(&self, local: &OpHistograms) {
-        if self.enabled {
-            self.hists.lock().merge(local);
+        if let Some((tracer, at_ns)) = &t.trace {
+            tracer.emit(*at_ns, EventKind::LockAcquire.code(), t.wait_ns, hold_ns);
         }
-    }
-
-    /// Record a single histogram sample directly (recovery path).
-    pub fn record_hist(&self, kind: OpKind, ns: u64) {
-        if self.enabled {
-            self.hists.lock().record(kind, ns);
-        }
-    }
-
-    /// Copy of the registry's merged op histograms (the timeline sampler
-    /// diffs consecutive copies into windowed quantiles).
-    pub fn hists(&self) -> OpHistograms {
-        *self.hists.lock()
-    }
-
-    /// Current value of one scalar counter.
-    pub fn counter(&self, c: Counter) -> u64 {
-        self.counters[c as usize].load(Ordering::Relaxed)
-    }
-
-    /// Record one instrumented mutex acquisition: `wait_ns` spent blocked
-    /// before the lock was granted, `hold_ns` inside the critical section
-    /// (both wall-clock). Lock-free: totals are relaxed atomic adds and
-    /// the histograms are [`AtomicHistogram`]s, so recording from a
-    /// guard's `Drop` never takes another lock.
-    #[inline]
-    pub fn record_lock(&self, wait_ns: u64, hold_ns: u64) {
-        if self.enabled {
-            self.counters[Counter::LockWaitNs as usize].fetch_add(wait_ns, Ordering::Relaxed);
-            self.counters[Counter::LockHoldNs as usize].fetch_add(hold_ns, Ordering::Relaxed);
-            self.lock_wait.record(wait_ns);
-            self.lock_hold.record(hold_ns);
-        }
-    }
-
-    /// A point-in-time copy of every counter owned by the registry.
-    /// Bookkeeping-log and extent-allocator fields are zero here; the
-    /// allocator front end merges them in (they live under its large-
-    /// allocator lock).
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut s = MetricsSnapshot::default();
-        for (class, evs) in self.tcache.iter().enumerate() {
-            let c = TcacheClassCounters {
-                class,
-                hits: evs[0].load(Ordering::Relaxed),
-                misses: evs[1].load(Ordering::Relaxed),
-                refills: evs[2].load(Ordering::Relaxed),
-                flushes: evs[3].load(Ordering::Relaxed),
-            };
-            s.tcache_hits += c.hits;
-            s.tcache_misses += c.misses;
-            s.tcache_refills += c.refills;
-            s.tcache_flushes += c.flushes;
-            s.tcache_by_class.push(c);
-        }
-        let c = |i: Counter| self.counters[i as usize].load(Ordering::Relaxed);
-        s.cursor_rotations = c(Counter::CursorRotations);
-        s.slab_allocs = c(Counter::SlabAllocs);
-        s.slab_retires = c(Counter::SlabRetires);
-        s.morph_candidates = c(Counter::MorphCandidates);
-        s.morph_started = c(Counter::MorphStarted);
-        s.morph_completed = c(Counter::MorphCompleted);
-        s.morph_undone = c(Counter::MorphUndone);
-        s.wal_appends = c(Counter::WalAppends);
-        s.wal_replays = c(Counter::WalReplays);
-        s.free_locks = c(Counter::FreeLocks);
-        s.free_fast_local = c(Counter::FreeFastLocal);
-        s.free_remote = c(Counter::FreeRemote);
-        s.remote_drain_batches = c(Counter::RemoteDrainBatches);
-        s.remote_drained = c(Counter::RemoteDrained);
-        s.remote_drain_foreign = c(Counter::RemoteDrainForeign);
-        s.lock_wait_ns = c(Counter::LockWaitNs);
-        s.lock_hold_ns = c(Counter::LockHoldNs);
-        s.lock_wait_hist = self.lock_wait.snapshot();
-        s.lock_hold_hist = self.lock_hold.snapshot();
-        s.hists = *self.hists.lock();
-        s
     }
 }
 
@@ -993,6 +1085,12 @@ pub mod json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvalloc_pmem::{LatencyMode, PmemConfig, PmemPool};
+
+    fn pm() -> PmThread {
+        PmemPool::new(PmemConfig::default().pool_size(1 << 20).latency_mode(LatencyMode::Off))
+            .register_thread()
+    }
 
     #[test]
     fn bucket_boundaries() {
@@ -1034,26 +1132,42 @@ mod tests {
 
     #[test]
     fn metrics_registry_counts_and_disabled_is_noop() {
-        let m = CoreMetrics::new(true);
-        m.tcache_event(3, TcacheEvent::Hit);
-        m.tcache_event(3, TcacheEvent::Hit);
-        m.tcache_event(5, TcacheEvent::Miss);
-        m.bump(Counter::WalAppends);
-        m.add(Counter::SlabAllocs, 4);
-        m.record_hist(OpKind::Free, 700);
-        let s = m.snapshot();
+        let t = pm();
+        let probes = Arc::new(Probes::new(true));
+        let p = probes.probe();
+        p.event(&t, EventKind::TcacheHit, 3, 0);
+        p.event(&t, EventKind::TcacheHit, 3, 0);
+        p.event(&t, EventKind::TcacheMiss, 5, 0);
+        p.event(&t, EventKind::WalAppend, 0x1000, 7);
+        for _ in 0..4 {
+            p.event(&t, EventKind::SlabCarve, 0, 0);
+        }
+        p.event(&t, EventKind::MorphScan, 6, 0);
+        p.event(&t, EventKind::RemoteDrain, 1, 9);
+        p.record(OpKind::Free, 700);
+        let s = probes.snapshot();
         assert_eq!(s.tcache_hits, 2);
         assert_eq!(s.tcache_misses, 1);
         assert_eq!(s.tcache_by_class[3].hits, 2);
         assert_eq!(s.tcache_by_class[5].misses, 1);
         assert_eq!(s.wal_appends, 1);
         assert_eq!(s.slab_allocs, 4);
+        assert_eq!(s.morph_candidates, 6, "a scan counts the slabs it examined");
+        assert_eq!((s.remote_drain_batches, s.remote_drained), (1, 9));
         assert_eq!(s.hists.of(OpKind::Free).count(), 1);
+        // A dropped probe's counts move to the retired total unchanged,
+        // and a second live probe adds to them.
+        drop(p);
+        assert_eq!(probes.snapshot(), s);
+        let q = probes.probe();
+        q.event(&t, EventKind::TcacheHit, 3, 0);
+        assert_eq!(probes.snapshot().tcache_by_class[3].hits, 3);
 
-        let off = CoreMetrics::new(false);
-        off.tcache_event(0, TcacheEvent::Hit);
-        off.bump(Counter::WalAppends);
-        off.record_hist(OpKind::Free, 1);
+        let off = Arc::new(Probes::new(false));
+        let p = off.probe();
+        p.event(&t, EventKind::TcacheHit, 0, 0);
+        p.event(&t, EventKind::WalAppend, 0, 0);
+        p.record(OpKind::Free, 1);
         let s = off.snapshot();
         assert_eq!(
             s,
@@ -1064,14 +1178,16 @@ mod tests {
 
     #[test]
     fn snapshot_since_diffs() {
-        let m = CoreMetrics::new(true);
-        m.tcache_event(0, TcacheEvent::Hit);
-        m.bump(Counter::WalAppends);
+        let t = pm();
+        let m = Arc::new(Probes::new(true));
+        let p = m.probe();
+        p.event(&t, EventKind::TcacheHit, 0, 0);
+        p.event(&t, EventKind::WalAppend, 0, 0);
         let a = m.snapshot();
-        m.tcache_event(0, TcacheEvent::Hit);
-        m.tcache_event(1, TcacheEvent::Flush);
-        m.bump(Counter::MorphStarted);
-        m.record_hist(OpKind::MallocSmall, 300);
+        p.event(&t, EventKind::TcacheHit, 0, 0);
+        p.event(&t, EventKind::TcacheOverflow, 1, 0);
+        p.event(&t, EventKind::MorphStart, 0, 0);
+        p.record(OpKind::MallocSmall, 300);
         let d = m.snapshot().since(&a);
         assert_eq!(d.tcache_hits, 1);
         assert_eq!(d.tcache_by_class[0].hits, 1);
@@ -1080,7 +1196,7 @@ mod tests {
         assert_eq!(d.morph_started, 1);
         assert_eq!(d.hists.of(OpKind::MallocSmall).count(), 1);
         // Mixed-instance diffs saturate instead of panicking.
-        let other = CoreMetrics::new(true);
+        let other = Probes::new(true);
         let z = other.snapshot().since(&m.snapshot());
         assert_eq!(z.tcache_hits, 0);
     }
@@ -1113,9 +1229,10 @@ mod tests {
 
     #[test]
     fn snapshot_json_has_latency_quantiles() {
-        let m = CoreMetrics::new(true);
-        m.record_hist(OpKind::MallocSmall, 500);
-        m.record_hist(OpKind::MallocSmall, 900);
+        let m = Arc::new(Probes::new(true));
+        let p = m.probe();
+        p.record(OpKind::MallocSmall, 500);
+        p.record(OpKind::MallocSmall, 900);
         let j = m.snapshot().to_json();
         assert!(j.contains("\"latency\":{\"malloc_small\":{\"count\":2,\"p50\":"), "{j}");
         assert!(j.contains("\"p999\":"), "{j}");
@@ -1140,8 +1257,8 @@ mod tests {
 
     #[test]
     fn metrics_to_json_is_valid_shape() {
-        let m = CoreMetrics::new(true);
-        m.tcache_event(2, TcacheEvent::Hit);
+        let m = Arc::new(Probes::new(true));
+        m.probe().event(&pm(), EventKind::TcacheHit, 2, 0);
         let j = m.snapshot().to_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"tcache_hits\":1"));
@@ -1149,5 +1266,18 @@ mod tests {
         assert!(j.contains("\"hist\":{\"malloc_small\":["));
         // Quiet classes are omitted from the per-class list.
         assert!(!j.contains("\"class\":0,"));
+    }
+
+    #[test]
+    fn guard_with_disabled_stats_records_nothing() {
+        let m = TimedMutex::new((), false);
+        let g = m.timed(Some(&pm()));
+        assert!(g.timing.is_none(), "no tracer and no stats: a bare guard, no clock read");
+        drop(g);
+        let st = m.stats();
+        assert_eq!((st.acquires(), st.contended(), st.wait_ns(), st.hold_ns()), (0, 0, 0, 0));
+        let mut s = MetricsSnapshot::default();
+        st.fold_into(&mut s);
+        assert_eq!(s, MetricsSnapshot::default());
     }
 }

@@ -6,10 +6,12 @@
 //! every allocator module already threads through its persistence calls
 //! — can carry the emitter. This module gives those raw events meaning:
 //!
-//! * [`EventKind`] — the binary event vocabulary (alloc/free begin+end,
-//!   tcache refill/flush, cursor rotations, morph step transitions, WAL
-//!   append/commit, booklog append/GC, remote-queue push/drain, lock
-//!   acquisitions with wait/hold nanoseconds, recovery phases);
+//! * [`EventKind`] — the allocator's one event vocabulary. Ring kinds
+//!   (alloc/free begin+end, tcache refill/flush, cursor rotations, morph
+//!   step transitions, WAL append/commit, booklog append/GC, remote-queue
+//!   push/drain, lock acquisitions with wait/hold nanoseconds, recovery
+//!   phases) reach the flight recorder; count-only kinds are tallied by
+//!   the per-thread [`crate::telemetry::Probe`] and never reach a ring;
 //! * [`TraceRecorder`] — owns one ring per registered allocator thread
 //!   (capacity `NvConfig::trace_events_per_thread`, drop-oldest on
 //!   wrap) plus the shared sequence counter;
@@ -37,8 +39,9 @@ use parking_lot::Mutex;
 
 use crate::telemetry::json;
 
-/// Flight-recorder event kinds. The `u16` discriminant is the on-ring
-/// `code`; payload words `a`/`b` are documented per variant.
+/// Every counted or traced allocator event; the `u16` discriminant is its
+/// code, payload words `a`/`b` are documented per variant. Codes up to
+/// [`EventKind::PmsanViolation`] reach the ring; higher ones are count-only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u16)]
 pub enum EventKind {
@@ -87,11 +90,41 @@ pub enum EventKind {
     /// line offset, `b` = violation-kind ordinal
     /// (`nvalloc_pmem::PmsanKind` index).
     PmsanViolation = 17,
+    /// `malloc` served straight from the tcache. `a` = class.
+    TcacheHit = 18,
+    /// `malloc` found the tcache empty (a refill follows). `a` = class.
+    TcacheMiss = 19,
+    /// A refill attempt (freelist, morph, or new slab). `a` = class.
+    TcacheRefillAttempt = 20,
+    /// A freed block bypassed the full tcache back to its slab.
+    /// `a` = class.
+    TcacheOverflow = 21,
+    /// Slab frame carved from the large allocator.
+    SlabCarve = 22,
+    /// Fully-free slab returned to the large allocator.
+    SlabRetire = 23,
+    /// Morph-candidate scan of the LRU list. `a` = slabs examined.
+    MorphScan = 24,
+    /// Morph transform started.
+    MorphStart = 25,
+    /// Morph transform completed.
+    MorphDone = 26,
+    /// Interrupted morphs rolled back or forward by recovery. `a` = count.
+    MorphUndone = 27,
+    /// WAL entries replayed by recovery. `a` = count.
+    WalReplay = 28,
+    /// Free that took the arena or large-shard mutex (slow frees only).
+    FreeLocked = 29,
+    /// Same-thread free completed on the lock-free fast path.
+    FreeFastLocal = 30,
+    /// Non-empty drain of a foreign arena's remote-free queue by a malloc
+    /// slow path (or by `quiesce` for an arena with no threads left).
+    RemoteDrainForeign = 31,
 }
 
 impl EventKind {
     /// Every kind, in code order.
-    pub const ALL: [EventKind; 17] = [
+    pub const ALL: [EventKind; 31] = [
         EventKind::MallocBegin,
         EventKind::MallocEnd,
         EventKind::FreeBegin,
@@ -109,7 +142,27 @@ impl EventKind {
         EventKind::LockAcquire,
         EventKind::RecoveryPhase,
         EventKind::PmsanViolation,
+        EventKind::TcacheHit,
+        EventKind::TcacheMiss,
+        EventKind::TcacheRefillAttempt,
+        EventKind::TcacheOverflow,
+        EventKind::SlabCarve,
+        EventKind::SlabRetire,
+        EventKind::MorphScan,
+        EventKind::MorphStart,
+        EventKind::MorphDone,
+        EventKind::MorphUndone,
+        EventKind::WalReplay,
+        EventKind::FreeLocked,
+        EventKind::FreeFastLocal,
+        EventKind::RemoteDrainForeign,
     ];
+
+    /// Whether the flight recorder stores this kind (else count-only).
+    #[inline]
+    pub fn on_ring(self) -> bool {
+        self.code() <= EventKind::PmsanViolation.code()
+    }
 
     /// The on-ring event code.
     #[inline]
@@ -140,6 +193,8 @@ impl EventKind {
             EventKind::LockAcquire => "lock",
             EventKind::RecoveryPhase => "recovery",
             EventKind::PmsanViolation => "pmsan_violation",
+            // Count-only kinds never reach a ring, so no trace names them.
+            _ => "count",
         }
     }
 
@@ -158,6 +213,7 @@ impl EventKind {
             EventKind::LockAcquire => "lock",
             EventKind::RecoveryPhase => "recovery",
             EventKind::PmsanViolation => "pmsan",
+            _ => "count",
         }
     }
 }
@@ -193,11 +249,6 @@ impl TraceRecorder {
         let tid = rings.len().min(u16::MAX as usize) as u16;
         rings.push(Arc::clone(&ring));
         TracerHandle::new(ring, Arc::clone(&self.seq), tid)
-    }
-
-    /// Ring capacity per registered thread.
-    pub fn events_per_thread(&self) -> usize {
-        self.events_per_thread
     }
 
     /// Total events currently resident across all rings.
@@ -294,6 +345,8 @@ mod tests {
         for k in EventKind::ALL {
             assert_eq!(EventKind::from_code(k.code()), Some(k));
         }
+        let ring = EventKind::ALL.iter().filter(|k| k.on_ring()).count();
+        assert_eq!(ring, 17, "the ring vocabulary is fixed");
         assert_eq!(EventKind::from_code(0), None);
         assert_eq!(EventKind::from_code(999), None);
     }

@@ -78,13 +78,6 @@ impl PmThread {
         self.tracer.as_ref()
     }
 
-    /// True when a tracer is attached (guards payload computation at
-    /// call sites that would otherwise do work to build `a`/`b`).
-    #[inline]
-    pub fn tracing(&self) -> bool {
-        self.tracer.is_some()
-    }
-
     /// Emit one flight-recorder event stamped with this thread's current
     /// virtual-clock time. No-op (one branch) when no tracer is attached.
     #[inline]

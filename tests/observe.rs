@@ -10,6 +10,7 @@
 use std::sync::Arc;
 
 use nvalloc::api::PmAllocator;
+use nvalloc::telemetry::OpKind;
 use nvalloc::{NvAllocator, NvConfig};
 use nvalloc_pmem::{LatencyMode, PmemConfig, PmemPool};
 use rand::rngs::SmallRng;
@@ -91,6 +92,46 @@ fn sampler_leaves_metrics_and_heap_untouched() {
     assert_eq!(normalized(on.metrics()), normalized(off.metrics()));
     assert_eq!(on.heap_mapped_bytes(), off.heap_mapped_bytes());
     assert_eq!(on.live_bytes(), off.live_bytes());
+}
+
+#[test]
+fn windows_count_every_live_handle() {
+    // Two live handles driven from one OS thread: each tick's windows
+    // fold both handles' probes, so the windows sum to every op recorded
+    // before the last tick, whichever handle recorded it.
+    let cfg = NvConfig::log().arenas(2).roots(SLOTS).timeline(20_000);
+    let alloc = NvAllocator::create(virtual_pool(96), cfg).unwrap();
+    let sampler = alloc.timeline_sampler().expect("sampler on").clone();
+    let mut handles = [alloc.thread(), alloc.thread()];
+    let mut rng = SmallRng::seed_from_u64(0x2_4A11);
+    let mut live = [false; SLOTS];
+    let (mut ops, mut ticks, mut ops_at_last_tick) = (0u64, 0u64, 0u64);
+    for i in 0..4_000 {
+        let slot = rng.gen_range(0..SLOTS);
+        let t = &mut handles[i % 2];
+        let root = alloc.root_offset(slot);
+        if live[slot] {
+            t.free_from(root).unwrap();
+        } else {
+            t.malloc_to(rng.gen_range(16..2048), root).unwrap();
+        }
+        live[slot] = !live[slot];
+        ops += 1;
+        // A tick fires at the end of an op, after its latency sample.
+        let now = sampler.len() as u64 + sampler.dropped();
+        if now != ticks {
+            (ticks, ops_at_last_tick) = (now, ops);
+        }
+    }
+    let samples = alloc.timeline_samples();
+    assert!(samples.len() > 10 && sampler.dropped() == 0, "{} samples", samples.len());
+    let counted: u64 = samples
+        .iter()
+        .flat_map(|s| OpKind::ALL.iter().zip(&s.window))
+        .filter(|(k, _)| matches!(k, OpKind::MallocSmall | OpKind::MallocLarge | OpKind::Free))
+        .map(|(_, w)| w.count)
+        .sum();
+    assert_eq!(counted, ops_at_last_tick, "windows must count both handles' ops");
 }
 
 #[test]

@@ -5,11 +5,13 @@
 
 use std::sync::Arc;
 
+use nvalloc::api::PmAllocator;
 use nvalloc::telemetry::{
-    bucket_high, bucket_index, bucket_low, json, CoreMetrics, Counter, LatencyHistogram, OpKind,
-    TcacheEvent, HIST_BUCKETS,
+    bucket_high, bucket_index, bucket_low, json, LatencyHistogram, MetricsSnapshot, OpKind, Probes,
+    TimedMutex, HIST_BUCKETS,
 };
-use nvalloc::NvConfig;
+use nvalloc::trace::EventKind;
+use nvalloc::{NvAllocator, NvConfig};
 use nvalloc_pmem::{LatencyMode, PmemConfig, PmemPool};
 use nvalloc_workloads::allocators::{create_custom, Which};
 use nvalloc_workloads::threadtest;
@@ -86,14 +88,41 @@ fn telemetry_off_yields_zero_metrics_and_identical_measurements() {
 }
 
 #[test]
+fn live_snapshot_sees_a_live_handle() {
+    // A snapshot folds every live probe: taken while the handle is alive,
+    // it equals the one taken after the handle drops, field by field.
+    // Every other block stays allocated, so the drop's tcache flush
+    // retires no slab and counts nothing.
+    let a = NvAllocator::create(pool(), NvConfig::log().roots(2_000)).unwrap();
+    let mut t = a.thread();
+    for i in 0..2_000 {
+        t.malloc_to(64, a.root_offset(i)).unwrap();
+    }
+    for i in (1..2_000).step_by(2) {
+        t.free_from(a.root_offset(i)).unwrap();
+    }
+    let live = a.metrics();
+    drop(t);
+    let after = a.metrics();
+    assert_eq!(live.hists.of(OpKind::MallocSmall).count(), 2_000);
+    assert_eq!(live.hists.of(OpKind::Free).count(), 1_000);
+    assert!(live.cursor_rotations > 0);
+    assert_eq!(live, after);
+}
+
+#[test]
 fn snapshot_since_isolates_a_phase() {
-    let m = CoreMetrics::new(true);
-    m.tcache_event(2, TcacheEvent::Hit);
-    m.bump(Counter::WalAppends);
+    let t = pool().register_thread();
+    let m = Arc::new(Probes::new(true));
+    let p = m.probe();
+    p.event(&t, EventKind::TcacheHit, 2, 0);
+    p.event(&t, EventKind::WalAppend, 0, 0);
     let before = m.snapshot();
-    m.tcache_event(2, TcacheEvent::Hit);
-    m.add(Counter::WalAppends, 3);
-    m.record_hist(OpKind::Free, 250);
+    p.event(&t, EventKind::TcacheHit, 2, 0);
+    for _ in 0..3 {
+        p.event(&t, EventKind::WalAppend, 0, 0);
+    }
+    p.record(OpKind::Free, 250);
     let d = m.snapshot().since(&before);
     assert_eq!(d.tcache_hits, 1);
     assert_eq!(d.tcache_by_class[2].hits, 1);
@@ -111,18 +140,25 @@ fn lock_spans_diff_without_double_counting() {
     // cleanly — the diff carries only the second span, in both the
     // totals and the wait/hold histograms, and re-merging the halves
     // reproduces the full picture exactly once.
-    let m = CoreMetrics::new(true);
-    m.record_lock(1_000, 5_000);
-    let before = m.snapshot();
-    m.record_lock(30_000, 70_000);
-    let after = m.snapshot();
+    let m = TimedMutex::new((), true);
+    let snap = || {
+        let mut s = MetricsSnapshot::default();
+        m.stats().fold_into(&mut s);
+        s
+    };
+    drop(m.timed(None));
+    let before = snap();
+    {
+        let _g = m.timed(None);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+    let after = snap();
     let d = after.since(&before);
-    assert_eq!(d.lock_wait_ns, 30_000);
-    assert_eq!(d.lock_hold_ns, 70_000);
+    assert_eq!(d.lock_wait_ns, after.lock_wait_ns - before.lock_wait_ns);
+    assert!(d.lock_hold_ns >= 2_000_000, "the diff holds the 2 ms span ({} ns)", d.lock_hold_ns);
     assert_eq!(d.lock_wait_hist.count(), 1, "diff holds exactly the second span");
     assert_eq!(d.lock_hold_hist.count(), 1);
-    assert_eq!(d.lock_wait_hist.buckets[bucket_index(30_000)], 1);
-    assert_eq!(d.lock_hold_hist.buckets[bucket_index(70_000)], 1);
+    assert_eq!(d.lock_hold_hist.buckets[bucket_index(d.lock_hold_ns)], 1);
     // First half + diff = whole; no sample lost, none counted twice.
     let mut rebuilt = before.lock_wait_hist;
     rebuilt.merge(&d.lock_wait_hist);
