@@ -47,7 +47,8 @@ impl Baseline {
     /// Recover a baseline allocator from an existing pool image.
     ///
     /// # Errors
-    /// [`PmError::Corrupt`] if the pool was not formatted for `kind`.
+    /// [`PmError::Corrupt`] if the pool was not formatted for `kind`, or
+    /// its region table or extents fail [`LargeAlloc::recover`]'s checks.
     pub fn recover(
         pool: Arc<PmemPool>,
         kind: BaselineKind,
@@ -77,7 +78,7 @@ impl Baseline {
                 shard_tag: 0, // baselines run a single unsharded large allocator
             },
             Arc::clone(&rtree),
-        );
+        )?;
         let geoms = GeometryTable::new(1);
 
         // Rebuild slabs per the baseline's strategy.

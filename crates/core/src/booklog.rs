@@ -28,6 +28,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use nvalloc_pmem::{FlushKind, PmError, PmOffset, PmResult, PmThread, PmemPool};
 
+use crate::doctor::Violation;
 use crate::interleave::Interleave;
 
 /// Bytes per chunk.
@@ -556,25 +557,51 @@ impl BookLog {
         Ok(moves)
     }
 
-    /// Recover the log from a (possibly crashed) pool image.
+    /// Rebuild the log from a (possibly crashed) pool image: the one
+    /// reader of a booklog region, shared by recovery and the doctor.
     ///
     /// Walks the active chain, applies tombstones (matching epochs), and
     /// returns the surviving entries together with a rebuilt `BookLog`.
     /// Mirrors §4.4: the caller should follow up with a slow GC to compact
-    /// tombstoned state (`recover` already rebuilds vchunk bitmaps, so the
+    /// tombstoned state (`open` already rebuilds vchunk bitmaps, so the
     /// follow-up is optional and cheap).
-    pub fn recover(
+    ///
+    /// # Errors
+    /// A `booklog_chain` violation, before anything outside
+    /// `[base, base + region_bytes)` is read, when the `alt` word is not
+    /// 0 or 1, the carve mark exceeds the region's chunk capacity, or the
+    /// chain links a chunk at or past the mark, names a chunk whose header
+    /// carries another id, or revisits a chunk. `acquire_chunk` persists
+    /// the mark and the chunk header before `link_at_tail` links the
+    /// chunk, so no crash leaves such a chain.
+    pub fn open(
         pool: &PmemPool,
         base: PmOffset,
         region_bytes: usize,
         stripes: usize,
         gc_enabled: bool,
         slow_gc_threshold_bytes: usize,
-    ) -> (Self, Vec<(EntryRef, BookEntry)>) {
-        let alt = pool.read_u64(base) & 1;
-        let head_word = pool.read_u64(base + if alt == 0 { 8 } else { 16 });
-        let carved = pool.read_u64(base + 24) as u32;
-        let head = (head_word != 0).then(|| (head_word - 1) as u32);
+    ) -> Result<(Self, Vec<(EntryRef, BookEntry)>), Violation> {
+        let bad = |detail: String| {
+            Violation::new("booklog_chain", format!("booklog {base:#x}: {detail}"))
+        };
+        let alt = pool.read_u64(base);
+        if alt > 1 {
+            return Err(bad(format!("alt word {alt:#x} is not 0 or 1")));
+        }
+        let carved = pool.read_u64(base + 24);
+        let cap = Self::max_chunks(region_bytes);
+        if carved > cap as u64 {
+            return Err(bad(format!("carve mark {carved} exceeds the region's {cap} chunks")));
+        }
+        let carved = carved as u32;
+        // Link words encode `id + 1`; 0 ends the chain.
+        let link = |word: u64| match word {
+            0 => Ok(None),
+            w if w <= carved as u64 => Ok(Some((w - 1) as u32)),
+            w => Err(bad(format!("link {w:#x} at or past carve mark {carved}"))),
+        };
+        let head = link(pool.read_u64(base + 8 + alt * 8))?;
 
         let mut log = BookLog {
             base,
@@ -595,18 +622,20 @@ impl BookLog {
         };
 
         // Pass 1: walk the chain, reading raw entries.
-        let mut chain: Vec<u32> = Vec::new();
+        let mut seen = vec![false; carved as usize];
         let mut cur = head;
         let mut raw: Vec<(u32, u8, u64)> = Vec::new();
         let mut tombs: Vec<EntryRef> = Vec::new();
         let mut prev: Option<u32> = None;
         while let Some(id) = cur {
-            if id >= carved || chain.contains(&id) {
-                break; // corrupt or cyclic: stop at the damage
+            if std::mem::replace(&mut seen[id as usize], true) {
+                return Err(bad(format!("chain revisits chunk {id}")));
             }
-            chain.push(id);
             let off = log.chunk_off(id);
             let hdr = pool.read_u64(off);
+            if hdr as u32 != id {
+                return Err(bad(format!("chunk {id} header names chunk {}", hdr as u32)));
+            }
             let epoch = (hdr >> 32) as u32;
             let mut v = VChunk::empty(epoch);
             v.prev = prev;
@@ -621,19 +650,13 @@ impl BookLog {
                     _ => {}
                 }
             }
-            let next_word = pool.read_u64(off + 8);
-            let next = (next_word != 0).then(|| (next_word - 1) as u32);
+            let next = link(pool.read_u64(off + 8))?;
             v.next = next;
-            if let Some(p) = prev {
-                if let Some(pv) = log.vchunks.get_mut(&p) {
-                    pv.next = Some(id);
-                }
-            }
             log.vchunks.insert(id, v);
             prev = Some(id);
             cur = next;
         }
-        log.tail = chain.last().copied();
+        log.tail = prev;
 
         // Pass 2: cancel tombstoned entries (epoch-checked).
         use std::collections::HashSet;
@@ -677,12 +700,23 @@ impl BookLog {
         }
 
         // Orphaned chunks (carved but unreachable) return to the free list.
-        for id in 0..carved {
-            if !log.vchunks.contains_key(&id) {
-                log.free.push(id);
-            }
-        }
-        (log, out)
+        log.free = (0..carved).filter(|id| !seen[*id as usize]).collect();
+        Ok((log, out))
+    }
+
+    /// [`BookLog::open`] on an image the test wrote itself, whose chain
+    /// is valid.
+    #[cfg(test)]
+    pub fn recover(
+        pool: &PmemPool,
+        base: PmOffset,
+        region_bytes: usize,
+        stripes: usize,
+        gc_enabled: bool,
+        slow_gc_threshold_bytes: usize,
+    ) -> (Self, Vec<(EntryRef, BookEntry)>) {
+        Self::open(pool, base, region_bytes, stripes, gc_enabled, slow_gc_threshold_bytes)
+            .expect("a test-written booklog chain is valid")
     }
 }
 

@@ -1,22 +1,22 @@
 //! Offline pool auditor — the "heap doctor".
 //!
 //! [`audit_pool`] opens a quiesced NVAlloc pool image (a saved heap file,
-//! or a live pool right after recovery) and cross-checks every persistent
-//! structure against the others *without mutating anything*:
+//! or a live pool right after recovery) and audits it *without mutating
+//! anything*. It parses the image through recovery's own readers, so the
+//! two can never disagree on what a valid structure is:
 //!
-//! * pool header: magic word, recorded arena and root counts vs. the
-//!   supplied configuration, and a successful [`Layout`] recomputation;
-//! * bookkeeping log (LOG mode): every surviving entry must name a
-//!   page-multiple extent inside its shard's heap span, slab entries must
-//!   be slab-sized and slab-aligned, and no two live extents may overlap;
-//! * region table (in-place mode): the same checks driven from the
-//!   per-shard region-header slots instead of the log;
-//! * slab headers: class range, morph-step flag (a quiesced image must
-//!   not be mid-morph), data-offset bounds, and — for morphing slabs —
-//!   index-table bounds and old-block geometry. A headerless slab extent
-//!   can only come from a crash between a carve's booklog commit and its
-//!   header write (recovery reclaims it as a leak), so it is counted on a
-//!   crashed image and flagged on a cleanly shut down one;
+//! * the pool header and layout ([`Layout::read`]);
+//! * the extent inventory: booklog chain and entries (LOG mode) or the
+//!   region table (in-place mode), with span, page, slab-alignment and
+//!   disjointness checks (`ShardedLarge::recover` over a throwaway rtree);
+//! * slab headers and morph index tables ([`SlabHeader::validate`]). A
+//!   headerless slab extent can only come from a crash between a carve's
+//!   booklog commit and its header write (recovery reclaims it as a
+//!   leak), so it is counted on a crashed image and flagged on a cleanly
+//!   shut down one; a header left mid-morph is flagged too.
+//!
+//! On top of those it keeps the cross-checks recovery does not need:
+//!
 //! * slab bitmaps: no ghost bits set beyond the slab's block count;
 //! * WAL vs. committed state (LOG mode, crashed images only): the newest
 //!   entry per block whose destination slot committed must agree with the
@@ -33,30 +33,44 @@
 //! exportable as one JSON object ([`DoctorReport::to_json`]) — the format
 //! consumed by the `nvalloc_doctor` binary and the CI audit step.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
-use nvalloc_pmem::{PmOffset, PmemPool};
+use nvalloc_pmem::{PmError, PmOffset, PmemPool};
 
 use crate::arena::arena_state;
-use crate::bitmap::PmBitmap;
-use crate::booklog::BookLog;
 use crate::config::{NvConfig, Variant};
-use crate::front::{Layout, NvAllocator, POOL_MAGIC};
+use crate::front::{Layout, NvAllocator};
 use crate::geometry::GeometryTable;
-use crate::large::{HDR_SLOTS_BYTES, HDR_SLOT_BYTES, PAGE};
+use crate::rtree::RTree;
 use crate::shards::ShardedLarge;
 use crate::size_class::{class_size, NUM_CLASSES, SLAB_SIZE};
-use crate::slab::{flag, read_index_entry, SlabHeader, NO_OLD_CLASS};
+use crate::slab::{flag, SlabHeader, VSlab};
 use crate::telemetry::json::JsonObj;
-use crate::wal::{WalEntry, WalOp, WalRegion};
+use crate::wal::{newest_per_block, WalOp, WalRegion};
+#[cfg(test)] // the unit tests build and corrupt their images with these
+use crate::{bitmap::PmBitmap, booklog::BookLog};
 
-/// One invariant violation found by the auditor.
+/// One invariant violation found by the auditor, or the first check an
+/// image reader refused (recovery returns it as `PmError::Corrupt`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// Stable identifier of the failed check (e.g. `"slab_bitmap"`).
     pub check: &'static str,
     /// Human-readable description with the offending offsets.
     pub detail: String,
+}
+
+impl Violation {
+    pub(crate) fn new(check: &'static str, detail: String) -> Violation {
+        Violation { check, detail }
+    }
+}
+
+impl From<Violation> for PmError {
+    fn from(v: Violation) -> PmError {
+        PmError::Corrupt(v.check)
+    }
 }
 
 /// Per-class slab occupancy summary.
@@ -238,15 +252,6 @@ impl DoctorReport {
     }
 }
 
-/// What the doctor remembers about a slab for the later WAL cross-check.
-struct SlabInfo {
-    class: usize,
-    data_offset: usize,
-    nblocks: usize,
-    /// Old-block starts with a live morph-index entry.
-    morph_live: Vec<PmOffset>,
-}
-
 /// Audit the pool image against `cfg` (the configuration the pool was
 /// created with; arena and root counts are additionally cross-checked
 /// against the persistent header). Purely read-only.
@@ -257,22 +262,10 @@ pub fn audit_pool(pool: &PmemPool, cfg: &NvConfig) -> DoctorReport {
         rep.violations.push(Violation { check, detail });
     };
 
-    if pool.read_u64(0) != POOL_MAGIC {
-        viol(&mut rep, "pool_magic", format!("word 0 is {:#x}, not POOL_MAGIC", pool.read_u64(0)));
-        return rep;
-    }
-    let h_arenas = pool.read_u64(8);
-    let h_roots = pool.read_u64(16);
-    if h_arenas != cfg.arenas as u64 {
-        viol(&mut rep, "pool_header", format!("header arenas {h_arenas} != cfg {}", cfg.arenas));
-    }
-    if h_roots != cfg.roots as u64 {
-        viol(&mut rep, "pool_header", format!("header roots {h_roots} != cfg {}", cfg.roots));
-    }
-    let layout = match Layout::compute(&cfg, pool.size()) {
+    let layout = match Layout::read(pool, &cfg) {
         Ok(l) => l,
-        Err(e) => {
-            viol(&mut rep, "layout", format!("layout does not fit this pool: {e}"));
+        Err(v) => {
+            rep.violations.push(v);
             return rep;
         }
     };
@@ -280,326 +273,36 @@ pub fn audit_pool(pool: &PmemPool, cfg: &NvConfig) -> DoctorReport {
     rep.large_shards = layout.large_shards;
     rep.heap_bytes = layout.heap_bytes as u64;
     let geoms = GeometryTable::new(cfg.stripes_for(cfg.interleave_bitmap));
-    let normal_shutdown = (0..cfg.arenas).all(|i| {
-        pool.read_u64(layout.arena_flags + (i * 64) as u64) == arena_state::NORMAL_SHUTDOWN
-    });
+    let arenas = layout.arenas(&cfg, WalRegion::open);
+    let normal_shutdown = arenas.iter().all(|a| a.state(pool) == arena_state::NORMAL_SHUTDOWN);
 
-    // ----- extent inventory: booklog (LOG) or region table (in-place) -----
-    let base = layout.large_config(&cfg);
-    let mut extents: Vec<(PmOffset, usize, bool)> = Vec::new();
-    for (si, sc) in ShardedLarge::shard_cfgs(&base, layout.large_shards).iter().enumerate() {
-        let span_end = sc.heap_base + sc.heap_bytes as u64;
-        let check_extent = |rep: &mut DoctorReport, addr: PmOffset, size: usize, slab: bool| {
-            if addr < sc.heap_base || addr + size as u64 > span_end {
-                viol(
-                    rep,
-                    "extent_span",
-                    format!(
-                        "shard {si}: extent {addr:#x}+{size:#x} outside heap span \
-                         [{:#x}, {span_end:#x})",
-                        sc.heap_base
-                    ),
-                );
-                return false;
-            }
-            if size == 0 || !size.is_multiple_of(PAGE) {
-                viol(rep, "extent_size", format!("extent {addr:#x}: size {size:#x} not pages"));
-                return false;
-            }
-            if slab && (size != SLAB_SIZE || !addr.is_multiple_of(SLAB_SIZE as u64)) {
-                viol(
-                    rep,
-                    "slab_extent",
-                    format!("slab extent {addr:#x}+{size:#x} not one aligned slab"),
-                );
-                return false;
-            }
-            true
-        };
-        if cfg.log_bookkeeping {
-            let (_log, entries) = BookLog::recover(
-                pool,
-                sc.booklog_base,
-                sc.booklog_bytes,
-                sc.booklog_stripes,
-                false,
-                usize::MAX,
-            );
-            for (_er, e) in entries {
-                rep.booklog_entries += 1;
-                if check_extent(&mut rep, e.addr, e.size as usize, e.is_slab) {
-                    extents.push((e.addr, e.size as usize, e.is_slab));
-                }
-            }
-        } else {
-            let n = pool.read_u64(sc.region_table_base);
-            if 8 + n * 8 > sc.region_table_bytes as u64 {
-                viol(
-                    &mut rep,
-                    "region_table",
-                    format!("shard {si}: region count {n} overflows its table slice"),
-                );
-                continue;
-            }
-            for r in 1..=n {
-                let roff = pool.read_u64(sc.region_table_base + r * 8);
-                if roff < sc.heap_base || roff + HDR_SLOTS_BYTES as u64 > span_end {
-                    viol(
-                        &mut rep,
-                        "region_table",
-                        format!("shard {si}: region header {roff:#x} outside heap span"),
-                    );
-                    continue;
-                }
-                for s in 0..HDR_SLOTS_BYTES / HDR_SLOT_BYTES {
-                    let slot = roff + (s * HDR_SLOT_BYTES) as u64;
-                    let w1 = pool.read_u64(slot + 8);
-                    if w1 & 1 == 1 {
-                        let addr = pool.read_u64(slot);
-                        let size = (w1 >> 8) as usize;
-                        let is_slab = w1 >> 1 & 1 == 1;
-                        if check_extent(&mut rep, addr, size, is_slab) {
-                            extents.push((addr, size, is_slab));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Live extents must be pairwise disjoint.
-    extents.sort_unstable();
-    for w in extents.windows(2) {
-        let (a_off, a_size, _) = w[0];
-        let (b_off, _, _) = w[1];
-        if a_off + a_size as u64 > b_off {
-            viol(
-                &mut rep,
-                "extent_overlap",
-                format!("extents {a_off:#x}+{a_size:#x} and {b_off:#x} overlap"),
-            );
-        }
-    }
-
-    // ----- slab audits -----
-    // With profiling on, the sweep additionally collects every live block
-    // address → granted size, the ground truth the sidelog join below
-    // re-attributes against.
-    let prof_on = cfg.profile_sample_bytes > 0;
-    let mut prof_live: BTreeMap<PmOffset, usize> = BTreeMap::new();
-    let mut slab_map: BTreeMap<PmOffset, SlabInfo> = BTreeMap::new();
-    let mut per_class = vec![ClassOccupancy::default(); NUM_CLASSES];
-    for &(addr, size, is_slab) in &extents {
-        if !is_slab {
-            rep.extents += 1;
-            rep.live_large_bytes += size as u64;
-            if prof_on {
-                prof_live.insert(addr, size);
-            }
-            continue;
-        }
-        let Some(h) = SlabHeader::read(pool, addr) else {
-            rep.headerless_slabs += 1;
-            if normal_shutdown {
-                viol(&mut rep, "slab_header", format!("slab extent {addr:#x} has no header"));
-            }
-            continue;
-        };
-        rep.slabs += 1;
-        let class = h.class as usize;
-        if class >= NUM_CLASSES {
-            viol(&mut rep, "slab_class", format!("slab {addr:#x}: class {class} out of range"));
-            continue;
-        }
-        if h.flag > flag::NEW_WRITTEN {
-            viol(&mut rep, "slab_flag", format!("slab {addr:#x}: unknown morph flag {}", h.flag));
-            continue;
-        }
-        if h.flag != flag::NONE {
-            viol(
-                &mut rep,
-                "slab_flag",
-                format!("slab {addr:#x}: left mid-morph (flag {})", h.flag),
-            );
-        }
-        let g = geoms.of(class);
-        let header_end = g.bitmap_off + g.bitmap.bytes();
-        let doff = h.data_offset as usize;
-        if doff < header_end || doff > SLAB_SIZE {
-            viol(
-                &mut rep,
-                "slab_data_offset",
-                format!("slab {addr:#x}: data offset {doff:#x} outside [{header_end:#x}, 64K]"),
-            );
-            continue;
-        }
-        let nblocks = g.nblocks_at(doff);
-        let bm = PmBitmap::new(addr + g.bitmap_off as u64, g.bitmap);
-        let mut live = 0usize;
-        let mut ghosts = 0usize;
-        for i in 0..g.bitmap.nbits() {
-            if bm.get(pool, i) {
-                if i < nblocks {
-                    live += 1;
-                    if prof_on {
-                        prof_live.insert(addr + (doff + i * g.block_size) as u64, g.block_size);
-                    }
-                } else {
-                    ghosts += 1;
-                }
-            }
-        }
-        if ghosts > 0 {
-            viol(
-                &mut rep,
-                "slab_bitmap",
-                format!("slab {addr:#x}: {ghosts} ghost bit(s) set beyond block {nblocks}"),
-            );
-        }
-        let mut morph_live = Vec::new();
-        if h.old_class != NO_OLD_CLASS {
-            rep.morphing_slabs += 1;
-            let old_class = h.old_class as usize;
-            if !h.morph_index_valid(header_end, doff) {
-                let table_off = h.index_table_off as usize;
-                let table_end = table_off + 2 * h.index_len as usize;
-                viol(
-                    &mut rep,
-                    "morph_index",
-                    format!(
-                        "slab {addr:#x}: old class {old_class}, index table \
-                         [{table_off:#x}, {table_end:#x}) not an even offset inside \
-                         [bitmap end, data offset)"
-                    ),
-                );
-            } else {
-                let old_bs = class_size(old_class);
-                let old_doff = h.old_data_offset as usize;
-                for i in 0..h.index_len as usize {
-                    let e = read_index_entry(pool, addr, h.index_table_off, i);
-                    let start = old_doff + e.old_idx as usize * old_bs;
-                    if start + old_bs > SLAB_SIZE {
-                        viol(
-                            &mut rep,
-                            "morph_index",
-                            format!(
-                                "slab {addr:#x}: index entry {i} names old block \
-                                 {start:#x}+{old_bs:#x} past the slab end"
-                            ),
-                        );
-                    } else if e.allocated {
-                        rep.live_small_bytes += old_bs as u64;
-                        morph_live.push(addr + start as u64);
-                        if prof_on {
-                            prof_live.insert(addr + start as u64, old_bs);
-                        }
-                    }
-                }
-            }
-        } else if h.index_len != 0 {
-            viol(
-                &mut rep,
-                "morph_index",
-                format!("slab {addr:#x}: index_len {} without an old class", h.index_len),
-            );
-        }
-        rep.live_small_bytes += (live * g.block_size) as u64;
-        per_class[class].class = class;
-        per_class[class].block_size = g.block_size;
-        per_class[class].slabs += 1;
-        per_class[class].capacity_blocks += nblocks;
-        per_class[class].live_blocks += live;
-        if let Some(decile) = crate::observe::occupancy_decile(live, nblocks) {
-            rep.occupancy_hist[decile] += 1;
-        }
-        slab_map.insert(addr, SlabInfo { class, data_offset: doff, nblocks, morph_live });
-    }
-    rep.occupancy = per_class.into_iter().filter(|c| c.slabs > 0).collect();
-
-    // ----- WAL vs committed state (LOG variant) -----
+    // ----- checks that need no extent inventory -----
+    let mut latest = BTreeMap::new();
     if matches!(cfg.variant, Variant::Log) {
-        let mut latest: BTreeMap<PmOffset, WalEntry> = BTreeMap::new();
-        for i in 0..cfg.arenas {
-            let region = WalRegion::open(
-                layout.wal_base + (i * WalRegion::region_bytes(layout.wal_micro_count)) as u64,
-                layout.wal_micro_count,
+        let entries: Vec<_> = arenas.iter().flat_map(|a| a.wal.replay_entries(pool)).collect();
+        rep.wal_entries = entries.len();
+        for e in entries.iter().filter(|e| !e.is_valid(layout.heap_base, pool.size())) {
+            viol(
+                &mut rep,
+                "wal_bounds",
+                format!(
+                    "WAL entry seq {}: addr {:#x} / dest {:#x} misaligned or outside the heap / pool",
+                    e.seq, e.addr, e.dest
+                ),
             );
-            for e in region.replay_entries(pool) {
-                rep.wal_entries += 1;
-                if !e.is_valid(layout.heap_base, pool.size()) {
-                    viol(
-                        &mut rep,
-                        "wal_bounds",
-                        format!(
-                            "WAL entry seq {}: addr {:#x} / dest {:#x} misaligned or outside \
-                             the heap / pool",
-                            e.seq, e.addr, e.dest
-                        ),
-                    );
-                    continue;
-                }
-                let keep = latest.get(&e.addr).is_none_or(|p| e.seq > p.seq);
-                if keep {
-                    latest.insert(e.addr, e);
-                }
-            }
         }
-        // On a cleanly shut down image the WAL is stale by definition
-        // (every operation completed and destination slots may have been
-        // reused), so the commit cross-check only applies to crashed /
-        // freshly recovered images.
-        if !normal_shutdown {
-            for e in latest.values() {
-                let committed = matches!(e.op, WalOp::Alloc) && pool.read_u64(e.dest) == e.addr;
-                if !committed {
-                    continue;
-                }
-                let slab_off = e.addr & !(SLAB_SIZE as u64 - 1);
-                if let Some(info) = slab_map.get(&slab_off) {
-                    if info.morph_live.contains(&e.addr) {
-                        continue; // live old-class block
-                    }
-                    let rel = (e.addr - slab_off) as usize;
-                    let bs = class_size(info.class);
-                    if rel < info.data_offset || !(rel - info.data_offset).is_multiple_of(bs) {
-                        continue; // interior or old-layout address
-                    }
-                    let idx = (rel - info.data_offset) / bs;
-                    let g = geoms.of(info.class);
-                    let bm = PmBitmap::new(slab_off + g.bitmap_off as u64, g.bitmap);
-                    if idx < info.nblocks && !bm.get(pool, idx) {
-                        viol(
-                            &mut rep,
-                            "wal_commit",
-                            format!(
-                                "WAL seq {}: committed alloc of {:#x} but bitmap bit clear",
-                                e.seq, e.addr
-                            ),
-                        );
-                    }
-                } else if !extents.iter().any(|&(off, _, _)| off == e.addr) {
-                    viol(
-                        &mut rep,
-                        "wal_commit",
-                        format!(
-                            "WAL seq {}: committed alloc of {:#x} not in any slab or extent",
-                            e.seq, e.addr
-                        ),
-                    );
-                }
-            }
-        }
+        latest = newest_per_block(
+            entries.into_iter().filter(|e| e.is_valid(layout.heap_base, pool.size())),
+        );
     }
-
-    // ----- roots -----
     for i in 0..layout.roots_count {
         let p = pool.read_u64(layout.roots + (i * 8) as u64);
         if p != 0 && p >= pool.size() as u64 {
             viol(&mut rep, "root_bounds", format!("root {i} points outside the pool: {p:#x}"));
         }
     }
-
-    // ----- provenance sidelogs vs. the live sweep (profiling pools) -----
+    let prof_on = cfg.profile_sample_bytes > 0;
+    let mut survivors = BTreeMap::new();
     if prof_on {
         rep.prof_sample_bytes = cfg.profile_sample_bytes;
         for a in 0..cfg.arenas {
@@ -614,7 +317,7 @@ pub fn audit_pool(pool: &PmemPool, cfg: &NvConfig) -> DoctorReport {
         }
         let (recs, states) = crate::prof::Prof::scan_raw(pool, layout.prof_base, cfg.arenas);
         rep.prof_records = recs.len();
-        rep.prof_dropped = states.iter().map(|&(_, _, d)| d).sum();
+        rep.prof_dropped = states.iter().fold(0, |sum, &(_, _, d)| sum.saturating_add(d));
         for r in &recs {
             if r.kind != crate::prof::PROF_KIND_ALLOC && r.kind != crate::prof::PROF_KIND_FREE {
                 viol(
@@ -624,75 +327,201 @@ pub fn audit_pool(pool: &PmemPool, cfg: &NvConfig) -> DoctorReport {
                 );
             }
         }
-        let survivors = crate::prof::Prof::replay(&recs);
+        survivors = crate::prof::Prof::replay(&recs);
         rep.prof_live_sampled = survivors.len();
-        // Survivors naming dead blocks are expected on crash images (the
-        // ALLOC record is fenced *before* its commit) and after overflow
-        // (the matching FREE record may have been dropped). On a cleanly
-        // shut down, lossless image every survivor must name a live block
-        // of the recorded size — the re-attribution guarantee.
-        let strict = normal_shutdown && rep.prof_dropped == 0;
-        let mut sites: BTreeMap<u64, ProfSiteRow> = BTreeMap::new();
-        for (&addr, obj) in &survivors {
-            rep.prof_sampled_live_bytes += obj.size;
-            match prof_live.get(&addr) {
-                Some(&sz) if sz as u64 == obj.size => {
-                    let row = sites.entry(obj.site).or_insert(ProfSiteRow {
-                        site: obj.site,
-                        live_objects: 0,
-                        live_bytes: 0,
-                    });
-                    row.live_objects += 1;
-                    row.live_bytes += obj.size;
-                }
-                Some(&sz) => {
-                    rep.prof_stale_records += 1;
-                    if strict {
-                        viol(
-                            &mut rep,
-                            "prof_attribution",
-                            format!(
-                                "sampled object {addr:#x} (site {:016x}): sidelog size {} \
-                                 != heap block size {sz}",
-                                obj.site, obj.size
-                            ),
-                        );
+    }
+
+    // ----- extent inventory: recovery's reader, on a throwaway rtree -----
+    let large = layout.large_config(&cfg);
+    let rtree = Arc::new(RTree::new());
+    let mut extents = match ShardedLarge::recover(pool, large, layout.large_shards, &rtree, false) {
+        Ok((_, extents)) => extents,
+        Err(v) => {
+            rep.violations.push(v);
+            return rep;
+        }
+    };
+    extents.sort_unstable_by_key(|e| e.off);
+    if cfg.log_bookkeeping {
+        rep.booklog_entries = extents.len();
+    }
+
+    // ----- slab audits -----
+    // With profiling on, the sweep additionally collects every live block
+    // address → granted size, the ground truth the sidelog join below
+    // re-attributes against.
+    let mut prof_live: BTreeMap<PmOffset, usize> = BTreeMap::new();
+    let mut slab_map: BTreeMap<PmOffset, VSlab> = BTreeMap::new();
+    let mut old_live: BTreeSet<PmOffset> = BTreeSet::new();
+    let mut per_class = vec![ClassOccupancy::default(); NUM_CLASSES];
+    for e in &extents {
+        if !e.is_slab {
+            rep.extents += 1;
+            rep.live_large_bytes += e.size as u64;
+            if prof_on {
+                prof_live.insert(e.off, e.size);
+            }
+            continue;
+        }
+        let Some(h) = SlabHeader::read(pool, e.off) else {
+            rep.headerless_slabs += 1;
+            if normal_shutdown {
+                viol(&mut rep, "slab_header", format!("slab extent {:#x} has no header", e.off));
+            }
+            continue;
+        };
+        rep.slabs += 1;
+        if (flag::OLD_SAVED..=flag::NEW_WRITTEN).contains(&h.flag) {
+            viol(
+                &mut rep,
+                "slab_flag",
+                format!("slab {:#x}: left mid-morph (flag {})", e.off, h.flag),
+            );
+        }
+        let vs = match h.validate(pool, e.off, e.veh, &geoms) {
+            Ok(vs) => vs,
+            Err(v) => {
+                rep.violations.push(v);
+                continue;
+            }
+        };
+        let bm = vs.pbitmap(&geoms);
+        let bs = vs.block_size();
+        let mut live = 0usize;
+        let mut ghosts = 0usize;
+        for i in 0..geoms.of(vs.class).bitmap.nbits() {
+            if bm.get(pool, i) {
+                if i < vs.nblocks {
+                    live += 1;
+                    if prof_on {
+                        prof_live.insert(vs.block_addr(i), bs);
                     }
-                }
-                None => {
-                    rep.prof_stale_records += 1;
-                    if strict {
-                        viol(
-                            &mut rep,
-                            "prof_attribution",
-                            format!(
-                                "sampled object {addr:#x} (site {:016x}) survives replay \
-                                 but no live block is at that address",
-                                obj.site
-                            ),
-                        );
-                    }
+                } else {
+                    ghosts += 1;
                 }
             }
         }
-        rep.prof_sites = sites.len();
-        rep.prof_site_table = sites.into_values().collect();
-        let live_total = rep.live_small_bytes + rep.live_large_bytes;
-        let sampled_total = rep.prof_sampled_live_bytes;
-        if strict && sampled_total > live_total {
+        if ghosts > 0 {
             viol(
                 &mut rep,
-                "prof_live_bytes",
-                format!(
-                    "sidelog live bytes {sampled_total} exceed swept heap live bytes {live_total}"
-                ),
+                "slab_bitmap",
+                format!("slab {:#x}: {ghosts} ghost bit(s) set beyond block {}", e.off, vs.nblocks),
             );
         }
+        if let Some(m) = &vs.morph {
+            rep.morphing_slabs += 1;
+            let old_bs = class_size(m.old_class);
+            for entry in m.index.iter().filter(|entry| entry.allocated) {
+                let addr = e.off + (m.old_data_offset + entry.old_idx as usize * old_bs) as u64;
+                rep.live_small_bytes += old_bs as u64;
+                old_live.insert(addr);
+                if prof_on {
+                    prof_live.insert(addr, old_bs);
+                }
+            }
+        }
+        rep.live_small_bytes += (live * bs) as u64;
+        let row = &mut per_class[vs.class];
+        row.class = vs.class;
+        row.block_size = bs;
+        row.slabs += 1;
+        row.capacity_blocks += vs.nblocks;
+        row.live_blocks += live;
+        if let Some(decile) = crate::observe::occupancy_decile(live, vs.nblocks) {
+            rep.occupancy_hist[decile] += 1;
+        }
+        slab_map.insert(e.off, vs);
+    }
+    rep.occupancy = per_class.into_iter().filter(|c| c.slabs > 0).collect();
+
+    // ----- WAL vs committed state (LOG variant) -----
+    // On a cleanly shut down image the WAL is stale by definition (every
+    // operation completed and destination slots may have been reused), so
+    // the commit cross-check only applies to crashed / freshly recovered
+    // images.
+    if !normal_shutdown {
+        for e in latest.values() {
+            let committed = matches!(e.op, WalOp::Alloc) && pool.read_u64(e.dest) == e.addr;
+            if !committed || old_live.contains(&e.addr) {
+                continue; // uncommitted, or a live old-class block
+            }
+            let slab_off = e.addr & !(SLAB_SIZE as u64 - 1);
+            if let Some(vs) = slab_map.get(&slab_off) {
+                // Interior or old-layout addresses name no current block.
+                let unset =
+                    vs.block_index(e.addr).is_some_and(|i| !vs.pbitmap(&geoms).get(pool, i));
+                if unset {
+                    viol(
+                        &mut rep,
+                        "wal_commit",
+                        format!(
+                            "WAL seq {}: committed alloc of {:#x} but bitmap bit clear",
+                            e.seq, e.addr
+                        ),
+                    );
+                }
+            } else if !extents.iter().any(|x| x.off == e.addr) {
+                viol(
+                    &mut rep,
+                    "wal_commit",
+                    format!(
+                        "WAL seq {}: committed alloc of {:#x} not in any slab or extent",
+                        e.seq, e.addr
+                    ),
+                );
+            }
+        }
+    }
+
+    // ----- provenance sidelogs vs. the live sweep (profiling pools) -----
+    // Survivors naming dead blocks are expected on crash images (the
+    // ALLOC record is fenced *before* its commit) and after overflow (the
+    // matching FREE record may have been dropped). On a cleanly shut
+    // down, lossless image every survivor must name a live block of the
+    // recorded size — the re-attribution guarantee.
+    let strict = normal_shutdown && rep.prof_dropped == 0;
+    let mut sites: BTreeMap<u64, ProfSiteRow> = BTreeMap::new();
+    for (&addr, obj) in &survivors {
+        rep.prof_sampled_live_bytes += obj.size;
+        match prof_live.get(&addr) {
+            Some(&sz) if sz as u64 == obj.size => {
+                let row = sites.entry(obj.site).or_insert(ProfSiteRow {
+                    site: obj.site,
+                    live_objects: 0,
+                    live_bytes: 0,
+                });
+                row.live_objects += 1;
+                row.live_bytes += obj.size;
+            }
+            found => {
+                rep.prof_stale_records += 1;
+                let why = match found {
+                    Some(sz) => format!("sidelog size {} != heap block size {sz}", obj.size),
+                    None => "survives replay but no live block is at that address".into(),
+                };
+                if strict {
+                    let detail =
+                        format!("sampled object {addr:#x} (site {:016x}): {why}", obj.site);
+                    viol(&mut rep, "prof_attribution", detail);
+                }
+            }
+        }
+    }
+    rep.prof_sites = sites.len();
+    rep.prof_site_table = sites.into_values().collect();
+    let live_total = rep.live_small_bytes + rep.live_large_bytes;
+    let sampled_total = rep.prof_sampled_live_bytes;
+    if prof_on && strict && sampled_total > live_total {
+        viol(
+            &mut rep,
+            "prof_live_bytes",
+            format!("sidelog live bytes {sampled_total} exceed swept heap live bytes {live_total}"),
+        );
     }
 
     // Fragmentation figures (shared math with the live sampler).
     rep.heap_used_bytes = crate::observe::heap_used_bytes(
-        extents.iter().map(|&(off, size, _)| off + size as u64).max(),
+        extents.iter().map(|e| e.off + e.size as u64).max(),
         layout.heap_base,
     );
     rep

@@ -27,6 +27,7 @@ use crate::api::{AllocThread, PmAllocator};
 use crate::arena::{arena_state, Arena};
 use crate::bitmap::PmBitmap;
 use crate::config::{NvConfig, Variant};
+use crate::doctor::Violation;
 use crate::geometry::GeometryTable;
 use crate::large::{LargeConfig, VehId, PAGE, REGION_BYTES};
 use crate::morph;
@@ -138,6 +139,33 @@ impl Layout {
                 large_shards: shards,
             });
         }
+    }
+
+    /// The one reader of the pool header, shared by recovery and the
+    /// doctor: the magic word, the recorded arena and root counts against
+    /// `cfg`, then the layout they imply.
+    ///
+    /// # Errors
+    /// `pool_magic`, `pool_header`, or `layout` (does not fit the pool).
+    pub(crate) fn read(pool: &PmemPool, cfg: &NvConfig) -> Result<Layout, Violation> {
+        let magic = pool.read_u64(0);
+        if magic != POOL_MAGIC {
+            return Err(Violation::new(
+                "pool_magic",
+                format!("word 0 is {magic:#x}, not POOL_MAGIC"),
+            ));
+        }
+        for (word, field, want) in [(8, "arenas", cfg.arenas), (16, "roots", cfg.roots)] {
+            let got = pool.read_u64(word);
+            if got != want as u64 {
+                return Err(Violation::new(
+                    "pool_header",
+                    format!("header {field} {got} != cfg {want}"),
+                ));
+            }
+        }
+        Layout::compute(cfg, pool.size())
+            .map_err(|e| Violation::new("layout", format!("layout does not fit this pool: {e}")))
     }
 
     /// The arenas over this layout's state flags and WAL regions; `wal`

@@ -341,12 +341,20 @@ fn attach(pool: Arc<PmemPool>, cfg: NvConfig) -> PmResult<(GlobalState, InitRepo
         if pool.read_u64(meta + 8) != LAYOUT_VERSION {
             return Err(PmError::Corrupt("global directory layout version unsupported"));
         }
-        // Walk the page chain and classify every slot pair.
+        // Walk the page chain and classify every slot pair. Each link
+        // must name a page inside the heap that is not yet on the chain,
+        // so a damaged chain can neither loop nor leave the pool.
         let mut link = meta + 16;
         loop {
             let page = pool.read_u64(link);
             if page == 0 {
                 break;
+            }
+            let in_heap = page.is_multiple_of(8)
+                && page >= alloc.0.layout.heap_base
+                && page.checked_add(PAGE_BYTES as u64).is_some_and(|end| end <= pool.size() as u64);
+            if !in_heap || inner.pages.contains(&page) {
+                return Err(PmError::Corrupt("slot directory page chain is damaged"));
             }
             inner.pages.push(page);
             for i in 0..SLOTS_PER_PAGE {

@@ -32,7 +32,9 @@ use std::sync::Arc;
 use nvalloc_pmem::{FlushKind, PmError, PmOffset, PmResult, PmThread, PmemPool};
 
 use crate::booklog::{BookEntry, BookLog, BookLogStats, EntryRef};
+use crate::doctor::Violation;
 use crate::rtree::{Owner, RTree};
+use crate::size_class::SLAB_SIZE;
 use crate::telemetry::LatencyHistogram;
 
 /// Volatile telemetry counters for the extent allocator (merged into
@@ -762,7 +764,7 @@ impl LargeAlloc {
         } else {
             // No extent available: map a new region and carve it.
             let (base, avail) = self.map_region(pool, t)?;
-            debug_assert!(crate::size_class::SLAB_SIZE <= avail);
+            debug_assert!(SLAB_SIZE <= avail);
             let id = self.new_veh(Veh {
                 off: base,
                 size: avail,
@@ -1050,79 +1052,77 @@ impl LargeAlloc {
 
     // ----- recovery -----
 
-    /// Rebuild the large allocator from a (possibly crashed) pool image.
+    /// Rebuild the large allocator from a (possibly crashed) pool image:
+    /// the one parser of booklog entries and region-table slots, shared
+    /// by recovery, the baselines and the doctor. It only reads the image.
     ///
     /// Live extents come from the bookkeeping log (log mode) or the
     /// region-table header slots (in-place mode); the space gaps between
     /// them become reclaimed extents (§4.4). Returns the rebuilt allocator
     /// and the recovered extents (the front end re-registers slabs).
+    ///
+    /// # Errors
+    /// The first check the image fails, named as the doctor reports it,
+    /// before any extent reaches the rtree: `booklog_chain`
+    /// ([`BookLog::open`]); `region_table` (a region count past the
+    /// table slice, or a region header off-page or outside the heap
+    /// span); `extent_span`, `extent_size` and `slab_extent` (each extent
+    /// must be whole pages inside the heap span, a slab one aligned slab);
+    /// `extent_overlap` (live extents and region headers are disjoint).
     pub fn recover(
         pool: &PmemPool,
         cfg: LargeConfig,
         rtree: Arc<RTree>,
-    ) -> (Self, Vec<RecoveredExtent>) {
-        let mut la = if cfg.log_bookkeeping {
-            let (log, entries) = BookLog::recover(
+    ) -> Result<(Self, Vec<RecoveredExtent>), Violation> {
+        let mut la = LargeAlloc::new_empty(cfg, rtree);
+        let c = la.cfg.clone();
+        if c.log_bookkeeping {
+            let (log, entries) = BookLog::open(
                 pool,
-                cfg.booklog_base,
-                cfg.booklog_bytes,
-                cfg.booklog_stripes,
-                cfg.booklog_gc,
-                cfg.slow_gc_threshold,
-            );
-            let mut la = LargeAlloc::new_empty(cfg, rtree);
+                c.booklog_base,
+                c.booklog_bytes,
+                c.booklog_stripes,
+                c.booklog_gc,
+                c.slow_gc_threshold,
+            )?;
             la.booklog = Some(log);
             for (er, e) in entries {
-                let id = la.new_veh(Veh {
-                    off: e.addr,
-                    size: e.size as usize,
-                    state: ExtentState::Active,
-                    is_slab: e.is_slab,
-                    book: Some(er),
-                    hdr: None,
-                    huge: e.size as usize > HUGE_MIN,
-                });
-                la.by_addr.insert(e.addr, id);
+                la.recover_extent(e.addr, e.size as usize, e.is_slab, Some(er), None)?;
             }
-            la
         } else {
-            let mut la = LargeAlloc::new_empty(cfg, rtree);
-            let n = pool.read_u64(la.cfg.region_table_base);
+            let shard = c.shard_tag >> VEH_LOCAL_BITS;
+            let bad =
+                |detail: String| Violation::new("region_table", format!("shard {shard}: {detail}"));
+            let n = pool.read_u64(c.region_table_base);
+            if n > (c.region_table_bytes as u64).saturating_sub(8) / 8 {
+                return Err(bad(format!("region count {n} overflows its table slice")));
+            }
             for r in 1..=n {
-                let roff = pool.read_u64(la.cfg.region_table_base + r * 8);
+                let roff = pool.read_u64(c.region_table_base + r * 8);
+                if !roff.is_multiple_of(PAGE as u64)
+                    || roff < c.heap_base
+                    || roff.checked_add(REGION_BYTES as u64).is_none_or(|end| end > la.heap_end)
+                {
+                    return Err(bad(format!("region header {roff:#x} outside heap span")));
+                }
                 let mut region = HdrRegion { off: roff, next_slot: 0, free_slots: Vec::new() };
-                let slots = HDR_SLOTS_BYTES / HDR_SLOT_BYTES;
-                for s in 0..slots {
+                for s in 0..HDR_SLOTS_BYTES / HDR_SLOT_BYTES {
                     let slot_off = roff + (s * HDR_SLOT_BYTES) as u64;
                     let w1 = pool.read_u64(slot_off + 8);
                     if w1 & 1 == 1 {
-                        let off = pool.read_u64(slot_off);
-                        let size = (w1 >> 8) as usize;
-                        let is_slab = w1 >> 1 & 1 == 1;
-                        let id = la.new_veh(Veh {
-                            off,
-                            size,
-                            state: ExtentState::Active,
-                            is_slab,
-                            book: None,
-                            hdr: Some(((r - 1) as u32, s as u16)),
-                            huge: size > HUGE_MIN,
-                        });
-                        la.by_addr.insert(off, id);
-                        region.next_slot = region.next_slot.max(s as u16 + 1);
+                        let hdr = Some(((r - 1) as u32, s as u16));
+                        let (off, is_slab) = (pool.read_u64(slot_off), w1 >> 1 & 1 == 1);
+                        la.recover_extent(off, (w1 >> 8) as usize, is_slab, None, hdr)?;
+                        region.next_slot = s as u16 + 1;
+                    } else {
+                        region.free_slots.push(s as u16);
                     }
                 }
                 // Free slots below the high-water mark are reusable.
-                for s in 0..region.next_slot {
-                    let w1 = pool.read_u64(roff + (s as usize * HDR_SLOT_BYTES) as u64 + 8);
-                    if w1 & 1 == 0 {
-                        region.free_slots.push(s);
-                    }
-                }
+                region.free_slots.retain(|&s| s < region.next_slot);
                 la.regions.push(region);
             }
-            la
-        };
+        }
 
         // Reconstruct brk: everything below the highest live byte (or
         // region end) is considered mapped heap.
@@ -1136,7 +1136,7 @@ impl LargeAlloc {
         la.brk = crate::align_up64(ceiling, PAGE as u64);
 
         // Space gaps between live extents (and region headers) become
-        // reclaimed extents.
+        // reclaimed extents; the same sorted pass refuses overlaps.
         let mut blocked: Vec<(PmOffset, usize)> = la
             .vehs
             .iter()
@@ -1145,14 +1145,22 @@ impl LargeAlloc {
             .chain(la.regions.iter().map(|r| (r.off, REGION_HEADER_BYTES)))
             .collect();
         blocked.sort_unstable();
-        let mut cursor = la.cfg.heap_base;
+        let mut prev = (la.cfg.heap_base, 0);
         let mut gaps = Vec::new();
         for (off, size) in blocked {
+            let cursor = prev.0 + prev.1 as u64;
+            if off < cursor {
+                return Err(Violation::new(
+                    "extent_overlap",
+                    format!("extents {:#x}+{:#x} and {off:#x} overlap", prev.0, prev.1),
+                ));
+            }
             if off > cursor {
                 gaps.push((cursor, (off - cursor) as usize));
             }
-            cursor = cursor.max(off + size as u64);
+            prev = (off, size);
         }
+        let cursor = prev.0 + prev.1 as u64;
         if la.brk > cursor {
             gaps.push((cursor, (la.brk - cursor) as usize));
         }
@@ -1191,7 +1199,49 @@ impl LargeAlloc {
                 });
             }
         }
-        (la, out)
+        Ok((la, out))
+    }
+
+    /// Register one live extent recorded in the image, once it is whole
+    /// pages inside this shard's heap span (a slab: one aligned slab).
+    fn recover_extent(
+        &mut self,
+        off: PmOffset,
+        size: usize,
+        is_slab: bool,
+        book: Option<EntryRef>,
+        hdr: Option<(u32, u16)>,
+    ) -> Result<(), Violation> {
+        if off < self.cfg.heap_base
+            || off.checked_add(size as u64).is_none_or(|end| end > self.heap_end)
+        {
+            return Err(Violation::new(
+                "extent_span",
+                format!(
+                    "shard {}: extent {off:#x}+{size:#x} outside heap span [{:#x}, {:#x})",
+                    self.cfg.shard_tag >> VEH_LOCAL_BITS,
+                    self.cfg.heap_base,
+                    self.heap_end
+                ),
+            ));
+        }
+        if size == 0 || !size.is_multiple_of(PAGE) || !off.is_multiple_of(PAGE as u64) {
+            return Err(Violation::new(
+                "extent_size",
+                format!("extent {off:#x}+{size:#x} is not whole pages"),
+            ));
+        }
+        if is_slab && (size != SLAB_SIZE || !off.is_multiple_of(SLAB_SIZE as u64)) {
+            return Err(Violation::new(
+                "slab_extent",
+                format!("slab extent {off:#x}+{size:#x} not one aligned slab"),
+            ));
+        }
+        let huge = size > HUGE_MIN;
+        let id =
+            self.new_veh(Veh { off, size, state: ExtentState::Active, is_slab, book, hdr, huge });
+        self.by_addr.insert(off, id);
+        Ok(())
     }
 
     fn new_empty(cfg: LargeConfig, rtree: Arc<RTree>) -> Self {

@@ -235,32 +235,23 @@ fn apply(
     persist_flag(pool, t, off, new_class as u16, flag::NONE);
 
     // Volatile rebuild.
-    let old_bs = class_size(plan.old_class);
-    let new_bs = class_size(new_class);
-    let mut cnt_block = vec![0u16; plan.new_nblocks];
-    for &i in &plan.live {
-        let start = plan.old_data_offset + i as usize * old_bs;
-        let end = start + old_bs;
-        mark_overlaps(&mut cnt_block, plan.new_data_offset, new_bs, start, end);
-    }
-    let cnt_slab = plan.live.len();
-
-    let old_class_id = plan.old_class;
-    inner.freelist_remove(old_class_id, off);
+    let mut m = MorphState {
+        old_class: plan.old_class,
+        old_data_offset: plan.old_data_offset,
+        index_off: plan.index_off,
+        index: plan.live.iter().map(|&i| IndexEntry { old_idx: i, allocated: true }).collect(),
+        cnt_slab: 0,
+        cnt_block: Vec::new(),
+    };
+    m.recount(plan.new_data_offset, class_size(new_class), plan.new_nblocks);
+    inner.freelist_remove(plan.old_class, off);
     inner.lru_remove(off);
 
     let vs = inner.slabs.get_mut(&off).expect("slab exists");
     vs.class = new_class;
     vs.data_offset = plan.new_data_offset;
     vs.nblocks = plan.new_nblocks;
-    vs.morph = Some(MorphState {
-        old_class: old_class_id,
-        old_data_offset: plan.old_data_offset,
-        index_off: plan.index_off,
-        index: plan.live.iter().map(|&i| IndexEntry { old_idx: i, allocated: true }).collect(),
-        cnt_slab,
-        cnt_block: cnt_block.clone(),
-    });
+    vs.morph = Some(m);
     // Rebuild availability: new bitmap is empty; block positions with
     // cnt_block > 0 are withheld.
     vs.resync_from_persistent(pool, geoms);
@@ -304,17 +295,6 @@ mod faults {
     }
 }
 
-fn mark_overlaps(cnt_block: &mut [u16], new_doff: usize, new_bs: usize, start: usize, end: usize) {
-    if end <= new_doff || cnt_block.is_empty() {
-        return;
-    }
-    let first = start.saturating_sub(new_doff) / new_bs;
-    let last = (end - 1).saturating_sub(new_doff) / new_bs;
-    for j in first..=last.min(cnt_block.len() - 1) {
-        cnt_block[j] += 1;
-    }
-}
-
 /// If `addr` is a live old-class block of a morphed slab, return its index
 /// position in the index table.
 pub fn find_old_block(
@@ -322,15 +302,9 @@ pub fn find_old_block(
     slab_off: PmOffset,
     addr: PmOffset,
 ) -> Option<(usize, u16)> {
-    let vs = inner.slabs.get(&slab_off)?;
-    let m = vs.morph.as_ref()?;
-    let old_bs = class_size(m.old_class) as u64;
-    let rel = addr.checked_sub(slab_off + m.old_data_offset as u64)?;
-    if rel % old_bs != 0 {
-        return None;
-    }
-    let old_idx = (rel / old_bs) as u16;
-    m.index.iter().position(|e| e.old_idx == old_idx && e.allocated).map(|pos| (pos, old_idx))
+    let m = inner.slabs.get(&slab_off)?.morph.as_ref()?;
+    let pos = m.entry_of(slab_off, addr).filter(|&pos| m.index[pos].allocated)?;
+    Some((pos, m.index[pos].old_idx))
 }
 
 /// Release a live old-class block (blocks released this way bypass the

@@ -658,7 +658,8 @@ impl Prof {
             .iter()
             .map(|&(active, fill, dropped)| LogState { active, fill, dropped })
             .collect();
-        self.dropped.store(states.iter().map(|&(_, _, d)| d).sum(), Ordering::Relaxed);
+        let dropped = states.iter().fold(0, |sum: u64, &(_, _, d)| sum.saturating_add(d));
+        self.dropped.store(dropped, Ordering::Relaxed);
         inner.live.clear();
         inner.sites.clear();
         for (addr, obj) in replayed {
@@ -671,8 +672,8 @@ impl Prof {
             if e.label.is_empty() {
                 e.label = format!("site_{:016x}", obj.site);
             }
-            e.live_bytes += weight;
-            e.live_objects += obj.crossings;
+            e.live_bytes = e.live_bytes.saturating_add(weight);
+            e.live_objects = e.live_objects.saturating_add(obj.crossings);
             let class = if (obj.size as usize) < LARGE_MIN {
                 size_to_class(obj.size as usize).unwrap_or(PROF_CLASS_LARGE)
             } else {
@@ -690,7 +691,7 @@ impl Prof {
                 },
             );
         }
-        self.seq.store(max_seq + 1, Ordering::Relaxed);
+        self.seq.store(max_seq.saturating_add(1), Ordering::Relaxed);
         // Re-compact every log so stale records (pruned above) do not
         // linger on PM and trip a later offline audit of a clean image.
         for a in 0..self.arenas {

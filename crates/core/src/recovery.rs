@@ -23,29 +23,29 @@ use nvalloc_pmem::{FlushKind, PmError, PmOffset, PmResult, PmThread, PmemPool};
 use crate::arena::arena_state;
 use crate::bitmap::PmBitmap;
 use crate::config::{NvConfig, Variant};
-use crate::front::{Heap, Instruments, Layout, NvAllocator, NvInner, RecoveryReport, POOL_MAGIC};
+use crate::front::{Heap, Instruments, Layout, NvAllocator, NvInner, RecoveryReport};
 use crate::geometry::{GeometryTable, SLAB_FIXED_HEADER};
 use crate::large::{RecoveredExtent, VehId};
 use crate::rtree::{Owner, RTree};
 use crate::shards::ShardedLarge;
 use crate::size_class::{class_size, SLAB_SIZE};
 use crate::slab::{
-    flag, header_word1, persist_flag, read_index_entry, IndexEntry, MorphState, SlabHeader, VSlab,
-    NO_OLD_CLASS,
+    flag, header_word1, persist_flag, read_index_entry, IndexEntry, SlabHeader, VSlab, NO_OLD_CLASS,
 };
 use crate::telemetry::OpKind;
 use crate::trace::EventKind;
-use crate::wal::{WalEntry, WalOp, WalRegion};
+use crate::wal::{newest_per_block, WalEntry, WalOp, WalRegion};
 
 pub(crate) fn recover(
     pool: Arc<PmemPool>,
     cfg: NvConfig,
 ) -> PmResult<(NvAllocator, RecoveryReport)> {
     let cfg = NvAllocator::effective(cfg, &pool);
-    if pool.read_u64(0) != POOL_MAGIC {
-        return Err(PmError::Corrupt("pool is not NVAlloc-formatted"));
-    }
-    let layout = Layout::compute(&cfg, pool.size())?;
+    // Every image reader (header, WAL, extent inventory) runs before the
+    // first write, the arena flip to RECOVERY, so a refused image stays
+    // byte-identical. Slab headers are read later: a bad one is reclaimed
+    // as a leak, not refused.
+    let layout = Layout::read(&pool, &cfg)?;
     let geoms = GeometryTable::new(cfg.stripes_for(cfg.interleave_bitmap));
     let mut t = pool.register_thread();
     // The instrumentation exists before any repair work so the recovery
@@ -70,10 +70,7 @@ pub(crate) fn recover(
         Vec::new()
     };
     if wal_entries.iter().any(|e| !e.is_valid(layout.heap_base, pool.size())) {
-        return Err(PmError::Corrupt("WAL entry outside the heap or pool"));
-    }
-    for a in &arenas {
-        a.set_state(&pool, &mut t, arena_state::RECOVERY);
+        return Err(PmError::Corrupt("wal_bounds"));
     }
 
     // Rebuild the large allocator (booklog scan or region-table scan).
@@ -83,7 +80,10 @@ pub(crate) fn recover(
     let mut large_cfg = layout.large_config(&cfg);
     large_cfg.slow_gc_threshold = ((pool.size() as f64 * cfg.usage_pmem) as usize).max(4096);
     let (large, extents) =
-        ShardedLarge::recover(&pool, large_cfg, layout.large_shards, &rtree, cfg.telemetry);
+        ShardedLarge::recover(&pool, large_cfg, layout.large_shards, &rtree, cfg.telemetry)?;
+    for a in &arenas {
+        a.set_state(&pool, &mut t, arena_state::RECOVERY);
+    }
 
     // Reconstruct slabs (and resolve interrupted morphs).
     let mut vslabs: Vec<VSlab> = Vec::new();
@@ -194,7 +194,7 @@ pub(crate) fn recover(
     drop(probe);
     t.trace(EventKind::RecoveryPhase.code(), 4, report.leaks_fixed as u64);
 
-    let heap = Heap { geoms, arenas, large, rtree, live_bytes, wal_seq: max_seq + 1 };
+    let heap = Heap { geoms, arenas, large, rtree, live_bytes, wal_seq: max_seq.saturating_add(1) };
     let alloc = NvInner::assemble(pool, cfg, layout, heap, inst);
     // Provenance-sidelog replay runs after the heap is authoritative:
     // replayed records whose object did not survive (the crash landed
@@ -213,10 +213,10 @@ pub(crate) fn recover(
 
 /// Rebuild one slab's vslab from its persistent header, rolling
 /// interrupted morphs back or forward first. Returns `None` for slabs
-/// whose header never persisted or is not one recovery can trust.
+/// whose header never persisted or fails [`SlabHeader::validate`].
 fn recover_slab(
     pool: &PmemPool,
-    t: &mut nvalloc_pmem::PmThread,
+    t: &mut PmThread,
     geoms: &GeometryTable,
     e: &RecoveredExtent,
     report: &mut RecoveryReport,
@@ -270,52 +270,7 @@ fn recover_slab(
         h = SlabHeader::read(pool, e.off)?;
     }
 
-    let class = h.class as usize;
-    let g = geoms.of(class);
-    let data_offset = h.data_offset as usize;
-    if data_offset < g.bitmap_off || data_offset > SLAB_SIZE {
-        return None;
-    }
-    let nblocks = g.nblocks_at(data_offset);
-    if h.old_class != NO_OLD_CLASS
-        && !h.morph_index_valid(g.bitmap_off + g.bitmap.bytes(), data_offset)
-    {
-        return None;
-    }
-    let morph_state = (h.old_class != NO_OLD_CLASS).then(|| {
-        let index: Vec<IndexEntry> = (0..h.index_len as usize)
-            .map(|i| read_index_entry(pool, e.off, h.index_table_off, i))
-            .collect();
-        let old_class = h.old_class as usize;
-        let old_bs = class_size(old_class);
-        let mut cnt_block = vec![0u16; nblocks];
-        let mut cnt_slab = 0;
-        for entry in index.iter().filter(|e| e.allocated) {
-            cnt_slab += 1;
-            let start = h.old_data_offset as usize + entry.old_idx as usize * old_bs;
-            let end = start + old_bs;
-            if end > data_offset && !cnt_block.is_empty() {
-                let bs = class_size(class);
-                let first = start.saturating_sub(data_offset) / bs;
-                let last = ((end - 1).saturating_sub(data_offset) / bs).min(nblocks - 1);
-                for c in cnt_block.iter_mut().take(last + 1).skip(first) {
-                    *c += 1;
-                }
-            }
-        }
-        MorphState {
-            old_class,
-            old_data_offset: h.old_data_offset as usize,
-            index_off: h.index_table_off as usize,
-            index,
-            cnt_slab,
-            cnt_block,
-        }
-    });
-
-    let mut vs = VSlab::create_shell(e.off, class, e.veh, data_offset, nblocks);
-    vs.morph = morph_state;
-    Some(vs)
+    h.validate(pool, e.off, e.veh, geoms).ok()
 }
 
 /// NVAlloc-LOG failure recovery: replay the newest WAL entry of every
@@ -325,19 +280,14 @@ fn recover_slab(
 fn replay_wals(
     pool: &PmemPool,
     t: &mut PmThread,
-    mut entries: Vec<WalEntry>,
+    entries: Vec<WalEntry>,
     geoms: &GeometryTable,
     large: &ShardedLarge,
     rtree: &RTree,
     vslabs: &mut [VSlab],
     report: &mut RecoveryReport,
 ) {
-    entries.sort_by_key(|e| e.seq);
-    // Later entries supersede earlier ones for the same block.
-    let mut latest: HashMap<PmOffset, WalEntry> = HashMap::new();
-    for e in &entries {
-        latest.insert(e.addr, *e);
-    }
+    let latest = newest_per_block(entries);
     let mut by_slab: HashMap<PmOffset, &mut VSlab> =
         vslabs.iter_mut().map(|v| (v.off, v)).collect();
 
@@ -349,32 +299,16 @@ fn replay_wals(
             let should_be_live = matches!(e.op, WalOp::Alloc) && committed_alloc;
             // Old-class (morph) block?
             if let Some(m) = vs.morph.as_mut() {
-                let old_bs = class_size(m.old_class) as u64;
-                let rel = e.addr.wrapping_sub(slab_off + m.old_data_offset as u64);
-                if rel % old_bs == 0 {
-                    let old_idx = (rel / old_bs) as u16;
-                    if let Some(pos) = m.index.iter().position(|x| x.old_idx == old_idx) {
-                        if m.index[pos].allocated != should_be_live {
-                            crate::slab::persist_index_entry(
-                                pool,
-                                t,
-                                slab_off,
-                                m.index_off as u32,
-                                pos,
-                                IndexEntry { old_idx, allocated: should_be_live },
-                            );
-                            m.index[pos].allocated = should_be_live;
-                            report.leaks_fixed += 1;
-                            // cnt fields are rebuilt below from the index.
-                            rebuild_counts(
-                                vs.morph.as_mut().expect("morph"),
-                                vs.data_offset,
-                                class_size(vs.class),
-                                vs.nblocks,
-                            );
-                        }
-                        continue;
+                if let Some(pos) = m.entry_of(slab_off, e.addr) {
+                    if m.index[pos].allocated != should_be_live {
+                        let entry = IndexEntry { allocated: should_be_live, ..m.index[pos] };
+                        let table = m.index_off as u32;
+                        crate::slab::persist_index_entry(pool, t, slab_off, table, pos, entry);
+                        m.index[pos] = entry;
+                        report.leaks_fixed += 1;
+                        m.recount(vs.data_offset, class_size(vs.class), vs.nblocks);
                     }
+                    continue;
                 }
             }
             let g = geoms.of(vs.class);
@@ -415,24 +349,6 @@ fn large_owner_of(large: &ShardedLarge, rtree: &RTree, addr: PmOffset) -> Option
     })
 }
 
-fn rebuild_counts(m: &mut MorphState, data_offset: usize, bs: usize, nblocks: usize) {
-    let old_bs = class_size(m.old_class);
-    m.cnt_block = vec![0u16; nblocks];
-    m.cnt_slab = 0;
-    for e in m.index.iter().filter(|e| e.allocated) {
-        m.cnt_slab += 1;
-        let start = m.old_data_offset + e.old_idx as usize * old_bs;
-        let end = start + old_bs;
-        if end > data_offset && nblocks > 0 {
-            let first = start.saturating_sub(data_offset) / bs;
-            let last = ((end - 1).saturating_sub(data_offset) / bs).min(nblocks - 1);
-            for j in first..=last {
-                m.cnt_block[j] += 1;
-            }
-        }
-    }
-}
-
 /// NVAlloc-GC failure recovery: conservative mark from the root slots,
 /// then rebuild every slab bitmap and free unreachable extents (§4.4,
 /// following Makalu).
@@ -470,15 +386,10 @@ fn conservative_gc(
                     }
                     return false;
                 }
-                // Live old-class block start?
-                if let Some(m) = &vs.morph {
-                    let old_bs = class_size(m.old_class) as u64;
-                    let rel = p.wrapping_sub(slab_off + m.old_data_offset as u64);
-                    if rel.is_multiple_of(old_bs)
-                        && m.index.iter().any(|e| e.old_idx as u64 == rel / old_bs)
-                        && marked.insert(p)
-                    {
-                        queue.push_back((p, old_bs as usize));
+                // Old-class block start?
+                if let Some(m) = vs.morph.as_ref().filter(|m| m.entry_of(slab_off, p).is_some()) {
+                    if marked.insert(p) {
+                        queue.push_back((p, class_size(m.old_class)));
                         return true;
                     }
                 }
@@ -549,7 +460,7 @@ fn conservative_gc(
                     report.leaks_fixed += 1;
                 }
             }
-            rebuild_counts(m, doff, bs, nblocks);
+            m.recount(doff, bs, nblocks);
         }
         pool.flush(t, vs.off, vs.data_offset, FlushKind::Meta);
     }
@@ -558,10 +469,11 @@ fn conservative_gc(
     pool.fence_pending(t);
 
     // Free unreachable non-slab extents.
-    let unreachable: Vec<VehId> = large_active_nonslab(large)
+    let unreachable: Vec<VehId> = large
+        .active_extents()
         .into_iter()
-        .filter(|(_, off)| !marked.contains(off))
-        .map(|(veh, _)| veh)
+        .filter(|&(_, off, is_slab)| !is_slab && !marked.contains(&off))
+        .map(|(veh, _, _)| veh)
         .collect();
     for veh in unreachable {
         if large.free(pool, t, veh).is_ok() {
@@ -577,13 +489,4 @@ fn conservative_gc(
         }
     }
     Ok(())
-}
-
-fn large_active_nonslab(large: &ShardedLarge) -> Vec<(VehId, PmOffset)> {
-    large
-        .active_extents()
-        .into_iter()
-        .filter(|(_, _, is_slab)| !*is_slab)
-        .map(|(v, o, _)| (v, o))
-        .collect()
 }

@@ -134,7 +134,8 @@ impl RTree {
     /// The leaf slot for `off`, CAS-installing missing interior nodes.
     #[inline]
     fn slot_or_install(&self, off: PmOffset) -> &AtomicU64 {
-        // Only the allocator's own layout inserts, so this cannot fail.
+        // Only the allocator's own layout inserts (recovery bounds every
+        // extent it reads by its shard's heap span), so this cannot fail.
         let (i1, i2, i3) =
             Self::split(off).unwrap_or_else(|| panic!("offset {off:#x} beyond rtree coverage"));
         let mid = install(&self.root[i1], new_mid);

@@ -24,6 +24,7 @@ use std::sync::Arc;
 use nvalloc_pmem::{PmError, PmOffset, PmResult, PmThread, PmemPool};
 
 use crate::booklog::BookLogStats;
+use crate::doctor::Violation;
 use crate::large::{
     LargeAlloc, LargeConfig, RecoveredExtent, Veh, VehId, REGION_BYTES, VEH_LOCAL_BITS,
 };
@@ -108,22 +109,26 @@ impl ShardedLarge {
 
     /// Recover all shards from a (possibly crashed) pool image. Shards
     /// are replayed in ascending index order and their live extents
-    /// concatenated in that order, so the merge is deterministic.
+    /// concatenated in that order, so the merge is deterministic. Reads
+    /// the image only: the doctor takes its extent inventory from here.
+    ///
+    /// # Errors
+    /// The first shard's [`LargeAlloc::recover`] violation.
     pub fn recover(
         pool: &PmemPool,
         base: LargeConfig,
         n: usize,
         rtree: &Arc<RTree>,
         telemetry: bool,
-    ) -> (Self, Vec<RecoveredExtent>) {
+    ) -> Result<(Self, Vec<RecoveredExtent>), Violation> {
         let mut shards = Vec::with_capacity(n);
         let mut extents = Vec::new();
         for c in Self::shard_cfgs(&base, n) {
-            let (la, mut ex) = LargeAlloc::recover(pool, c, Arc::clone(rtree));
+            let (la, mut ex) = LargeAlloc::recover(pool, c, Arc::clone(rtree))?;
             shards.push(TimedMutex::new(la, telemetry));
             extents.append(&mut ex);
         }
-        (ShardedLarge { shards }, extents)
+        Ok((ShardedLarge { shards }, extents))
     }
 
     /// Number of shards.
@@ -469,7 +474,8 @@ mod tests {
         let rtree = Arc::new(RTree::new());
         let recover_once = || {
             let (_sl, ex) =
-                ShardedLarge::recover(&pool, base_cfg(), 4, &Arc::new(RTree::new()), true);
+                ShardedLarge::recover(&pool, base_cfg(), 4, &Arc::new(RTree::new()), true)
+                    .expect("valid image");
             ex
         };
         let ex1 = recover_once();
@@ -482,7 +488,8 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(shards_seen, sorted, "merge must be in shard order");
         // Every live extent survived with its offset.
-        let (sl, _) = ShardedLarge::recover(&pool, base_cfg(), 4, &rtree, true);
+        let (sl, _) =
+            ShardedLarge::recover(&pool, base_cfg(), 4, &rtree, true).expect("valid image");
         for (id, off) in live {
             let v = sl.veh(id).expect("extent must survive recovery");
             assert_eq!(v.off, off);

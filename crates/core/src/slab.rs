@@ -22,9 +22,10 @@
 use nvalloc_pmem::{FlushKind, PmOffset, PmThread, PmemPool};
 
 use crate::bitmap::PmBitmap;
+use crate::doctor::Violation;
 use crate::geometry::{GeometryTable, SlabGeometry};
 use crate::large::VehId;
-use crate::size_class::{class_size, ClassId, SLAB_SIZE};
+use crate::size_class::{class_size, ClassId, NUM_CLASSES, SLAB_SIZE};
 
 /// Magic tag of an initialised slab header.
 pub const SLAB_MAGIC: u32 = 0x514A_B001;
@@ -82,6 +83,37 @@ pub struct MorphState {
     pub cnt_slab: usize,
     /// Per-new-block count of overlapping live old blocks (`cnt_block`).
     pub cnt_block: Vec<u16>,
+}
+
+impl MorphState {
+    /// Index-table position of the entry naming the old block that starts
+    /// at `addr` in the slab at `slab`, whether or not it is still live.
+    pub fn entry_of(&self, slab: PmOffset, addr: PmOffset) -> Option<usize> {
+        let old_bs = class_size(self.old_class) as u64;
+        let rel = addr.checked_sub(slab + self.old_data_offset as u64)?;
+        let old_idx = (rel % old_bs == 0).then_some(rel / old_bs)?;
+        self.index.iter().position(|e| e.old_idx as u64 == old_idx)
+    }
+
+    /// Recompute `cnt_slab` and `cnt_block` from the index table, for a
+    /// current layout of `nblocks` blocks of `bs` bytes at `data_offset`.
+    pub fn recount(&mut self, data_offset: usize, bs: usize, nblocks: usize) {
+        let old_bs = class_size(self.old_class);
+        self.cnt_block = vec![0u16; nblocks];
+        self.cnt_slab = 0;
+        for e in self.index.iter().filter(|e| e.allocated) {
+            self.cnt_slab += 1;
+            let start = self.old_data_offset + e.old_idx as usize * old_bs;
+            let end = start + old_bs;
+            if end > data_offset && nblocks > 0 {
+                let first = start.saturating_sub(data_offset) / bs;
+                let last = ((end - 1).saturating_sub(data_offset) / bs).min(nblocks - 1);
+                for c in self.cnt_block.iter_mut().take(last + 1).skip(first) {
+                    *c += 1;
+                }
+            }
+        }
+    }
 }
 
 /// The volatile slab header.
@@ -144,30 +176,6 @@ impl VSlab {
             nblocks: geom.nblocks,
             taken: vec![0; geom.nblocks.div_ceil(64)],
             nfree: geom.nblocks,
-            morph: None,
-            lru_token: 0,
-            in_freelist: false,
-        }
-    }
-
-    /// Build a vslab shell from recovered persistent-header fields; the
-    /// volatile bitmap starts empty — call
-    /// [`VSlab::resync_from_persistent`] once repairs are done.
-    pub fn create_shell(
-        off: PmOffset,
-        class: ClassId,
-        veh: VehId,
-        data_offset: usize,
-        nblocks: usize,
-    ) -> VSlab {
-        VSlab {
-            off,
-            class,
-            veh,
-            data_offset,
-            nblocks,
-            taken: vec![0; nblocks.div_ceil(64).max(1)],
-            nfree: nblocks,
             morph: None,
             lru_token: 0,
             in_freelist: false,
@@ -349,15 +357,112 @@ impl SlabHeader {
     /// True when the morph fields name an index table that can be read
     /// in place: `index_table_off` is even, the table lies inside
     /// `[lo, hi)`, and `old_class` is a real class. For a settled header
-    /// the bounds are the class's bitmap end and `data_offset`. Recovery
-    /// reclaims a slab failing this as a leak; the doctor reports it as
-    /// `morph_index`.
+    /// ([`SlabHeader::validate`]) the bounds are the class's bitmap end
+    /// and `data_offset`; recovery's rollback of an interrupted morph
+    /// bounds the table by the slab.
     pub fn morph_index_valid(&self, lo: usize, hi: usize) -> bool {
         let off = self.index_table_off as usize;
         off.is_multiple_of(2)
             && off >= lo
             && off + 2 * self.index_len as usize <= hi
-            && (self.old_class as usize) < crate::size_class::NUM_CLASSES
+            && (self.old_class as usize) < NUM_CLASSES
+    }
+
+    /// Validate this settled header (morph flag resolved) of the slab at
+    /// `slab` and build the slab's vslab shell, owned by `veh`: the one
+    /// reader of slab headers. The class must be real and the flag at
+    /// most [`flag::NEW_WRITTEN`]; `data_offset` must lie in
+    /// `[class bitmap end, SLAB_SIZE]`; a morph index table must lie
+    /// inside `[bitmap end, data_offset)` with every entry naming an old
+    /// block inside the slab. Recovery reclaims a slab failing this as a
+    /// leak; the doctor reports the named check. The shell's volatile
+    /// bitmap starts empty — call [`VSlab::resync_from_persistent`] once
+    /// repairs are done.
+    pub fn validate(
+        &self,
+        pool: &PmemPool,
+        slab: PmOffset,
+        veh: VehId,
+        geoms: &GeometryTable,
+    ) -> Result<VSlab, Violation> {
+        let fail =
+            |check, detail: String| Err(Violation::new(check, format!("slab {slab:#x}: {detail}")));
+        let class = self.class as usize;
+        if class >= NUM_CLASSES {
+            return fail("slab_class", format!("class {class} out of range"));
+        }
+        if self.flag > flag::NEW_WRITTEN {
+            return fail("slab_flag", format!("unknown morph flag {}", self.flag));
+        }
+        let g = geoms.of(class);
+        let header_end = g.bitmap_off + g.bitmap.bytes();
+        let data_offset = self.data_offset as usize;
+        if data_offset < header_end || data_offset > SLAB_SIZE {
+            return fail(
+                "slab_data_offset",
+                format!("data offset {data_offset:#x} outside [{header_end:#x}, 64K]"),
+            );
+        }
+        let nblocks = g.nblocks_at(data_offset);
+        let mut vs = VSlab {
+            off: slab,
+            class,
+            veh,
+            data_offset,
+            nblocks,
+            taken: vec![0; nblocks.div_ceil(64).max(1)],
+            nfree: nblocks,
+            morph: None,
+            lru_token: 0,
+            in_freelist: false,
+        };
+        if self.old_class == NO_OLD_CLASS {
+            if self.index_len != 0 {
+                return fail(
+                    "morph_index",
+                    format!("index_len {} without an old class", self.index_len),
+                );
+            }
+            return Ok(vs);
+        }
+        let table = self.index_table_off as usize;
+        if !self.morph_index_valid(header_end, data_offset) {
+            return fail(
+                "morph_index",
+                format!(
+                    "old class {}, index table [{table:#x}, {:#x}) not an even offset inside \
+                     [bitmap end, data offset)",
+                    self.old_class,
+                    table + 2 * self.index_len as usize
+                ),
+            );
+        }
+        let old_class = self.old_class as usize;
+        let old_bs = class_size(old_class);
+        let old_data_offset = self.old_data_offset as usize;
+        let index: Vec<IndexEntry> = (0..self.index_len as usize)
+            .map(|i| read_index_entry(pool, slab, self.index_table_off, i))
+            .collect();
+        if let Some(i) = index
+            .iter()
+            .position(|e| old_data_offset + (e.old_idx as usize + 1) * old_bs > SLAB_SIZE)
+        {
+            return fail(
+                "morph_index",
+                format!("index entry {i} names old block {} past the slab end", index[i].old_idx),
+            );
+        }
+        let mut m = MorphState {
+            old_class,
+            old_data_offset,
+            index_off: table,
+            index,
+            cnt_slab: 0,
+            cnt_block: Vec::new(),
+        };
+        m.recount(data_offset, class_size(class), nblocks);
+        vs.morph = Some(m);
+        Ok(vs)
     }
 
     /// True if the header records a morph in progress or a live `slab_in`.

@@ -21,6 +21,8 @@
 //! is interleaved (`IM(WAL)` in Table 2), governed by
 //! [`crate::NvConfig::interleave_wal`].
 
+use std::collections::BTreeMap;
+
 use nvalloc_pmem::{FlushKind, PmOffset, PmThread, PmemPool};
 
 use crate::interleave::Interleave;
@@ -86,6 +88,22 @@ impl WalEntry {
             && (heap_base..pool_end).contains(&self.addr)
             && self.dest.checked_add(8).is_some_and(|end| end <= pool_end)
     }
+}
+
+/// The newest entry (highest `seq`) for each block among `entries`:
+/// what recovery replays and the doctor cross-checks against committed
+/// state, in address order.
+pub fn newest_per_block(
+    entries: impl IntoIterator<Item = WalEntry>,
+) -> BTreeMap<PmOffset, WalEntry> {
+    let mut latest: BTreeMap<PmOffset, WalEntry> = BTreeMap::new();
+    for e in entries {
+        let kept = latest.entry(e.addr).or_insert(e);
+        if e.seq > kept.seq {
+            *kept = e;
+        }
+    }
+    latest
 }
 
 /// Raw media image of one 32 B WAL entry slot, word for word. The live

@@ -7,8 +7,8 @@
 //! intact, the realloc target present as old, old+new, or new, **never
 //! neither** — with no overlap and no double-ownership, and the
 //! persist-ordering sanitizer must stay silent on both sides of the
-//! crash. A final pair of tests pins the clean rejection of mismatched
-//! directory magic / layout version.
+//! crash. The final tests pin the clean rejection of mismatched
+//! directory magic / layout version and of a damaged slot-page chain.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -233,6 +233,29 @@ fn init_handshake_crash_matrix() {
         check_pattern(&img, off_of(&img, p), 1234, 0x77, "post-attach payload");
         nv_free(p);
         pmsan_clean(&img, &format!("after re-attach (freeze={n})"));
+    }
+}
+
+#[test]
+fn damaged_slot_page_chain_is_rejected() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for past_the_pool in [false, true] {
+        let _reset = Reset;
+        let pool = crash_pool();
+        global::init(Arc::clone(&pool), cfg()).unwrap();
+        assert!(!nv_malloc(64).is_null());
+        let meta = global::with_allocator(|a| pool.read_u64(a.root_offset(0))).unwrap();
+        global::shutdown().unwrap();
+        // The first slot page's link word names that page again (a
+        // cycle) or a page past the pool's end.
+        let page = pool.read_u64(meta + 16);
+        pool.write_u64(page, if past_the_pool { pool.size() as u64 } else { page });
+        // SAFETY: serialized by LOCK; no pointer from before is used again.
+        unsafe { global::reset_unchecked() };
+        let err = global::init(Arc::clone(&pool), cfg()).unwrap_err();
+        assert!(matches!(err, PmError::Corrupt(_)), "got {err:?}");
+        assert!(!global::is_initialized());
+        assert!(nv_malloc(8).is_null());
     }
 }
 
