@@ -641,7 +641,9 @@ impl NvAllocator {
                 let vs = ai.slabs.get(&slab)?;
                 vs.block_index(addr).filter(|&i| vs.is_taken(i)).map(|_| class_size(vs.class))
             }
-            Owner::Extent { veh } => self.0.large.veh(veh).map(|v| v.size),
+            Owner::Extent { veh } => {
+                self.0.large.veh(veh).filter(|v| v.off == addr).map(|v| v.size)
+            }
         }
     }
 

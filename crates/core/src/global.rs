@@ -18,29 +18,48 @@
 //!
 //! ```text
 //! word 0  GLOBAL_MAGIC          word 2  first slot-page link (a dest)
-//! word 1  LAYOUT_VERSION        word 3  staging slot (page-grow protocol)
+//! word 1  LAYOUT_VERSION        word 3  last zeroed slot page
 //! ```
 //!
-//! Slot pages are 4 KiB blocks chained through their word 0 (each link word
-//! is the `malloc_to` dest of the next page). The rest of a page is 255
-//! slot *pairs*: word A is the dest the allocator installs a block offset
-//! into (the allocation's commit point), word B publishes the *user*
-//! offset inside that block (≠ A's value when alignment padding was
-//! inserted). The publication protocol makes every crash prefix
-//! recoverable:
+//! Slot pages are 4 KiB blocks chained through their word 0. Each link word
+//! is the `malloc_to` dest of the next page, so the allocator's commit of a
+//! page *is* its link, and the page's WAL entry names a word that keeps
+//! holding it. Growth commits the new page into the tail link, zeroes it,
+//! and then records it in meta word 3; only after that are its pairs
+//! handed out. Attach therefore zeroes a linked page found past the one
+//! word 3 names (a grow that crashed before zeroing handed out no slot),
+//! records it, and stops the walk there.
 //!
-//! * slot free        ⇔ A == 0 (B is ignored, stale)
+//! The rest of a page is 255 slot *pairs*, both words in one 64-byte line:
+//! word A is the dest the allocator installs a block offset into (the
+//! allocation's commit point), word B publishes the *user* offset. Attach
+//! classifies every pair:
+//!
+//! * slot free          ⇔ A == 0, whatever B holds: a free leaves B stale.
 //! * owned, unpublished ⇔ A ≠ 0, B == 0 — a crash hit between the commit
-//!   and the publication; recovery *frees* the block (the application never
+//!   and the publication; attach *frees* the block (the application never
 //!   saw the pointer), so nothing leaks and nothing is double-owned.
-//! * live             ⇔ A ≠ 0, B ≠ 0 — recovery re-exposes the object via
-//!   [`recovered_objects`].
+//! * live at the base   ⇔ A ≠ 0, B == 1.
+//! * live at an offset  ⇔ A ≠ 0, A ≤ B < A + granted (alignment padding).
 //!
-//! Slot reuse clears B (persistently) *before* re-installing A, so a stale
-//! publication can never pair with a new block. Page growth allocates the
-//! new page into the staging slot, zeroes it, and only then installs the
-//! chain link — a crash leaves either a reachable page or a staged orphan
-//! that recovery frees.
+//! Live objects come back through [`recovered_objects`].
+//!
+//! An allocation whose user offset is the block base (every [`nv_malloc`]
+//! and [`nv_calloc`], and [`GlobalNv`] with align ≤ 8) stores B = 1 with a
+//! plain store *before* `malloc_to`. The allocator's one destination flush
+//! of A's line then commits and publishes the object together, so such an
+//! op persists exactly what the allocator's own `malloc_to` persists, and a
+//! stale B can never pair with the new block. Three steps — persist B = 0,
+//! commit, persist B = user — remain only where an unpublished window is
+//! needed: a moving [`nv_realloc`] copies the payload inside it, and padded
+//! or aligned-extent layouts learn the user offset only from the grant.
+//!
+//! Free pairs are reused first-in, first-out, and a new page's pairs join
+//! the queue one line after another (`pairs`). A free flushes its pair's
+//! line; handing that pair, or a neighbour on its line, to the very next
+//! allocation would flush the line again within the paper's reflush
+//! distance (§3.1), at two to three times the cost of a flush to a cold
+//! line.
 //!
 //! # Volatility boundary
 //!
@@ -54,7 +73,7 @@
 //!
 //! # Re-entrancy and lifecycle
 //!
-//! The front end's own bookkeeping (hash map, free-slot vector) allocates
+//! The front end's own bookkeeping (hash map, free-pair queue) allocates
 //! through the Rust global allocator — which may be `GlobalNv` itself. A
 //! thread-local guard detects re-entry and routes those internal (and any
 //! pre-[`init`]) allocations to [`std::alloc::System`]; `dealloc` routes by
@@ -65,7 +84,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::ptr::null_mut;
 use std::sync::Arc;
 
@@ -77,20 +96,25 @@ use parking_lot::Mutex;
 use crate::api::{AllocThread, PmAllocator};
 use crate::front::POOL_MAGIC;
 use crate::large::{HUGE_MIN, PAGE};
-use crate::{NvAllocator, NvConfig};
+use crate::{NvAllocator, NvConfig, Variant};
 
 /// Magic tag in word 0 of the global directory's meta block ("NVGLOBL1").
 pub const GLOBAL_MAGIC: u64 = 0x4E56_474C_4F42_4C31;
 /// Version of the slot-directory layout described in the module docs.
 /// Attaching to a pool recorded with any other version is refused.
-pub const LAYOUT_VERSION: u64 = 1;
+/// Version 1 cleared B on every free and staged new pages in meta word 3;
+/// its images are refused rather than misread.
+pub const LAYOUT_VERSION: u64 = 2;
+
+/// Word B of a pair published at its block base. Never a user offset:
+/// those are 8-byte aligned.
+const AT_BASE: u64 = 1;
 
 /// Meta block size (one size-64 class block).
 const META_BYTES: usize = 64;
-/// Slot-page size: one 4 KiB block.
+/// Slot-page size: one 4 KiB block, word 0 link + word 1 reserved +
+/// 255 × (A, B).
 const PAGE_BYTES: usize = 4096;
-/// Slot pairs per page: word 0 link + word 1 reserved + 255 × (A, B).
-const SLOTS_PER_PAGE: usize = 255;
 
 // ---------------------------------------------------------------------------
 // Global handshake
@@ -136,8 +160,9 @@ struct Obj {
 struct Inner {
     /// Offsets of every slot page, in chain order.
     pages: Vec<PmOffset>,
-    /// Dest offsets (word A) of currently free slot pairs.
-    free_slots: Vec<PmOffset>,
+    /// Dest offsets (word A) of currently free slot pairs, reused
+    /// first-in, first-out (module docs).
+    free_slots: VecDeque<PmOffset>,
     /// Live objects keyed by *user* offset (the published word B value).
     objects: HashMap<u64, Obj>,
 }
@@ -254,7 +279,10 @@ fn with_thread<R>(st: &GlobalState, f: impl FnOnce(&mut dyn AllocThread) -> R) -
 ///
 /// # Errors
 /// * [`PmError::InvalidRequest`] if another thread is initializing or the
-///   front end is already initialized.
+///   front end is already initialized, or for [`Variant::Gc`], whose small
+///   allocations leave the destination unflushed: the directory's root
+///   word, page links and word A are all such destinations, and word A's
+///   flush is what commits and publishes a pair.
 /// * [`PmError::Corrupt`] for a directory magic/version mismatch (the
 ///   sentinel is released, so a later `init` with the right pool works).
 /// * Any allocator create/recover error, likewise releasing the sentinel.
@@ -271,6 +299,11 @@ pub fn init_with_hook(
     cfg: NvConfig,
     hook: impl FnOnce(),
 ) -> PmResult<InitReport> {
+    if cfg.variant == Variant::Gc {
+        return Err(PmError::InvalidRequest(
+            "the global front end needs persisted destinations; the GC variant does not flush them",
+        ));
+    }
     match SHARED.compare_exchange(null_mut(), INITIALIZING, Ordering::AcqRel, Ordering::Acquire) {
         Ok(_) => {}
         Err(cur) if cur == INITIALIZING => {
@@ -318,7 +351,8 @@ fn attach(pool: Arc<PmemPool>, cfg: NvConfig) -> PmResult<(GlobalState, InitRepo
         (a, Some(r))
     };
     let root0 = alloc.root_offset(0);
-    let mut inner = Inner { pages: Vec::new(), free_slots: Vec::new(), objects: HashMap::new() };
+    let mut inner =
+        Inner { pages: Vec::new(), free_slots: VecDeque::new(), objects: HashMap::new() };
     let mut recovered = Vec::new();
     let mut reclaimed = 0usize;
     let mut t = alloc.thread();
@@ -341,59 +375,69 @@ fn attach(pool: Arc<PmemPool>, cfg: NvConfig) -> PmResult<(GlobalState, InitRepo
         if pool.read_u64(meta + 8) != LAYOUT_VERSION {
             return Err(PmError::Corrupt("global directory layout version unsupported"));
         }
-        // Walk the page chain and classify every slot pair. Each link
-        // must name a page inside the heap that is not yet on the chain,
-        // so a damaged chain can neither loop nor leave the pool.
+        // Walk the page chain and classify every slot pair; every check
+        // runs before the first write below. Each link must name a live
+        // slot-page block not yet on the chain, so a damaged chain can
+        // neither loop nor leave the heap.
+        let last_zeroed = pool.read_u64(meta + 24);
+        let mut past_zeroed = last_zeroed == 0;
+        let mut unzeroed = None;
+        let mut unpublished = Vec::new();
         let mut link = meta + 16;
         loop {
             let page = pool.read_u64(link);
             if page == 0 {
                 break;
             }
-            let in_heap = page.is_multiple_of(8)
-                && page >= alloc.0.layout.heap_base
-                && page.checked_add(PAGE_BYTES as u64).is_some_and(|end| end <= pool.size() as u64);
-            if !in_heap || inner.pages.contains(&page) {
+            if inner.pages.contains(&page) || alloc.usable_size(page) != Some(PAGE_BYTES) {
                 return Err(PmError::Corrupt("slot directory page chain is damaged"));
             }
             inner.pages.push(page);
-            for i in 0..SLOTS_PER_PAGE {
-                let a_off = page + 16 + (16 * i) as u64;
+            if past_zeroed {
+                // A grow committed this page but crashed before recording
+                // it zeroed: none of its pairs was handed out, and its own
+                // link word is still whatever the block held.
+                unzeroed = Some(page);
+                break;
+            }
+            for a_off in pairs(page) {
                 let block = pool.read_u64(a_off);
                 if block == 0 {
-                    inner.free_slots.push(a_off);
+                    inner.free_slots.push_back(a_off);
                     continue;
                 }
                 let granted = alloc.usable_size(block).ok_or(PmError::Corrupt(
                     "slot directory names a block the allocator does not own",
                 ))?;
-                let user = pool.read_u64(a_off + 8);
-                if user == 0 {
-                    // Crash between commit and publication: the pointer
-                    // never escaped, reclaim the block.
-                    t.free_from(a_off)?;
-                    inner.free_slots.push(a_off);
-                    reclaimed += 1;
-                } else if user < block || user >= block + granted as u64 {
-                    return Err(PmError::Corrupt("published offset outside its block"));
-                } else {
-                    let usable = (block as usize + granted) - user as usize;
-                    inner.objects.insert(user, Obj { slot: a_off, block, usable });
-                    recovered.push((user, usable));
-                }
+                let user = match pool.read_u64(a_off + 8) {
+                    0 => {
+                        // Crash between commit and publication: the
+                        // pointer never escaped, reclaim the block.
+                        unpublished.push(a_off);
+                        continue;
+                    }
+                    AT_BASE => block,
+                    u if u >= block && u < block + granted as u64 => u,
+                    _ => return Err(PmError::Corrupt("published offset outside its block")),
+                };
+                let usable = (block as usize + granted) - user as usize;
+                inner.objects.insert(user, Obj { slot: a_off, block, usable });
+                recovered.push((user, usable));
             }
+            past_zeroed |= page == last_zeroed;
             link = page;
         }
-        // Resolve the page-grow staging slot: a staged page already in the
-        // chain just needs the stage cleared; an orphan is freed.
-        let staged = pool.read_u64(meta + 24);
-        if staged != 0 {
-            if inner.pages.contains(&staged) {
-                pool.persist_u64(t.pm_mut(), meta + 24, 0, FlushKind::Meta);
-            } else {
-                t.free_from(meta + 24)?;
-                reclaimed += 1;
-            }
+        if !past_zeroed {
+            return Err(PmError::Corrupt("slot directory page chain is damaged"));
+        }
+        for &a_off in &unpublished {
+            t.free_from(a_off)?;
+            inner.free_slots.push_back(a_off);
+        }
+        reclaimed = unpublished.len();
+        if let Some(page) = unzeroed {
+            zero_page(&pool, t.as_mut(), meta, page);
+            inner.free_slots.extend(pairs(page));
         }
         meta
     };
@@ -434,33 +478,47 @@ fn format_directory(
     pool.persist_u64(t.pm_mut(), meta + 16, 0, FlushKind::Meta);
     pool.persist_u64(t.pm_mut(), meta + 24, 0, FlushKind::Meta);
     pool.persist_u64(t.pm_mut(), meta, GLOBAL_MAGIC, FlushKind::Meta);
-    grow(pool, t, meta + 16, meta + 24, inner)?;
+    grow(pool, t, meta, meta + 16, inner)?;
     Ok(meta)
 }
 
-/// Grow the directory by one slot page. `link` is the chain word the new
-/// page will hang off (zero until now); `stage` is the meta staging slot.
+/// Word-A offsets of `page`'s slot pairs, in the order they join the free
+/// queue: position-in-line major, so consecutive pairs sit in different
+/// lines and a fresh page's back-to-back allocations never flush one line
+/// twice in a row (the interleaved mapping of paper §5.1).
+fn pairs(page: PmOffset) -> impl Iterator<Item = PmOffset> {
+    (0..64).step_by(16).flat_map(move |pos| {
+        (pos..PAGE_BYTES as u64).step_by(64).filter(|&b| b >= 16).map(move |b| page + b)
+    })
+}
+
+/// Grow the directory by one slot page hung off `link`: the tail page's
+/// word 0, or meta word 2 for the first page. The page commits straight
+/// into `link`, so its WAL entry names a word that keeps holding it, and
+/// its pairs are handed out only once [`zero_page`] has recorded it.
 /// Caller holds the directory lock.
 fn grow(
     pool: &PmemPool,
     t: &mut dyn AllocThread,
+    meta: PmOffset,
     link: PmOffset,
-    stage: PmOffset,
     inner: &mut Inner,
 ) -> PmResult<()> {
-    let page = t.malloc_to(PAGE_BYTES, stage)?;
-    // Zero the page before it becomes reachable: a recycled block could
-    // otherwise replay garbage as live slots after a crash.
+    let page = t.malloc_to(PAGE_BYTES, link)?;
+    zero_page(pool, t, meta, page);
+    inner.pages.push(page);
+    inner.free_slots.extend(pairs(page));
+    Ok(())
+}
+
+/// Zero a linked slot page (a recycled block could otherwise replay
+/// garbage as live pairs after a crash), then record it as the last zeroed
+/// page in meta word 3.
+fn zero_page(pool: &PmemPool, t: &mut dyn AllocThread, meta: PmOffset, page: PmOffset) {
     pool.fill_bytes(page, PAGE_BYTES, 0);
     pool.flush(t.pm_mut(), page, PAGE_BYTES, FlushKind::Meta);
     pool.fence(t.pm_mut());
-    pool.persist_u64(t.pm_mut(), link, page, FlushKind::Meta);
-    pool.persist_u64(t.pm_mut(), stage, 0, FlushKind::Meta);
-    inner.pages.push(page);
-    for i in 0..SLOTS_PER_PAGE {
-        inner.free_slots.push(page + 16 + (16 * i) as u64);
-    }
-    Ok(())
+    pool.persist_u64(t.pm_mut(), meta + 24, page, FlushKind::Meta);
 }
 
 /// Detach and retire the active front end: quiesce deferred work, flush
@@ -586,15 +644,28 @@ fn plan(size: usize, align: usize) -> (usize, usize) {
     }
 }
 
-/// Allocate without publishing: installs the block at a free slot's word A
-/// and returns `(slot, block, user_off, usable)`. Word B stays zero — the
-/// caller publishes after it finishes preparing the payload (realloc's
-/// copy happens in that window).
-fn alloc_unpublished(
-    st: &GlobalState,
-    size: usize,
-    align: usize,
-) -> PmResult<(PmOffset, PmOffset, u64, usize)> {
+/// Take the free pair at the front of the FIFO, growing the directory by
+/// one page when none is left.
+fn take_pair(st: &GlobalState) -> PmResult<PmOffset> {
+    let mut inner = st.inner.lock();
+    if inner.free_slots.is_empty() {
+        // Hang the new page off the last page's link word — or off the
+        // meta link when a crash left the chain empty.
+        let link = inner.pages.last().map_or(st.meta + 16, |p| *p);
+        with_thread(st, |t| grow(&st.pool, t, st.meta, link, &mut inner))?;
+    }
+    Ok(inner.free_slots.pop_front().expect("grow added pairs"))
+}
+
+/// Commit a block at a free pair's word A. Returns the user offset and the
+/// object, not yet indexed. With `at_base` (only for align ≤ 8, where the
+/// user offset is the block base) B = [`AT_BASE`] is stored first with a
+/// plain store: it shares A's line, so the allocator's destination flush
+/// commits and publishes together. Otherwise B = 0 is persisted first and
+/// the object stays unpublished until [`publish`] — realloc's copy happens
+/// in that window.
+fn commit(st: &GlobalState, size: usize, align: usize, at_base: bool) -> PmResult<(u64, Obj)> {
+    debug_assert!(!at_base || align <= 8, "a padded user offset is not the block base");
     let (request, aligned) = plan(size, align);
     // Alignment is a *host-address* property: the pool base is only
     // word-aligned, so an aligned pool offset lands at base % align into
@@ -603,33 +674,26 @@ fn alloc_unpublished(
     // padded route already over-requests a full `align`.
     let request =
         if aligned == 0 { request } else { request + (aligned - st.base % aligned) % aligned };
-    let slot = {
-        let mut inner = st.inner.lock();
-        match inner.free_slots.pop() {
-            Some(s) => s,
-            None => {
-                // Hang the new page off the last page's link word — or off
-                // the meta link when a crash left the chain empty.
-                let link = inner.pages.last().map_or(st.meta + 16, |p| *p);
-                with_thread(st, |t| grow(&st.pool, t, link, st.meta + 24, &mut inner))?;
-                inner.free_slots.pop().expect("grow added slots")
-            }
-        }
-    };
-    let r = with_thread(st, |t| -> PmResult<(PmOffset, usize)> {
-        // Clear any stale publication before the new commit can land.
-        st.pool.persist_u64(t.pm_mut(), slot + 8, 0, FlushKind::Meta);
-        let block = if aligned == 0 {
-            t.malloc_to(request, slot)?
+    let slot = take_pair(st)?;
+    let r = with_thread(st, |t| {
+        if at_base {
+            st.pool.write_u64(slot + 8, AT_BASE);
+            st.pool.charge_store(t.pm_mut(), slot + 8, 8);
         } else {
-            t.malloc_aligned_to(request, aligned, slot)?
-        };
-        Ok((block, 0))
+            // Clear the stale publication before the new commit can land.
+            st.pool.persist_u64(t.pm_mut(), slot + 8, 0, FlushKind::Meta);
+        }
+        if aligned == 0 {
+            t.malloc_to(request, slot)
+        } else {
+            t.malloc_aligned_to(request, aligned, slot)
+        }
     });
     let block = match r {
-        Ok((b, _)) => b,
+        Ok(b) => b,
         Err(e) => {
-            st.inner.lock().free_slots.push(slot);
+            // A is still 0, so the pair is free whatever B now holds.
+            st.inner.lock().free_slots.push_front(slot);
             return Err(e);
         }
     };
@@ -644,45 +708,46 @@ fn alloc_unpublished(
     };
     debug_assert!(user + size.max(1) as u64 <= block + granted as u64);
     let usable = (block as usize + granted) - user as usize;
-    Ok((slot, block, user, usable))
+    Ok((user, Obj { slot, block, usable }))
 }
 
-/// Publish word B and index the object. Completes [`alloc_unpublished`].
-fn publish(st: &GlobalState, slot: PmOffset, block: PmOffset, user: u64, usable: usize) {
+/// Persist word B and index the object. Completes an unpublished
+/// [`commit`].
+fn publish(st: &GlobalState, user: u64, obj: Obj) {
     with_thread(st, |t| {
-        st.pool.persist_u64(t.pm_mut(), slot + 8, user, FlushKind::Meta);
+        st.pool.persist_u64(t.pm_mut(), obj.slot + 8, user, FlushKind::Meta);
     });
-    st.inner.lock().objects.insert(user, Obj { slot, block, usable });
+    st.inner.lock().objects.insert(user, obj);
 }
 
 /// Full allocation: commit + publish. Returns the user offset.
-fn try_alloc(st: &GlobalState, size: usize, align: usize) -> PmResult<(u64, usize)> {
-    let (slot, block, user, usable) = alloc_unpublished(st, size, align)?;
-    publish(st, slot, block, user, usable);
-    Ok((user, usable))
+fn try_alloc(st: &GlobalState, size: usize, align: usize) -> PmResult<u64> {
+    let at_base = align <= 8;
+    let (user, obj) = commit(st, size, align, at_base)?;
+    if at_base {
+        st.inner.lock().objects.insert(user, obj);
+    } else {
+        publish(st, user, obj);
+    }
+    Ok(user)
 }
 
 /// Free the object at user offset `user`. Aborts on an offset the
 /// directory does not track (wild or double free — the heap cannot tell
-/// which, and either means corruption).
+/// which, and either means corruption). Word B is left stale: A == 0
+/// already marks the pair free, and both allocation paths overwrite B
+/// before their commit can land.
 fn do_free(st: &GlobalState, user: u64) {
     let obj = match st.inner.lock().objects.remove(&user) {
         Some(o) => o,
         None => die("free of untracked pointer (wild or double free)", &format_args!("{user:#x}")),
     };
-    let r = with_thread(st, |t| {
-        let r = t.free_from(obj.slot);
-        if r.is_ok() {
-            st.pool.persist_u64(t.pm_mut(), obj.slot + 8, 0, FlushKind::Meta);
-        }
-        r
-    });
-    if let Err(e) = r {
+    if let Err(e) = with_thread(st, |t| t.free_from(obj.slot)) {
         // NotAllocated / ShardViolation here means directory and allocator
         // disagree — typed corruption, surfaced as abort-with-report.
         die("free_from failed", &format_args!("block {:#x}: {e}", obj.block));
     }
-    st.inner.lock().free_slots.push(obj.slot);
+    st.inner.lock().free_slots.push_back(obj.slot);
 }
 
 /// Copy `len` payload bytes from `src` to `dst` *persistently* (through
@@ -713,9 +778,9 @@ fn do_realloc(st: &GlobalState, user: u64, new_size: usize, align: usize) -> PmR
         return Ok(user); // in place: shrink or slack growth
     }
     // old live → new committed (unpublished) → copy → new live → old freed
-    let (slot, block, new_user, usable) = alloc_unpublished(st, new_size, align)?;
+    let (new_user, new_obj) = commit(st, new_size, align, false)?;
     persistent_copy(st, user, new_user, obj.usable.min(new_size));
-    publish(st, slot, block, new_user, usable);
+    publish(st, new_user, new_obj);
     do_free(st, user);
     Ok(new_user)
 }
@@ -768,7 +833,7 @@ unsafe impl GlobalAlloc for GlobalNv {
             match crate::prof::with_site("GlobalNv::alloc", || {
                 try_alloc(st, layout.size(), layout.align())
             }) {
-                Ok((user, _)) => Some((st.base + user as usize) as *mut u8),
+                Ok(user) => Some((st.base + user as usize) as *mut u8),
                 Err(PmError::OutOfMemory { .. }) => Some(null_mut()),
                 Err(e) => die("alloc failed", &e),
             }
@@ -850,7 +915,7 @@ pub extern "C" fn nv_malloc(size: usize) -> *mut core::ffi::c_void {
     let r = with_guard(|| {
         let st = state()?;
         match crate::prof::with_site("nv_malloc", || try_alloc(st, size, 8)) {
-            Ok((user, _)) => Some((st.base + user as usize) as *mut core::ffi::c_void),
+            Ok(user) => Some((st.base + user as usize) as *mut core::ffi::c_void),
             Err(PmError::OutOfMemory { .. }) => None,
             Err(e) => die("nv_malloc failed", &e),
         }
@@ -873,7 +938,7 @@ pub extern "C" fn nv_calloc(n: usize, size: usize) -> *mut core::ffi::c_void {
     let r = with_guard(|| {
         let st = state()?;
         match crate::prof::with_site("nv_calloc", || try_alloc(st, total, 8)) {
-            Ok((user, _)) => {
+            Ok(user) => {
                 st.pool.fill_bytes(user, total.max(1), 0);
                 with_thread(st, |t| {
                     st.pool.charge_store(t.pm_mut(), user, total.max(1));
@@ -992,7 +1057,18 @@ mod tests {
     }
 
     #[test]
-    fn slot_page_geometry_fills_the_block() {
-        assert_eq!(16 + 16 * SLOTS_PER_PAGE, PAGE_BYTES);
+    fn pairs_fill_the_page_and_alternate_lines() {
+        let page = 1 << 20;
+        let order: Vec<PmOffset> = pairs(page).collect();
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        let expect: Vec<PmOffset> = (16..PAGE_BYTES as u64).step_by(16).map(|b| page + b).collect();
+        assert_eq!(expect.len(), 255);
+        assert_eq!(sorted, expect, "every pair exactly once");
+        for w in order.windows(2) {
+            assert_ne!(w[0] / 64, w[1] / 64, "{:#x} and {:#x} share a line", w[0], w[1]);
+        }
+        // Word B never leaves word A's line.
+        assert!(order.iter().all(|a| a / 64 == (a + 8) / 64));
     }
 }

@@ -59,6 +59,20 @@ fn garbage_pointers_are_not_allocated() {
         assert!(matches!(t.free_from(root), Err(PmError::NotAllocated)), "{garbage:#x}");
         assert_eq!(a.usable_size(garbage), None, "{garbage:#x}");
     }
+    // Addresses inside a live allocation are not its base: `None` for a
+    // small block and for an extent alike, which is what lets a caller
+    // vouch for a stored pointer with this call.
+    for size in [100usize, 40_000] {
+        let block = t.malloc_to(size, root).unwrap();
+        let granted = a.usable_size(block).expect("live base");
+        assert!(granted >= size);
+        for interior in
+            [block + 8, block + 4096.min(granted as u64 / 2), block + granted as u64 - 8]
+        {
+            assert_eq!(a.usable_size(interior), None, "{size} B at {block:#x}: {interior:#x}");
+        }
+        t.free_from(root).unwrap();
+    }
 }
 
 #[test]

@@ -2,13 +2,15 @@
 //! power-failure point across every flush of (a) the init handshake that
 //! formats the directory and (b) a shim window containing a moving
 //! `nv_realloc` (old live → persistent copy → new live → old freed), a
-//! fresh `nv_malloc`, and an `nv_free`. At every prefix the crash image
-//! must re-attach, recover a plausible object set — committed objects
-//! intact, the realloc target present as old, old+new, or new, **never
-//! neither** — with no overlap and no double-ownership, and the
-//! persist-ordering sanitizer must stay silent on both sides of the
-//! crash. The final tests pin the clean rejection of mismatched
-//! directory magic / layout version and of a damaged slot-page chain.
+//! fresh `nv_malloc`, and an `nv_free` — once on fresh pairs, and once on
+//! pairs whose word B still publishes a freed object. At every prefix the
+//! crash image must re-attach, recover a plausible object set — committed
+//! objects intact, the realloc target present as old, old+new, or new,
+//! **never neither**, no stale publication — with no overlap and no
+//! double-ownership, and the persist-ordering sanitizer must stay silent
+//! on both sides of the crash. The final tests pin the clean rejection of
+//! mismatched directory magic / layout version and of a damaged slot-page
+//! chain, and a failed `nv_malloc`'s silence under the sanitizer.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -76,6 +78,10 @@ const X_SIZE: usize = 600;
 const X_NEW: usize = 50_000; // realloc target moves (and moves tiers)
 const Y_SIZE: usize = 700;
 
+/// Size the stale-publication matrix reallocs its first freed object to
+/// (4 KiB class: neither the window's objects nor the fillers share it).
+const S_SIZE: usize = 4000;
+
 struct Trace {
     a: u64,
     b: u64,
@@ -83,6 +89,8 @@ struct Trace {
     x_old: u64,
     x_new: u64,
     y: u64,
+    /// Freed objects still named by a pair's word B.
+    stale: Vec<u64>,
 }
 
 /// Settled prefix: init + allocate A, B, C, X and persist their payloads.
@@ -99,26 +107,85 @@ fn setup(pool: &Arc<PmemPool>) -> (u64, u64, u64, u64) {
     (a, b, c, x)
 }
 
+/// Word-A offsets and the current (A, B) words of every pair on the
+/// directory's first slot page.
+fn first_page_pairs(pool: &PmemPool) -> Vec<(u64, u64, u64)> {
+    let meta = global::with_allocator(|a| pool.read_u64(a.root_offset(0))).unwrap();
+    let page = pool.read_u64(meta + 16);
+    (16..4096u64)
+        .step_by(16)
+        .map(|b| (page + b, pool.read_u64(page + b), pool.read_u64(page + b + 8)))
+        .collect()
+}
+
+/// Cycle the free-pair FIFO after `setup` so that its front pair still
+/// publishes a freed object at its block base (B == 1, as `nv_malloc`
+/// leaves it) and the next one a freed object at its offset (as a moving
+/// realloc leaves it): free two such objects, then take and give back
+/// every fresher pair. Returns the freed objects' offsets.
+fn cycle_to_stale_pairs(pool: &Arc<PmemPool>) -> Vec<u64> {
+    let first = nv_malloc(8);
+    let moved = nv_realloc(first, S_SIZE);
+    assert!(!first.is_null() && !moved.is_null() && moved != first);
+    nv_free(moved);
+    let free_pairs = first_page_pairs(pool).iter().filter(|p| p.1 == 0).count();
+    let fillers: Vec<_> = (0..free_pairs - 2).map(|_| nv_malloc(8)).collect();
+    assert!(fillers.iter().all(|p| !p.is_null()));
+    fillers.into_iter().for_each(|p| nv_free(p));
+    vec![off_of(pool, first), off_of(pool, moved)]
+}
+
 /// The crash window: a moving realloc, a fresh malloc, a free.
-fn window(pool: &Arc<PmemPool>, a: u64, b: u64, c: u64, x: u64) -> Trace {
+fn window(pool: &Arc<PmemPool>, a: u64, b: u64, c: u64, x: u64, stale: Vec<u64>) -> Trace {
     let x_ptr = (pool.base_ptr() as usize + x as usize) as *mut core::ffi::c_void;
     let x_new_ptr = nv_realloc(x_ptr, X_NEW);
     assert!(!x_new_ptr.is_null());
     let y = off_of(pool, nv_malloc(Y_SIZE));
     let c_ptr = (pool.base_ptr() as usize + c as usize) as *mut core::ffi::c_void;
     nv_free(c_ptr);
-    Trace { a, b, c, x_old: x, x_new: off_of(pool, x_new_ptr), y }
+    Trace { a, b, c, x_old: x, x_new: off_of(pool, x_new_ptr), y, stale }
 }
 
-/// Run the full trace unfrozen and report the window's flush span.
-fn window_flushes() -> u64 {
+/// The settled prefix: `setup`, then for the stale matrix the FIFO cycle.
+fn prefix(pool: &Arc<PmemPool>, stale: bool) -> (u64, u64, u64, u64, Vec<u64>) {
+    let (a, b, c, x) = setup(pool);
+    let stale = if stale { cycle_to_stale_pairs(pool) } else { Vec::new() };
+    (a, b, c, x, stale)
+}
+
+/// Run the full trace unfrozen and report the window's flush span. For
+/// the stale matrix, also check its premise: the moving realloc and the
+/// malloc land on the pairs that published the freed objects.
+fn window_flushes(stale: bool) -> u64 {
     let _reset = Reset;
     let pool = crash_pool();
-    let (a, b, c, x) = setup(&pool);
+    let (a, b, c, x, stale) = prefix(&pool, stale);
+    let before = first_page_pairs(&pool);
     let f0 = pool.stats().flushes();
-    let _t = window(&pool, a, b, c, x);
+    let t = window(&pool, a, b, c, x, stale);
+    let flushes = pool.stats().flushes() - f0;
     pmsan_clean(&pool, "in unfrozen trace");
-    pool.stats().flushes() - f0
+    if let [_, moved] = t.stale[..] {
+        for (obj, stale_b, name) in [(t.x_new, 1, "realloc target"), (t.y, moved, "malloc")] {
+            let pair = first_page_pairs(&pool).iter().position(|p| p.1 == obj).unwrap();
+            assert_eq!(before[pair].2, stale_b, "{name} took a pair without the stale B");
+        }
+    }
+    flushes
+}
+
+/// Crash a window at every flush; `stale` runs it on stale pairs.
+fn window_crash_matrix(stale: bool) {
+    let total = window_flushes(stale);
+    assert!(total > 10, "window unexpectedly cheap ({total} flushes)");
+    for n in 0..=total {
+        let _reset = Reset;
+        let pool = crash_pool();
+        let (a, b, c, x, stale) = prefix(&pool, stale);
+        pool.freeze_persistence_after(n);
+        let t = window(&pool, a, b, c, x, stale);
+        crash_and_verify(&pool, &t, &format!("freeze={n}/{total}"));
+    }
 }
 
 /// Crash the image at the current freeze point, re-attach, and verify the
@@ -138,7 +205,12 @@ fn crash_and_verify(pool: &Arc<PmemPool>, t: &Trace, label: &str) {
         assert!(rec.insert(off, usable).is_none(), "{label}: offset {off:#x} recovered twice");
     }
 
-    // Nothing outside the scripted universe may surface.
+    // A pair whose B names a freed object never brings that object back,
+    // and nothing else outside the scripted universe surfaces either: a
+    // fresh malloc's object is absent or recovered at its block base.
+    for s in &t.stale {
+        assert!(!rec.contains_key(s), "{label}: stale publication {s:#x} came back");
+    }
     let universe = [t.a, t.b, t.c, t.x_old, t.x_new, t.y];
     for off in rec.keys() {
         assert!(universe.contains(off), "{label}: unexpected recovered object {off:#x}");
@@ -189,15 +261,114 @@ fn crash_and_verify(pool: &Arc<PmemPool>, t: &Trace, label: &str) {
 #[test]
 fn realloc_window_crash_matrix() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let total = window_flushes();
-    assert!(total > 10, "window unexpectedly cheap ({total} flushes)");
-    for n in 0..=total {
+    window_crash_matrix(false);
+}
+
+#[test]
+fn stale_publication_crash_matrix() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    window_crash_matrix(true);
+}
+
+#[test]
+fn failed_malloc_leaves_pmsan_clean() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _reset = Reset;
+    let pool = crash_pool();
+    global::init(Arc::clone(&pool), cfg()).unwrap();
+    let keep = nv_malloc(A_SIZE);
+    assert!(!keep.is_null());
+    assert!(nv_malloc(1 << 40).is_null(), "a request past the pool must fail");
+    pmsan_clean(&pool, "after a failed nv_malloc");
+    // The failed request's pair serves the next malloc, and a crash then
+    // recovers exactly the live objects.
+    let next = nv_malloc(Y_SIZE);
+    assert!(!next.is_null());
+    pmsan_clean(&pool, "after the next nv_malloc");
+    let img = PmemPool::from_crash_image(pool.crash());
+    // SAFETY: serialized by LOCK; `keep` and `next` are not used again.
+    unsafe { global::reset_unchecked() };
+    global::init(Arc::clone(&img), cfg()).unwrap();
+    let mut rec: Vec<u64> = global::recovered_objects()
+        .into_iter()
+        .map(|(p, _)| (p as usize - img.base_ptr() as usize) as u64)
+        .collect();
+    rec.sort_unstable();
+    let mut want = vec![off_of(&pool, keep), off_of(&pool, next)];
+    want.sort_unstable();
+    assert_eq!(rec, want);
+    pmsan_clean(&img, "after recovery");
+}
+
+/// Settled prefix for the grow matrix: take every pair of the first slot
+/// page, so the next allocation grows the directory. Returns the live
+/// offsets.
+fn fill_first_page(pool: &Arc<PmemPool>) -> Vec<u64> {
+    global::init(Arc::clone(pool), cfg()).expect("init");
+    let free_pairs = first_page_pairs(pool).iter().filter(|p| p.1 == 0).count();
+    (0..free_pairs).map(|_| off_of(pool, nv_malloc(8))).collect()
+}
+
+/// The last zeroed slot page (meta word 3).
+fn last_zeroed_page(pool: &PmemPool) -> u64 {
+    let meta = global::with_allocator(|a| pool.read_u64(a.root_offset(0))).unwrap();
+    pool.read_u64(meta + 24)
+}
+
+/// Crash at every flush of an `nv_malloc` that grows the directory onto a
+/// block full of persisted garbage, as a recycled block would be. The
+/// page commits straight into the chain's tail link; until meta word 3
+/// records it zeroed, attach zeroes it itself. Either way exactly the live
+/// set comes back — plus the new object once its commit landed.
+#[test]
+fn slot_page_grow_crash_matrix() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // The unfrozen run names the block the grow takes (the replay is
+    // deterministic) and the window's flush span.
+    let (page, total) = {
         let _reset = Reset;
         let pool = crash_pool();
-        let (a, b, c, x) = setup(&pool);
+        fill_first_page(&pool);
+        let first = last_zeroed_page(&pool);
+        let f0 = pool.stats().flushes();
+        assert!(!nv_malloc(Y_SIZE).is_null());
+        pmsan_clean(&pool, "in unfrozen grow");
+        assert_ne!(last_zeroed_page(&pool), first, "the window did not grow the directory");
+        (last_zeroed_page(&pool), pool.stats().flushes() - f0)
+    };
+    for n in 0..=total {
+        let label = format!("freeze={n}/{total}");
+        let _reset = Reset;
+        let pool = crash_pool();
+        let mut live = fill_first_page(&pool);
+        persist_pattern(&pool, page, 4096, 0x11);
         pool.freeze_persistence_after(n);
-        let t = window(&pool, a, b, c, x);
-        crash_and_verify(&pool, &t, &format!("freeze={n}/{total}"));
+        let y = off_of(&pool, nv_malloc(Y_SIZE));
+        assert_eq!(last_zeroed_page(&pool), page, "{label}: the grow took another block");
+        pmsan_clean(&pool, &format!("pre-crash ({label})"));
+        let img = PmemPool::from_crash_image(pool.crash());
+        // SAFETY: serialized by LOCK; the old incarnation's pointers are
+        // not used again.
+        unsafe { global::reset_unchecked() };
+        global::init(Arc::clone(&img), cfg())
+            .unwrap_or_else(|e| panic!("{label}: attach after crash failed: {e}"));
+        let mut rec: Vec<u64> = global::recovered_objects()
+            .into_iter()
+            .map(|(p, _)| (p as usize - img.base_ptr() as usize) as u64)
+            .collect();
+        rec.sort_unstable();
+        if rec.contains(&y) {
+            live.push(y);
+        }
+        live.sort_unstable();
+        assert_eq!(rec, live, "{label}: recovered set");
+        for (ptr, _) in global::recovered_objects() {
+            nv_free(ptr.cast());
+        }
+        let p = nv_malloc(Y_SIZE);
+        assert!(!p.is_null(), "{label}: heap unusable after re-attach");
+        nv_free(p);
+        pmsan_clean(&img, &format!("after recovery ({label})"));
     }
 }
 
@@ -262,7 +433,10 @@ fn damaged_slot_page_chain_is_rejected() {
 #[test]
 fn mismatched_directory_magic_and_version_are_rejected() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for corrupt_version in [false, true] {
+    // Word 0 is the magic, word 1 the layout version: an unknown one, and
+    // version 1, whose pairs cleared B on free and whose meta word 3 was a
+    // staging slot.
+    for (word, value) in [(0, 0xDEAD_BEEF_DEAD_BEEF), (8, 999), (8, 1)] {
         let _reset = Reset;
         let pool = crash_pool();
         global::init(Arc::clone(&pool), cfg()).unwrap();
@@ -270,11 +444,7 @@ fn mismatched_directory_magic_and_version_are_rejected() {
         assert!(!p.is_null());
         let meta = global::with_allocator(|a| pool.read_u64(a.root_offset(0))).unwrap();
         global::shutdown().unwrap();
-        if corrupt_version {
-            pool.write_u64(meta + 8, 999); // unsupported layout version
-        } else {
-            pool.write_u64(meta, 0xDEAD_BEEF_DEAD_BEEF); // wrong magic
-        }
+        pool.write_u64(meta + word, value);
         // SAFETY: serialized by LOCK; `p` is never used again.
         unsafe { global::reset_unchecked() };
         let err = global::init(Arc::clone(&pool), cfg()).unwrap_err();
