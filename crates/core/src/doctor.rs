@@ -13,7 +13,8 @@
 //!   headerless slab extent can only come from a crash between a carve's
 //!   booklog commit and its header write (recovery reclaims it as a
 //!   leak), so it is counted on a crashed image and flagged on a cleanly
-//!   shut down one; a header left mid-morph is flagged too.
+//!   shut down one; a header left mid-morph (a step flag set, or step 1
+//!   torn before its flag) is flagged too.
 //!
 //! On top of those it keeps the cross-checks recovery does not need:
 //!
@@ -371,7 +372,7 @@ pub fn audit_pool(pool: &PmemPool, cfg: &NvConfig) -> DoctorReport {
             continue;
         };
         rep.slabs += 1;
-        if (flag::OLD_SAVED..=flag::NEW_WRITTEN).contains(&h.flag) {
+        if (flag::OLD_SAVED..=flag::NEW_WRITTEN).contains(&h.flag) || h.torn_morph_step1() {
             viol(
                 &mut rep,
                 "slab_flag",

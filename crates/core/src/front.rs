@@ -377,9 +377,9 @@ impl NvInner {
         self.slab_gates.lock(slab_off);
         let vs = ai.remove_slab(slab_off);
         probe.event(t, EventKind::SlabRetire, 0, 0);
-        // large.free re-registers nothing; it removes the range (which
-        // the slab owner entry overwrote) from the rtree. The shard is
-        // selected by the frame's veh tag.
+        // large.free re-registers nothing; it clears the frame's 16 slab
+        // owner entries from the rtree. The shard is selected by the
+        // frame's veh tag.
         let res = self.large.free(&self.pool, t, vs.veh);
         self.slab_gates.unlock(slab_off);
         res
@@ -494,11 +494,22 @@ impl NvAllocator {
         let layout = Layout::compute(&cfg, pool.size())?;
         let mut t = pool.register_thread();
 
-        // Zero the metadata area. The backing words are already zero, so
-        // this re-states durable content: tell the sanitizer no flush is
-        // owed for it (it is not an ordering-relevant store sequence).
-        pool.fill_bytes(0, layout.heap_base as usize, 0);
-        pool.pmsan_mark_persisted(0, layout.heap_base as usize);
+        // Zero the metadata that is read before it is written: the pool
+        // header, arena flags and roots, the region table, and the sidelog
+        // region up to the heap. `WalRegion::create` zeroes the WAL and
+        // `BookLog::create` each shard's log header; a booklog chunk is
+        // zeroed when it is carved, and nothing reads past the carve mark.
+        // The backing words are already zero, so this re-states durable
+        // content: tell the sanitizer no flush is owed for it (it is not
+        // an ordering-relevant store sequence).
+        for (start, end) in [
+            (0, layout.wal_base),
+            (layout.region_table, layout.booklog),
+            (layout.prof_base, layout.heap_base),
+        ] {
+            pool.fill_bytes(start, (end - start) as usize, 0);
+            pool.pmsan_mark_persisted(start, (end - start) as usize);
+        }
 
         let geoms = GeometryTable::new(cfg.stripes_for(cfg.interleave_bitmap));
         let rtree = Arc::new(RTree::new());
@@ -518,7 +529,7 @@ impl NvAllocator {
         pool.persist_u64(&mut t, 0, POOL_MAGIC, FlushKind::Meta);
 
         // The sidelog region sits wholly below the heap (zeroed by the
-        // format pass above alongside every other metadata region).
+        // format pass above).
         debug_assert!(layout.prof_base + layout.prof_bytes as u64 <= layout.heap_base);
         let inst = Instruments::new(&cfg, &layout, pool.size());
         let heap = Heap { geoms, arenas, large, rtree, live_bytes: 0, wal_seq: 1 };
@@ -1631,6 +1642,80 @@ mod tests {
         }
         let stats = a.class_stats();
         assert_eq!(stats[c64].allocated, 0);
+    }
+
+    /// `create` leaves booklog chunk space as it finds it. Over a pool
+    /// whose booklog chunk space (every shard's slice past its log header)
+    /// holds persisted 0xFF bytes, extent churn runs through fast-GC chunk
+    /// reuse and slow GC, and a crash recovers every live extent onto an
+    /// image that audits clean.
+    fn extent_churn_over_a_stale_booklog(pmsan: bool) {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        const SIZE: usize = 64 << 20;
+        const SLOTS: usize = 512;
+        const LIVE_CAP: usize = 20 << 20;
+        let cfg = NvConfig::log();
+        let l = Layout::compute(&cfg, SIZE).unwrap();
+        let mut words = vec![0u64; SIZE / 8];
+        for c in ShardedLarge::shard_cfgs(&l.large_config(&cfg), l.large_shards) {
+            let chunks = c.booklog_base as usize + crate::booklog::LOG_HEADER_BYTES;
+            words[chunks / 8..(c.booklog_base as usize + c.booklog_bytes) / 8].fill(u64::MAX);
+        }
+        let mode = PmemConfig::default().latency_mode(LatencyMode::Off).crash_tracking(true);
+        let pool = PmemPool::from_words(words, mode.pmsan(pmsan));
+        let alloc = NvAllocator::create(Arc::clone(&pool), cfg.clone()).unwrap();
+        let mut t = alloc.thread();
+        let mut rng = SmallRng::seed_from_u64(0xff_b00c);
+        let mut live = vec![0usize; SLOTS];
+        let mut live_bytes = 0;
+        for _ in 0..12_000 {
+            let slot = rng.gen_range(0..SLOTS);
+            let shift =
+                if rng.gen_bool(0.85) { rng.gen_range(14..18) } else { rng.gen_range(18..21) };
+            let size = rng.gen_range(1usize << shift..2usize << shift);
+            let victim = if live[slot] > 0 {
+                Some(slot)
+            } else if live_bytes + size > LIVE_CAP {
+                (1..SLOTS).map(|d| (slot + d) % SLOTS).find(|&s| live[s] > 0)
+            } else {
+                None
+            };
+            if let Some(s) = victim {
+                t.free_from(alloc.root_offset(s)).unwrap();
+                live_bytes -= live[s];
+                live[s] = 0;
+            } else {
+                t.malloc_to(size, alloc.root_offset(slot)).unwrap();
+                live_bytes += size;
+                live[slot] = size;
+            }
+        }
+        let m = alloc.metrics();
+        assert!(m.booklog_fast_gc_reaps > 0, "fast GC must have reaped chunks for reuse");
+        assert!(m.booklog_alt_flips > 0, "slow GC must have run");
+        assert_eq!(pool.pmsan_total(), 0, "{:?}", pool.pmsan_report());
+
+        let img = PmemPool::from_crash_image(pool.crash());
+        let (ralloc, _) = NvAllocator::recover(Arc::clone(&img), cfg.clone()).expect("recover");
+        let rep = crate::doctor::audit_pool(&img, &cfg);
+        assert!(rep.clean(), "{:?}", rep.violations);
+        for (slot, &size) in live.iter().enumerate().filter(|(_, &size)| size > 0) {
+            let addr = img.read_u64(ralloc.root_offset(slot));
+            let usable = ralloc.usable_size(addr);
+            assert!(usable.is_some_and(|u| u >= size), "slot {slot}: {size} B, got {usable:?}");
+        }
+        assert_eq!(img.pmsan_total(), 0, "{:?}", img.pmsan_report());
+    }
+
+    #[test]
+    fn stale_booklog_bytes_survive_extent_churn_and_a_crash() {
+        extent_churn_over_a_stale_booklog(false);
+    }
+
+    #[test]
+    fn stale_booklog_bytes_survive_extent_churn_and_a_crash_under_pmsan() {
+        extent_churn_over_a_stale_booklog(true);
     }
 
     #[test]

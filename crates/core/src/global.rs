@@ -44,15 +44,16 @@
 //!
 //! Live objects come back through [`recovered_objects`].
 //!
-//! An allocation whose user offset is the block base (every [`nv_malloc`]
-//! and [`nv_calloc`], and [`GlobalNv`] with align ≤ 8) stores B = 1 with a
-//! plain store *before* `malloc_to`. The allocator's one destination flush
-//! of A's line then commits and publishes the object together, so such an
-//! op persists exactly what the allocator's own `malloc_to` persists, and a
-//! stale B can never pair with the new block. Three steps — persist B = 0,
-//! commit, persist B = user — remain only where an unpublished window is
-//! needed: a moving [`nv_realloc`] copies the payload inside it, and padded
-//! or aligned-extent layouts learn the user offset only from the grant.
+//! An allocation whose user offset is the block base (every [`nv_malloc`],
+//! and [`GlobalNv`] with align ≤ 8) stores B = 1 with a plain store
+//! *before* `malloc_to`. The allocator's one destination flush of A's line
+//! then commits and publishes the object together, so such an op persists
+//! exactly what the allocator's own `malloc_to` persists, and a stale B can
+//! never pair with the new block. Three steps — persist B = 0, commit,
+//! persist B = user — remain only where an unpublished window is needed: a
+//! moving [`nv_realloc`] copies the payload inside it, [`nv_calloc`] makes
+//! its zero fill durable inside it, and padded or aligned-extent layouts
+//! learn the user offset only from the grant.
 //!
 //! Free pairs are reused first-in, first-out, and a new page's pairs join
 //! the queue one line after another (`pairs`). A free flushes its pair's
@@ -662,8 +663,8 @@ fn take_pair(st: &GlobalState) -> PmResult<PmOffset> {
 /// user offset is the block base) B = [`AT_BASE`] is stored first with a
 /// plain store: it shares A's line, so the allocator's destination flush
 /// commits and publishes together. Otherwise B = 0 is persisted first and
-/// the object stays unpublished until [`publish`] — realloc's copy happens
-/// in that window.
+/// the object stays unpublished until [`publish`] — realloc's copy and
+/// calloc's zero fill happen in that window.
 fn commit(st: &GlobalState, size: usize, align: usize, at_base: bool) -> PmResult<(u64, Obj)> {
     debug_assert!(!at_base || align <= 8, "a padded user offset is not the block base");
     let (request, aligned) = plan(size, align);
@@ -927,24 +928,26 @@ pub extern "C" fn nv_malloc(size: usize) -> *mut core::ffi::c_void {
 }
 
 /// C `calloc`: allocate `n * size` zeroed bytes. Unlike payload stores
-/// through the returned pointer, the zero fill goes through the pool API
-/// (flushed + fenced), so a recovered object is guaranteed to read zero
-/// wherever the application never wrote. Returns null on overflow,
-/// exhaustion, or before [`init`].
+/// through the returned pointer, the zero fill goes through the pool API,
+/// flushed and fenced while the object is still unpublished (word B = 0),
+/// so a recovered object is guaranteed to read zero wherever the
+/// application never wrote. Returns null on overflow, exhaustion, or
+/// before [`init`].
 pub extern "C" fn nv_calloc(n: usize, size: usize) -> *mut core::ffi::c_void {
     let Some(total) = n.checked_mul(size) else {
         return null_mut();
     };
     let r = with_guard(|| {
         let st = state()?;
-        match crate::prof::with_site("nv_calloc", || try_alloc(st, total, 8)) {
-            Ok(user) => {
+        match crate::prof::with_site("nv_calloc", || commit(st, total, 8, false)) {
+            Ok((user, obj)) => {
                 st.pool.fill_bytes(user, total.max(1), 0);
                 with_thread(st, |t| {
                     st.pool.charge_store(t.pm_mut(), user, total.max(1));
                     st.pool.flush(t.pm_mut(), user, total.max(1), FlushKind::Data);
                     st.pool.fence(t.pm_mut());
                 });
+                publish(st, user, obj);
                 Some((st.base + user as usize) as *mut core::ffi::c_void)
             }
             Err(PmError::OutOfMemory { .. }) => None,

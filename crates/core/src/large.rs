@@ -148,8 +148,11 @@ pub fn smootherstep(t: f64) -> f64 {
 
 #[derive(Debug)]
 struct DecayList {
-    /// Oldest-first queue of decaying extents.
+    /// Oldest-first queue of decaying extents. An extent that left the
+    /// list keeps its entry until a tick reaches and skips it.
     queue: std::collections::VecDeque<VehId>,
+    /// Bytes of the extents on the list: added when one joins, taken
+    /// away whenever one leaves (decay, reuse, or a coalesce).
     bytes: usize,
     peak: usize,
     /// Decay-clock time at which `peak` was last raised.
@@ -168,6 +171,12 @@ impl DecayList {
             self.peak = self.bytes;
             self.epoch_start = now;
         }
+    }
+
+    /// An extent of `size` bytes left the list.
+    fn remove(&mut self, size: usize) {
+        debug_assert!(self.bytes >= size, "decay list bytes undercount its extents");
+        self.bytes = self.bytes.saturating_sub(size);
     }
 
     /// Bytes the list may still hold at decay-clock time `now`.
@@ -703,8 +712,8 @@ impl LargeAlloc {
         Ok((self.tag_id(id), off))
     }
 
-    /// Persist the metadata record of a reserved extent and register it in
-    /// the rtree.
+    /// Persist the metadata record of a reserved extent and register its
+    /// base page in the rtree.
     ///
     /// # Errors
     /// Propagates booklog append failures.
@@ -718,10 +727,18 @@ impl LargeAlloc {
 
     fn commit_local(&mut self, pool: &PmemPool, t: &mut PmThread, id: VehId) -> PmResult<()> {
         self.persist_extent(pool, t, id)?;
-        let tagged = self.tag_id(id);
-        let v = self.vehs[id as usize].as_ref().expect("live veh");
-        self.rtree.insert_range(v.off, v.size, Owner::Extent { veh: tagged }.pack());
+        let off = self.vehs[id as usize].as_ref().expect("live veh").off;
+        self.register_base(off, id);
         Ok(())
+    }
+
+    /// Register an extent's base page, and only that page: every lookup
+    /// that resolves an extent (free, `usable_size`, recovery's WAL replay
+    /// and GC mark) accepts nothing but the base address, so an interior
+    /// page that misses gives the same answer as one that names the
+    /// extent. A slab's 16 pages are registered by the small allocator.
+    fn register_base(&self, off: PmOffset, local: VehId) {
+        self.rtree.insert_range(off, PAGE, Owner::Extent { veh: self.tag_id(local) }.pack());
     }
 
     fn alloc_reserve(
@@ -753,8 +770,10 @@ impl LargeAlloc {
         let id = if let Some((key, was_reclaimed)) = candidate {
             self.stats.best_fit_hits += 1;
             let id = if was_reclaimed {
+                self.decay_reclaimed.remove(key.0);
                 self.reclaimed.remove(&key).expect("candidate present")
             } else {
+                self.decay_retained.remove(key.0);
                 let id = self.retained.remove(&key).expect("candidate present");
                 // Re-mapping a retained extent brings its memory back.
                 self.add_mapped(key.0 as isize);
@@ -880,10 +899,11 @@ impl LargeAlloc {
     /// [`PmError::NotAllocated`] if the extent is not active (double free).
     pub fn free(&mut self, pool: &PmemPool, t: &mut PmThread, id: VehId) -> PmResult<()> {
         let Some(id) = self.local_id(id) else { return Err(PmError::NotAllocated) };
-        let (off, size, state, huge) = match self.vehs.get(id as usize).and_then(|v| v.as_ref()) {
-            Some(v) => (v.off, v.size, v.state, v.huge),
-            None => return Err(PmError::NotAllocated),
-        };
+        let (off, size, state, huge, is_slab) =
+            match self.vehs.get(id as usize).and_then(|v| v.as_ref()) {
+                Some(v) => (v.off, v.size, v.state, v.huge, v.is_slab),
+                None => return Err(PmError::NotAllocated),
+            };
         if state != ExtentState::Active {
             return Err(PmError::NotAllocated);
         }
@@ -903,7 +923,9 @@ impl LargeAlloc {
             });
         }
         self.unpersist_extent(pool, t, id)?;
-        self.rtree.remove_range(off, size);
+        // An extent holds its base page; a slab frame holds all of its
+        // pages, as `Owner::Slab` entries the small allocator wrote.
+        self.rtree.remove_range(off, if is_slab { size } else { PAGE });
 
         if huge {
             self.by_addr.remove(&off);
@@ -949,6 +971,7 @@ impl LargeAlloc {
             if mergable {
                 let p_size = self.vehs[pid as usize].as_ref().expect("live veh").size;
                 self.reclaimed.remove(&(p_size, po));
+                self.decay_reclaimed.remove(p_size);
                 self.by_addr.remove(&off);
                 self.drop_veh(id);
                 let p = self.vehs[pid as usize].as_mut().expect("live veh");
@@ -971,6 +994,7 @@ impl LargeAlloc {
             if mergable {
                 let s_size = self.vehs[sid as usize].as_ref().expect("live veh").size;
                 self.reclaimed.remove(&(s_size, succ));
+                self.decay_reclaimed.remove(s_size);
                 self.by_addr.remove(&succ);
                 self.drop_veh(sid);
                 let v = self.vehs[id as usize].as_mut().expect("live veh");
@@ -1016,7 +1040,7 @@ impl LargeAlloc {
             }
             let (off, size) = (v.off, v.size);
             self.reclaimed.remove(&(size, off));
-            self.decay_reclaimed.bytes = self.decay_reclaimed.bytes.saturating_sub(size);
+            self.decay_reclaimed.remove(size);
             let v = self.vehs[id as usize].as_mut().expect("live veh");
             v.state = ExtentState::Retained;
             self.retained.insert((size, off), id);
@@ -1040,7 +1064,7 @@ impl LargeAlloc {
             }
             let (off, size) = (v.off, v.size);
             self.retained.remove(&(size, off));
-            self.decay_retained.bytes = self.decay_retained.bytes.saturating_sub(size);
+            self.decay_retained.remove(size);
             self.by_addr.remove(&off);
             self.drop_veh(id);
             self.unmap_range(off, size);
@@ -1183,16 +1207,16 @@ impl LargeAlloc {
         la.mapped_bytes = (la.brk - la.cfg.heap_base) as usize;
         la.peak_mapped = la.mapped_bytes;
 
-        // Register live extents in the rtree; the front end overwrites
-        // slab ranges with slab owners afterwards.
+        // Register live extents' base pages in the rtree; the front end
+        // registers every page of a recovered slab as its slab owner
+        // afterwards.
         let mut out = Vec::new();
         for (idx, v) in la.vehs.iter().enumerate() {
             let Some(v) = v else { continue };
             if v.state == ExtentState::Active {
-                let tagged = la.tag_id(idx as VehId);
-                la.rtree.insert_range(v.off, v.size, Owner::Extent { veh: tagged }.pack());
+                la.register_base(v.off, idx as VehId);
                 out.push(RecoveredExtent {
-                    veh: tagged,
+                    veh: la.tag_id(idx as VehId),
                     off: v.off,
                     size: v.size,
                     is_slab: v.is_slab,
@@ -1402,8 +1426,38 @@ mod tests {
             Owner::Extent { veh } => assert_eq!(veh, id),
             o => panic!("wrong owner {o:?}"),
         }
+        // Only the base page is registered: every other page misses.
+        for page in 1..16u64 {
+            assert_eq!(rtree.lookup(off + page * PAGE as u64), None, "page {page}");
+        }
         la.free(&pool, &mut t, id).unwrap();
         assert!(rtree.lookup(off).is_none(), "freed extent must leave the rtree");
+    }
+
+    /// A slab frame carries its 16 `Owner::Slab` pages (the front end
+    /// writes them); freeing the frame clears all of them, so an extent
+    /// later carved over the frame resolves at its base page only.
+    #[test]
+    fn freed_slab_frame_leaves_no_stale_pages() {
+        let (pool, mut la, mut t) = setup(true);
+        let rtree = Arc::clone(la.rtree());
+        let (frame, off) = la.alloc_aligned(&pool, &mut t, SLAB_SIZE, SLAB_SIZE, true).unwrap();
+        let slab = Owner::Slab { slab: off, arena: 0 }.pack();
+        rtree.insert_range(off, SLAB_SIZE, slab);
+        let pages = (SLAB_SIZE / PAGE) as u64;
+        for page in 0..pages {
+            assert_eq!(rtree.lookup(off + page * PAGE as u64), Some(slab), "page {page}");
+        }
+        la.free(&pool, &mut t, frame).unwrap();
+        for page in 0..pages {
+            assert_eq!(rtree.lookup(off + page * PAGE as u64), None, "page {page}");
+        }
+        let (id, reused) = la.alloc(&pool, &mut t, SLAB_SIZE, false).unwrap();
+        assert_eq!(reused, off, "the extent reuses the freed frame");
+        assert_eq!(rtree.lookup(off).map(Owner::unpack), Some(Owner::Extent { veh: id }));
+        for page in 1..pages {
+            assert_eq!(rtree.lookup(off + page * PAGE as u64), None, "page {page}");
+        }
     }
 
     #[test]
@@ -1586,6 +1640,37 @@ mod tests {
         la.decay_tick(la.clock);
         assert_eq!((la.reclaimed.len(), la.retained.len()), (2, 0));
         assert_eq!(la.mapped_bytes(), mapped);
+    }
+
+    /// Each decay list counts exactly the bytes of the extents on it,
+    /// through best-fit reuse from either list, coalescing, and decay.
+    #[test]
+    fn decay_bytes_count_exactly_the_listed_extents() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let (pool, mut la, mut t) = setup(true);
+        let listed = |m: &BTreeMap<(usize, PmOffset), VehId>| m.keys().map(|k| k.0).sum::<usize>();
+        let mut rng = SmallRng::seed_from_u64(0x5eed_dec4);
+        let mut live: Vec<VehId> = Vec::new();
+        let mut now = 0;
+        for op in 0..2000 {
+            if live.len() >= 24 || (!live.is_empty() && rng.gen_bool(0.5)) {
+                let id = live.swap_remove(rng.gen_range(0..live.len()));
+                la.free(&pool, &mut t, id).unwrap();
+            } else {
+                let size = rng.gen_range(64 << 10..320 << 10);
+                live.push(la.alloc(&pool, &mut t, size, false).unwrap().0);
+            }
+            if op % 100 == 99 {
+                // The pool's clock is off: step the decay schedule by hand
+                // so extents move to the retained list and back out.
+                now += DECAY_WINDOW_NS / 4;
+                la.decay_tick(now);
+            }
+            assert_eq!(la.decay_reclaimed.bytes, listed(&la.reclaimed), "op {op}: reclaimed");
+            assert_eq!(la.decay_retained.bytes, listed(&la.retained), "op {op}: retained");
+        }
+        assert!(la.stats().coalesces > 0 && la.stats().best_fit_hits > 0);
     }
 
     #[test]

@@ -226,15 +226,19 @@ fn recover_slab(
         return None;
     }
 
-    // Resolve interrupted morphs via the step flag (§5.2).
-    if h.flag != flag::NONE {
+    // Resolve interrupted morphs via the step flag (§5.2), and a step 1
+    // torn before its flag persisted.
+    if h.flag != flag::NONE || h.torn_morph_step1() {
         report.morphs_resolved += 1;
         match h.flag {
-            flag::OLD_SAVED => {
-                // Undo step 1: clear the old-layout fields.
+            flag::NONE | flag::OLD_SAVED => {
+                // Undo step 1: clear the old-layout fields. They share a
+                // line with the flag word, so they are fenced before the
+                // flag store lands on it.
                 pool.write_u64(e.off + 8, header_word1(h.data_offset, NO_OLD_CLASS, 0));
                 pool.write_u64(e.off + 16, 0);
                 pool.flush(t, e.off + 8, 16, FlushKind::Meta);
+                pool.fence(t);
                 persist_flag(pool, t, e.off, h.class, flag::NONE);
             }
             flag::INDEX_WRITTEN => {
@@ -259,6 +263,7 @@ fn recover_slab(
                 pool.write_u64(e.off + 8, header_word1(h.old_data_offset, NO_OLD_CLASS, 0));
                 pool.write_u64(e.off + 16, 0);
                 pool.flush(t, e.off + 8, 16, FlushKind::Meta);
+                pool.fence(t);
                 persist_flag(pool, t, e.off, h.class, flag::NONE);
             }
             flag::NEW_WRITTEN => {

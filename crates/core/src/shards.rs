@@ -423,8 +423,9 @@ mod tests {
             "guard held ≥2 ms must register ({} ns)",
             s.lock_hold_ns
         );
-        // Uncontended wait is tiny but the probe still ran: both
-        // histograms carry exactly the one acquisition.
+        // The lock was free, so the acquisition waited 0 ns; both
+        // histograms still carry exactly the one acquisition.
+        assert_eq!(s.lock_wait_ns, 0, "an uncontended acquisition waits 0 ns");
         assert_eq!(s.lock_wait_hist.count(), 1);
         assert_eq!(s.lock_hold_hist.count(), 1);
         // A blocked acquisition accumulates real wait time.

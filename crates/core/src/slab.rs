@@ -465,6 +465,15 @@ impl SlabHeader {
         Ok(vs)
     }
 
+    /// True for a header a crash left inside morph step 1: the old-layout
+    /// fields reached the media but the `OLD_SAVED` flag did not. Only
+    /// that state has flag `NONE` and `old_class == class`, because a
+    /// morph never targets the slab's own class and never starts on a
+    /// slab that is already morphed.
+    pub fn torn_morph_step1(&self) -> bool {
+        self.flag == flag::NONE && self.old_class == self.class
+    }
+
     /// True if the header records a morph in progress or a live `slab_in`.
     #[allow(dead_code)] // exercised by unit and integration tests
     pub fn is_morphed(&self) -> bool {

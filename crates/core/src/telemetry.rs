@@ -17,7 +17,7 @@
 //!   retired total and every live block whenever a snapshot is read.
 //! * [`TimedMutex`] / [`TimedGuard`] — the one lock-timing guard, shared
 //!   by arena locks, large-shard locks and the baselines' mutexes; each
-//!   lock keeps its [`LockStats`] beside it.
+//!   lock keeps its [`LockStats`] beside it, written only by its holder.
 //! * [`LatencyHistogram`] / [`OpHistograms`] — log2-bucketed histograms of
 //!   modelled nanoseconds per operation kind ([`OpKind`]).
 //! * [`json`] — a minimal serde-free JSON-lines writer used by
@@ -245,13 +245,19 @@ const SLOTS: usize = HISTS + OpKind::COUNT * HIST_BUCKETS;
 #[repr(align(64))]
 struct ProbeBlock([AtomicU64; SLOTS]);
 
+/// Single-writer add: a relaxed load and store, never a
+/// read-modify-write. Only one thread at a time may write `c`; readers
+/// load it relaxed.
+#[inline]
+fn add_single_writer(c: &AtomicU64, n: u64) {
+    c.store(c.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+}
+
 impl ProbeBlock {
-    /// Single-writer add: a relaxed load and store, never a
-    /// read-modify-write. Readers fold the block with relaxed loads.
+    /// Add to one slot (only the owning thread writes its block).
     #[inline]
     fn add(&self, slot: usize, n: u64) {
-        let c = &self.0[slot];
-        c.store(c.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+        add_single_writer(&self.0[slot], n);
     }
 
     fn add_into(&self, sum: &mut [u64]) {
@@ -397,8 +403,9 @@ impl Drop for Probe {
 
 // ----- lock timing -----
 
-/// A lock-free log2-bucketed histogram: the shared-atomic counterpart of
-/// [`LatencyHistogram`], recorded by every acquirer of one lock.
+/// A log2-bucketed histogram beside one lock: the atomic counterpart of
+/// [`LatencyHistogram`], written only by the lock's holder and read by
+/// anyone.
 #[derive(Debug)]
 struct AtomicHistogram {
     buckets: [AtomicU64; HIST_BUCKETS],
@@ -411,10 +418,10 @@ impl Default for AtomicHistogram {
 }
 
 impl AtomicHistogram {
-    /// Record one sample of `ns` nanoseconds (relaxed; never blocks).
+    /// Record one sample of `ns` nanoseconds (single writer: the holder).
     #[inline]
     fn record(&self, ns: u64) {
-        self.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
+        add_single_writer(&self.buckets[bucket_index(ns)], 1);
     }
 
     /// A plain-histogram copy of the current bucket counts.
@@ -428,9 +435,10 @@ impl AtomicHistogram {
 }
 
 /// Acquisition statistics of one mutex, kept beside it in a
-/// [`TimedMutex`]: only the lock's own acquirers, who already share its
-/// line, write them. Wait and hold are wall-clock nanoseconds, which the
-/// modelled PM clock never sees.
+/// [`TimedMutex`]: only the lock's holder writes them, just before it
+/// releases, so every counter and bucket is a relaxed load and store.
+/// Wait and hold are wall-clock nanoseconds, which the modelled PM clock
+/// never sees; an acquisition that found the lock free waited 0 ns.
 #[derive(Debug, Default)]
 #[repr(align(64))]
 pub struct LockStats {
@@ -462,6 +470,17 @@ impl LockStats {
     /// Total wall-clock nanoseconds the lock was held.
     pub fn hold_ns(&self) -> u64 {
         self.hold_ns.load(Ordering::Relaxed)
+    }
+
+    /// Count one acquisition. Called by the holder only, while it still
+    /// holds the lock, so no two writers ever meet.
+    fn record(&self, contended: bool, wait_ns: u64, hold_ns: u64) {
+        add_single_writer(&self.acquires, 1);
+        add_single_writer(&self.contended, contended as u64);
+        add_single_writer(&self.wait_ns, wait_ns);
+        add_single_writer(&self.hold_ns, hold_ns);
+        self.wait_hist.record(wait_ns);
+        self.hold_hist.record(hold_ns);
     }
 
     /// Add the wait and hold totals and histograms into `s`.
@@ -504,8 +523,11 @@ impl<T> TimedMutex<T> {
         &self.stats
     }
 
-    /// Counted acquisition: counts it (contended if `try_lock` fails) and
-    /// times wait and hold; with `pm` tracing, the release emits a
+    /// Counted acquisition. It tries the lock first: one that finds it
+    /// free reads the clock once and waited 0 ns; one that must block
+    /// (contended) reads it before blocking and again once it holds the
+    /// lock. The release reads it once more and records everything while
+    /// still holding the lock. With `pm` tracing, the release emits a
     /// `LockAcquire` stamped at the acquisition's virtual time. Stats off
     /// and no tracer: a bare `lock()`, no clock read, no atomic.
     pub fn timed(&self, pm: Option<&PmThread>) -> TimedGuard<'_, T> {
@@ -513,19 +535,17 @@ impl<T> TimedMutex<T> {
         if !self.stats.enabled && trace.is_none() {
             return TimedGuard { guard: self.lock.lock(), timing: None };
         }
-        let stats = self.stats.enabled.then_some(&self.stats);
-        if let Some(s) = stats {
-            s.acquires.fetch_add(1, Ordering::Relaxed);
-        }
-        let wait = Instant::now();
-        let guard = self.lock.try_lock().unwrap_or_else(|| {
-            if let Some(s) = stats {
-                s.contended.fetch_add(1, Ordering::Relaxed);
+        let (guard, held, wait_ns) = match self.lock.try_lock() {
+            Some(guard) => (guard, Instant::now(), None),
+            None => {
+                let wait = Instant::now();
+                let guard = self.lock.lock();
+                let held = Instant::now();
+                (guard, held, Some(held.duration_since(wait).as_nanos() as u64))
             }
-            self.lock.lock()
-        });
-        let wait_ns = wait.elapsed().as_nanos() as u64;
-        TimedGuard { guard, timing: Some(Timing { stats, wait_ns, held: Instant::now(), trace }) }
+        };
+        let stats = self.stats.enabled.then_some(&self.stats);
+        TimedGuard { guard, timing: Some(Timing { stats, wait_ns, held, trace }) }
     }
 }
 
@@ -538,7 +558,9 @@ pub struct TimedGuard<'a, T> {
 
 struct Timing<'a> {
     stats: Option<&'a LockStats>,
-    wait_ns: u64,
+    /// Wall-clock wait of a contended acquisition; `None` when the lock
+    /// was free.
+    wait_ns: Option<u64>,
     held: Instant,
     /// The acquiring thread's tracer and virtual-clock time.
     trace: Option<(TracerHandle, u64)>,
@@ -560,17 +582,15 @@ impl<T> DerefMut for TimedGuard<'_, T> {
 impl<T> Drop for TimedGuard<'_, T> {
     fn drop(&mut self) {
         // Runs before the `guard` field drops, so the hold is measured
-        // while the lock is still held.
+        // and the statistics are written while the lock is still held.
         let Some(t) = &self.timing else { return };
         let hold_ns = t.held.elapsed().as_nanos() as u64;
+        let wait_ns = t.wait_ns.unwrap_or(0);
         if let Some(s) = t.stats {
-            s.wait_ns.fetch_add(t.wait_ns, Ordering::Relaxed);
-            s.hold_ns.fetch_add(hold_ns, Ordering::Relaxed);
-            s.wait_hist.record(t.wait_ns);
-            s.hold_hist.record(hold_ns);
+            s.record(t.wait_ns.is_some(), wait_ns, hold_ns);
         }
         if let Some((tracer, at_ns)) = &t.trace {
-            tracer.emit(*at_ns, EventKind::LockAcquire.code(), t.wait_ns, hold_ns);
+            tracer.emit(*at_ns, EventKind::LockAcquire.code(), wait_ns, hold_ns);
         }
     }
 }
@@ -1266,6 +1286,19 @@ mod tests {
         assert!(j.contains("\"hist\":{\"malloc_small\":["));
         // Quiet classes are omitted from the per-class list.
         assert!(!j.contains("\"class\":0,"));
+    }
+
+    #[test]
+    fn uncontended_acquisition_records_a_zero_wait() {
+        let m = TimedMutex::new((), true);
+        drop(m.timed(None));
+        let st = m.stats();
+        assert_eq!((st.acquires(), st.contended(), st.wait_ns()), (1, 0, 0));
+        let mut s = MetricsSnapshot::default();
+        st.fold_into(&mut s);
+        assert_eq!(s.lock_wait_hist.buckets[0], 1, "the free lock's wait lands in bucket 0");
+        assert_eq!(s.lock_wait_hist.count(), 1);
+        assert_eq!(s.lock_hold_hist.count(), 1, "one hold sample");
     }
 
     #[test]

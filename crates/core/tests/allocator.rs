@@ -59,18 +59,27 @@ fn garbage_pointers_are_not_allocated() {
         assert!(matches!(t.free_from(root), Err(PmError::NotAllocated)), "{garbage:#x}");
         assert_eq!(a.usable_size(garbage), None, "{garbage:#x}");
     }
-    // Addresses inside a live allocation are not its base: `None` for a
-    // small block and for an extent alike, which is what lets a caller
-    // vouch for a stored pointer with this call.
+    // Addresses inside a live allocation are not its base: `None` and a
+    // refused free for a small block and for an extent alike, which is
+    // what lets a caller vouch for a stored pointer with this call. An
+    // extent's interior and last pages miss in the rtree, which holds only
+    // its base page.
+    let other = a.root_offset(1);
     for size in [100usize, 40_000] {
         let block = t.malloc_to(size, root).unwrap();
-        let granted = a.usable_size(block).expect("live base");
-        assert!(granted >= size);
-        for interior in
-            [block + 8, block + 4096.min(granted as u64 / 2), block + granted as u64 - 8]
-        {
-            assert_eq!(a.usable_size(interior), None, "{size} B at {block:#x}: {interior:#x}");
+        let granted = a.usable_size(block).expect("live base") as u64;
+        assert!(granted >= size as u64);
+        let mut offsets = vec![8, 4096.min(granted / 2), granted - 8];
+        if granted > 4096 {
+            offsets.extend([4096, 4096 + 8, granted - 4096, granted - 4096 + 8]);
         }
+        for interior in offsets.into_iter().map(|o| block + o) {
+            let at = format!("{size} B at {block:#x}: {interior:#x}");
+            assert_eq!(a.usable_size(interior), None, "{at}");
+            p.write_u64(other, interior);
+            assert!(matches!(t.free_from(other), Err(PmError::NotAllocated)), "{at}");
+        }
+        assert_eq!(a.usable_size(block), Some(granted as usize), "refused frees left it live");
         t.free_from(root).unwrap();
     }
 }

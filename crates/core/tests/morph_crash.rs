@@ -6,8 +6,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use nvalloc::api::PmAllocator;
-use nvalloc::{NvAllocator, NvConfig};
+use nvalloc::api::{AllocThread, PmAllocator};
+use nvalloc::doctor::audit_pool;
+use nvalloc::{NvAllocator, NvConfig, SLAB_SIZE};
 use nvalloc_pmem::{LatencyMode, PmemConfig, PmemPool};
 
 fn crash_pool(mb: usize) -> Arc<PmemPool> {
@@ -148,4 +149,90 @@ fn morph_crash_cycles() {
         }
         image = p.crash();
     }
+}
+
+/// A heap holding one 100 B slab with 24 live blocks spread across it.
+/// Every other block of the class is freed and returned from the thread
+/// cache, so the next refill of another class morphs the slab.
+struct SparseSlab {
+    pool: Arc<PmemPool>,
+    alloc: NvAllocator,
+    thread: Box<dyn AllocThread>,
+    slab: u64,
+    /// The live blocks by root index.
+    keep: Vec<(usize, u64)>,
+}
+
+fn slab_with_24_live_blocks(cfg: &NvConfig) -> SparseSlab {
+    let pool = PmemPool::new(
+        PmemConfig::default()
+            .pool_size(16 << 20)
+            .latency_mode(LatencyMode::Off)
+            .crash_tracking(true)
+            .pmsan(true),
+    );
+    let alloc = NvAllocator::create(Arc::clone(&pool), cfg.clone()).unwrap();
+    let mut thread = alloc.thread();
+    let blocks: Vec<u64> =
+        (0..600).map(|i| thread.malloc_to(100, alloc.root_offset(i)).unwrap()).collect();
+    let slab = blocks[0] & !(SLAB_SIZE as u64 - 1);
+    let mut mine: Vec<(u64, usize)> = (0..blocks.len())
+        .filter(|&i| blocks[i] & !(SLAB_SIZE as u64 - 1) == slab)
+        .map(|i| (blocks[i], i))
+        .collect();
+    mine.sort_unstable();
+    // Well clear of the slab header, which the morph rewrites.
+    let keep: Vec<(usize, u64)> =
+        mine.iter().skip(60).step_by(20).take(24).map(|&(addr, i)| (i, addr)).collect();
+    assert_eq!(keep.len(), 24, "the slab holds {} blocks", mine.len());
+    for i in 0..blocks.len() {
+        if !keep.iter().any(|&(k, _)| k == i) {
+            thread.free_from(alloc.root_offset(i)).unwrap();
+        }
+    }
+    thread.flush_cache();
+    SparseSlab { pool, alloc, thread, slab, keep }
+}
+
+/// Crash a slab morph at every flush. A 100 B slab holding 24 live blocks
+/// morphs to 1200 B inside one `malloc_to`; whatever prefix of the
+/// transform reached the media, recovery keeps all 24 blocks, stays
+/// silent under the persist-ordering sanitizer, and leaves an image that
+/// audits clean. One prefix ends inside step 1: the old-layout fields
+/// persisted, the `OLD_SAVED` flag did not.
+#[test]
+fn morph_crashed_at_every_flush_keeps_its_live_blocks() {
+    let cfg = NvConfig::log().arenas(1);
+    let dest = 1000;
+    let total = {
+        let SparseSlab { pool, alloc, mut thread, slab, .. } = slab_with_24_live_blocks(&cfg);
+        let f0 = pool.stats().flushes();
+        let addr = thread.malloc_to(1200, alloc.root_offset(dest)).unwrap();
+        assert_eq!(addr & !(SLAB_SIZE as u64 - 1), slab, "the malloc did not morph the slab");
+        pool.stats().flushes() - f0
+    };
+    let mut torn_step1 = 0;
+    for n in 0..=total {
+        let SparseSlab { pool, alloc, mut thread, slab, keep } = slab_with_24_live_blocks(&cfg);
+        pool.freeze_persistence_after(n);
+        thread.malloc_to(1200, alloc.root_offset(dest)).unwrap();
+        let img = PmemPool::from_crash_image(pool.crash());
+        // Header word 0 holds the flag (bits 48..) and the class (bits
+        // 32..), word 1 the old class (bits 32..).
+        let (w0, w1) = (img.read_u64(slab), img.read_u64(slab + 8));
+        if w0 >> 48 == 0 && (w0 >> 32) as u16 == (w1 >> 32) as u16 {
+            torn_step1 += 1;
+        }
+        let (ra, _) = NvAllocator::recover(Arc::clone(&img), cfg.clone())
+            .unwrap_or_else(|e| panic!("freeze={n}/{total}: {e}"));
+        let back = keep.iter().filter(|&&(_, addr)| ra.usable_size(addr) == Some(112)).count();
+        assert_eq!(back, 24, "freeze={n}/{total}: {back} of 24 live blocks recovered");
+        for &(i, addr) in &keep {
+            assert_eq!(img.read_u64(ra.root_offset(i)), addr, "freeze={n}/{total}: root {i}");
+        }
+        assert_eq!(img.pmsan_total(), 0, "freeze={n}/{total}: {:?}", img.pmsan_report());
+        let rep = audit_pool(&img, &cfg);
+        assert!(rep.clean(), "freeze={n}/{total}: {:?}", rep.violations);
+    }
+    assert_eq!(torn_step1, 1, "exactly one prefix ends inside step 1");
 }

@@ -291,7 +291,7 @@ pub fn exhaustive_opts(max_schedules: usize, bound: usize) -> ExploreOptions {
 /// allocation paths (hundreds of branchy decisions per schedule, each
 /// schedule costing a heap setup plus crash-image recoveries), so 1 is
 /// the largest bound whose space completes within a CI budget — measured
-/// spaces: remote 1193 schedules, rtree 560, global 2141 (bands in
+/// spaces: remote 1193 schedules, rtree 535, global 911 (bands in
 /// `ci/sched_thresholds.json`). The seeded PCT pass layers deeper
 /// preemption patterns on top, and the structure-level queue models in
 /// `tests/sched_mutation.rs` run a full bound-2 space.

@@ -8,7 +8,9 @@
 //! objects intact, the realloc target present as old, old+new, or new,
 //! **never neither**, no stale publication — with no overlap and no
 //! double-ownership, and the persist-ordering sanitizer must stay silent
-//! on both sides of the crash. The final tests pin the clean rejection of
+//! on both sides of the crash. A third sweep crashes an `nv_calloc` onto a
+//! block of stale bytes: it recovers no object or an all-zero one. The
+//! final tests pin the clean rejection of
 //! mismatched directory magic / layout version and of a damaged slot-page
 //! chain, and a failed `nv_malloc`'s silence under the sanitizer.
 
@@ -16,7 +18,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use nvalloc::api::PmAllocator;
-use nvalloc::global::{self, nv_free, nv_malloc, nv_realloc, nv_usable_size};
+use nvalloc::global::{self, nv_calloc, nv_free, nv_malloc, nv_realloc, nv_usable_size};
 use nvalloc::NvConfig;
 use nvalloc_pmem::{FlushKind, LatencyMode, PmError, PmemConfig, PmemPool};
 
@@ -368,6 +370,67 @@ fn slot_page_grow_crash_matrix() {
         let p = nv_malloc(Y_SIZE);
         assert!(!p.is_null(), "{label}: heap unusable after re-attach");
         nv_free(p);
+        pmsan_clean(&img, &format!("after recovery ({label})"));
+    }
+}
+
+/// Crash at every flush of one `nv_calloc(1, 200)` onto a block holding
+/// persisted 0xAB bytes (one of 64 freed `nv_malloc` blocks, all filled
+/// so). Each attach recovers no new object or an all-zero one: the zero
+/// fill is durable before the object is published.
+#[test]
+fn calloc_zero_fill_crash_matrix() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    const LEN: usize = 200;
+    // Settled prefix: 64 blocks of persisted 0xAB, freed.
+    let prefix = |pool: &Arc<PmemPool>| -> Vec<u64> {
+        global::init(Arc::clone(pool), cfg()).expect("init");
+        let ptrs: Vec<_> = (0..64).map(|_| nv_malloc(LEN)).collect();
+        let mut pt = pool.register_thread();
+        let offs: Vec<u64> = ptrs.iter().map(|&p| off_of(pool, p)).collect();
+        for &off in &offs {
+            pool.write_bytes(off, &[0xAB; LEN]);
+            pool.flush(&mut pt, off, LEN, FlushKind::Data);
+        }
+        pool.fence(&mut pt);
+        ptrs.into_iter().for_each(|p| nv_free(p));
+        offs
+    };
+    let total = {
+        let _reset = Reset;
+        let pool = crash_pool();
+        let stale = prefix(&pool);
+        let f0 = pool.stats().flushes();
+        let block = off_of(&pool, nv_calloc(1, LEN));
+        assert!(stale.contains(&block), "calloc took a block without stale bytes");
+        pmsan_clean(&pool, "in unfrozen calloc");
+        pool.stats().flushes() - f0
+    };
+    for n in 0..=total {
+        let label = format!("freeze={n}/{total}");
+        let _reset = Reset;
+        let pool = crash_pool();
+        prefix(&pool);
+        pool.freeze_persistence_after(n);
+        let block = off_of(&pool, nv_calloc(1, LEN));
+        pmsan_clean(&pool, &format!("pre-crash ({label})"));
+        let img = PmemPool::from_crash_image(pool.crash());
+        // SAFETY: serialized by LOCK; the old incarnation's pointers are
+        // not used again.
+        unsafe { global::reset_unchecked() };
+        global::init(Arc::clone(&img), cfg())
+            .unwrap_or_else(|e| panic!("{label}: attach after crash failed: {e}"));
+        let rec: Vec<u64> = global::recovered_objects()
+            .into_iter()
+            .map(|(p, _)| (p as usize - img.base_ptr() as usize) as u64)
+            .collect();
+        assert!(rec.iter().all(|&o| o == block), "{label}: unexpected objects {rec:x?}");
+        if !rec.is_empty() {
+            let mut buf = [0u8; LEN];
+            img.read_bytes(block, &mut buf);
+            let dirty = buf.iter().filter(|&&b| b != 0).count();
+            assert_eq!(dirty, 0, "{label}: the recovered calloc object has {dirty} non-zero bytes");
+        }
         pmsan_clean(&img, &format!("after recovery ({label})"));
     }
 }
