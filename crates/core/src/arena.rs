@@ -432,7 +432,7 @@ mod tests {
     fn arena_state_flag_roundtrip() {
         let p = pool();
         let mut t = p.register_thread();
-        let a = Arena::new(0, 512, WalRegion::create(&p, 4096, 16), true);
+        let a = Arena::new(0, 512, WalRegion::open(4096, 16), true);
         assert_eq!(a.state(&p), 0);
         a.set_state(&p, &mut t, arena_state::RUNNING);
         assert_eq!(a.state(&p), arena_state::RUNNING);

@@ -167,15 +167,39 @@ impl PmBitmap {
         pool.fill_bytes(self.base, self.layout.bytes(), 0);
     }
 
-    /// Collect the allocated-block indices (recovery scan).
-    pub fn scan_set(&self, pool: &PmemPool) -> Vec<usize> {
-        (0..self.layout.nbits).filter(|&i| self.get(pool, i)).collect()
+    /// The one bulk reader: a dense copy of the bitmap, in which bit
+    /// `i % 64` of word `i / 64` is block `i`'s bit. Each stripe word is
+    /// read once and its set bits are mapped back to block indices; bits
+    /// past `nbits` (stripe padding) are ignored.
+    pub fn read_dense(&self, pool: &PmemPool) -> Vec<u64> {
+        let l = &self.layout;
+        let mut dense = vec![0u64; l.nbits.div_ceil(64)];
+        for s in 0..l.stripes {
+            for w in 0..l.nbits.div_ceil(l.stripes).div_ceil(64) {
+                let word = [pool.read_u64(self.base + (s * l.stripe_bytes + w * 8) as u64)];
+                let blocks = set_bits(&word).map(|j| (w * 64 + j) * l.stripes + s);
+                for i in blocks.take_while(|&i| i < l.nbits) {
+                    dense[i / 64] |= 1 << (i % 64);
+                }
+            }
+        }
+        dense
     }
 
     /// Count set bits.
     pub fn count_set(&self, pool: &PmemPool) -> usize {
-        (0..self.layout.nbits).filter(|&i| self.get(pool, i)).count()
+        self.read_dense(pool).iter().map(|w| w.count_ones() as usize).sum()
     }
+}
+
+/// The indices of the set bits of a dense bitmap
+/// ([`PmBitmap::read_dense`]), ascending.
+pub fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        std::iter::successors(Some(word), |&rest| Some(rest & rest.wrapping_sub(1)))
+            .take_while(|&rest| rest != 0)
+            .map(move |rest| w * 64 + rest.trailing_zeros() as usize)
+    })
 }
 
 #[cfg(test)]
@@ -249,8 +273,37 @@ mod tests {
         for i in [0usize, 7, 13, 63] {
             bm.write_volatile(&p, i, true);
         }
-        assert_eq!(bm.scan_set(&p), vec![0, 7, 13, 63]);
+        assert_eq!(set_bits(&bm.read_dense(&p)).collect::<Vec<_>>(), vec![0, 7, 13, 63]);
         assert_eq!(bm.count_set(&p), 4);
+    }
+
+    /// The word reader yields exactly the blocks `get` reports set, on
+    /// every layout of `layout_bits_are_unique`, and ignores padding bits
+    /// set past `nbits`.
+    #[test]
+    fn word_reader_matches_per_bit_reads() {
+        use rand::{Rng, SeedableRng};
+        for (n, s) in [(1024, 6), (100, 4), (8192, 8), (7, 6), (16, 16), (5, 8)] {
+            let layout = BitmapLayout::new(n, s);
+            for seed in 0..8u64 {
+                let p = pool();
+                let bm = PmBitmap::new(4096, layout);
+                // Padding first: every bit of the region, then clear the
+                // real ones, so only bits past `nbits` stay set.
+                p.fill_bytes(4096, layout.bytes(), 0xff);
+                (0..n).for_each(|i| bm.write_volatile(&p, i, false));
+                let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+                let density: f64 = rng.gen();
+                (0..n).filter(|_| rng.gen_bool(density)).for_each(|i| {
+                    bm.write_volatile(&p, i, true);
+                });
+                let want: Vec<usize> = (0..n).filter(|&i| bm.get(&p, i)).collect();
+                let got: Vec<usize> = set_bits(&bm.read_dense(&p)).collect();
+                assert_eq!(got, want, "({n},{s}) seed {seed}");
+                assert_eq!(bm.count_set(&p), want.len());
+                assert_eq!(bm.read_dense(&p).len(), n.div_ceil(64));
+            }
+        }
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! a fresh chain under the inactive pointer and switches atomically by
 //! flipping `alt`.
 //!
-//! Every chunk has a volatile twin (*vchunk*) carrying a validity bitmap;
-//! vchunks live in an ordered map (the paper uses a red-black tree — Rust's
-//! `BTreeMap` is the equivalent balanced ordered map). Freeing an extent
+//! Every chunk has a volatile twin (*vchunk*) carrying a validity bitmap.
+//! vchunks live in one table indexed by chunk id (ids are dense below the
+//! carve mark), which iterates in ascending id order like the paper's
+//! red-black tree and finds a chunk without a search. Freeing an extent
 //! appends a *tombstone* entry that names the victim entry by
 //! `(chunk, slot, epoch)` and clears the victim's vchunk bit.
 //!
@@ -24,7 +25,7 @@
 //! exactly like slab bitmaps (`IM(bookkeeping log)`, Table 2), because
 //! consecutive 8-byte appends would otherwise reflush the line.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use nvalloc_pmem::{FlushKind, PmError, PmOffset, PmResult, PmThread, PmemPool};
 
@@ -121,7 +122,7 @@ pub struct EntryRef {
     epoch: u32,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct VChunk {
     bitmap: [u64; 2],
     live: u16,
@@ -179,8 +180,11 @@ pub struct BookLog {
     base: PmOffset,
     region_bytes: usize,
     map: Interleave,
-    /// Volatile chunk index (paper: red-black tree of vchunks).
-    vchunks: BTreeMap<u32, VChunk>,
+    /// Volatile chunk table (paper: a red-black tree), one slot per carved
+    /// chunk id; `Some` exactly for the chunks on the active chain.
+    vchunks: Vec<Option<VChunk>>,
+    /// Number of `Some` slots in `vchunks`.
+    chained: usize,
     free: Vec<u32>,
     head: Option<u32>,
     tail: Option<u32>,
@@ -210,7 +214,8 @@ impl BookLog {
         self.chunk_off(id) + CHUNK_HEADER_BYTES as u64 + slot as u64 * 8
     }
 
-    /// Initialise a fresh log in `[base, base + region_bytes)`.
+    /// Start a fresh log in `[base, base + region_bytes)`, whose header
+    /// the pool format has zeroed durably (`NvAllocator::create`).
     pub fn create(
         pool: &PmemPool,
         base: PmOffset,
@@ -220,14 +225,16 @@ impl BookLog {
         slow_gc_threshold_bytes: usize,
     ) -> Self {
         assert!(region_bytes >= LOG_HEADER_BYTES + 2 * CHUNK_BYTES, "booklog region too small");
-        // Fresh media is already zero; restating it owes no flush.
-        pool.fill_bytes(base, LOG_HEADER_BYTES, 0);
-        pool.pmsan_mark_persisted(base, LOG_HEADER_BYTES);
+        debug_assert!(
+            (0..LOG_HEADER_BYTES as u64 / 8).all(|w| pool.read_u64(base + w * 8) == 0),
+            "booklog {base:#x}: the format leaves the log header zero"
+        );
         BookLog {
             base,
             region_bytes,
             map: Interleave::new(ENTRIES_PER_CHUNK, 8, stripes),
-            vchunks: BTreeMap::new(),
+            vchunks: Vec::new(),
+            chained: 0,
             free: Vec::new(),
             head: None,
             tail: None,
@@ -249,12 +256,17 @@ impl BookLog {
 
     /// Bytes of log chunks currently in the active chain.
     pub fn active_bytes(&self) -> usize {
-        self.vchunks.len() * CHUNK_BYTES
+        self.chained * CHUNK_BYTES
     }
 
     /// Number of live entries.
     pub fn live_entries(&self) -> usize {
-        self.vchunks.values().map(|v| v.live as usize).sum()
+        self.vchunks.iter().flatten().map(|v| v.live as usize).sum()
+    }
+
+    /// The vchunk of chained chunk `id`.
+    fn vchunk(&mut self, id: u32) -> &mut VChunk {
+        self.vchunks[id as usize].as_mut().expect("chunk is on the active chain")
     }
 
     fn persist_header_word(&self, pool: &PmemPool, t: &mut PmThread, word_idx: u64, value: u64) {
@@ -291,6 +303,7 @@ impl BookLog {
         }
         let id = self.carved;
         self.carved += 1;
+        self.vchunks.push(None);
         let off = self.chunk_off(id);
         pool.fill_bytes(off, CHUNK_BYTES, 0);
         pool.write_u64(off, id as u64 | 1 << 32); // epoch 1
@@ -332,9 +345,7 @@ impl BookLog {
             Some(tail_id) => {
                 // tail.next = id (+1 encoding; 0 = none).
                 pool.persist_u64(t, self.chunk_off(tail_id) + 8, id as u64 + 1, FlushKind::BookLog);
-                if let Some(tv) = self.vchunks.get_mut(&tail_id) {
-                    tv.next = Some(id);
-                }
+                self.vchunk(tail_id).next = Some(id);
             }
             None => {
                 // Empty chain: set the active head pointer.
@@ -345,7 +356,9 @@ impl BookLog {
         }
         let mut v = VChunk::empty(epoch);
         v.prev = self.tail;
-        self.vchunks.insert(id, v);
+        debug_assert!(self.vchunks[id as usize].is_none(), "chunk {id} chained twice");
+        self.vchunks[id as usize] = Some(v);
+        self.chained += 1;
         self.tail = Some(id);
         self.tail_fill = 0;
     }
@@ -389,7 +402,7 @@ impl BookLog {
         pool.charge_store(t, off, 8);
         pool.flush(t, off, 8, FlushKind::BookLog);
         pool.fence(t);
-        let vc = self.vchunks.get_mut(&chunk).expect("tail vchunk");
+        let vc = self.vchunk(chunk);
         vc.set(slot);
         let epoch = vc.epoch;
         self.appends_since_fast_gc += 1;
@@ -409,7 +422,7 @@ impl BookLog {
             | (er.epoch as u64) << 32;
         self.append_word(pool, t, word)?;
         self.stats.tombstones += 1;
-        if let Some(vc) = self.vchunks.get_mut(&er.chunk) {
+        if let Some(Some(vc)) = self.vchunks.get_mut(er.chunk as usize) {
             if vc.epoch == er.epoch && vc.is_set(er.slot) {
                 vc.clear(er.slot);
             }
@@ -444,31 +457,26 @@ impl BookLog {
         self.gc_enabled && self.active_bytes() > self.slow_gc_threshold_bytes
     }
 
-    /// Fast GC (§5.3): move empty chunks to the free list. Touches no PM.
+    /// Fast GC (§5.3): move empty chunks to the free list, in ascending
+    /// chunk id. Touches no PM.
     pub fn fast_gc(&mut self) {
         self.appends_since_fast_gc = 0;
         self.stats.fast_gc_runs += 1;
-        let empties: Vec<u32> = self
-            .vchunks
-            .iter()
-            .filter(|(id, v)| v.live == 0 && Some(**id) != self.tail)
-            .map(|(id, _)| *id)
-            .collect();
-        for id in empties {
-            let v = self.vchunks.remove(&id).expect("empty vchunk");
+        for id in 0..self.carved {
+            let empty = self.vchunks[id as usize].as_ref().is_some_and(|v| v.live == 0);
+            if !empty || Some(id) == self.tail {
+                continue;
+            }
+            let v = self.vchunks[id as usize].take().expect("empty vchunk");
+            self.chained -= 1;
             // Splice volatile neighbours; the persistent unlink happens at
             // reuse (acquire) or at the next slow GC, whichever first.
-            if let Some(p) = v.prev {
-                if let Some(pv) = self.vchunks.get_mut(&p) {
-                    pv.next = v.next;
-                }
-            } else {
-                self.head = v.next;
+            match v.prev {
+                Some(p) => self.vchunk(p).next = v.next,
+                None => self.head = v.next,
             }
             if let Some(n) = v.next {
-                if let Some(nv) = self.vchunks.get_mut(&n) {
-                    nv.prev = v.prev;
-                }
+                self.vchunk(n).prev = v.prev;
             }
             self.free.push(id);
             self.stats.fast_gc_chunks += 1;
@@ -493,9 +501,10 @@ impl BookLog {
         // Snapshot live *normal* entries in chain order; tombstones are
         // dropped in the process (§5.3).
         let mut live: Vec<(EntryRef, u64)> = Vec::with_capacity(self.live_entries());
+        let mut old_chain = Vec::with_capacity(self.chained);
         let mut cur = self.head;
         while let Some(id) = cur {
-            let v = &self.vchunks[&id];
+            let v = self.vchunks[id as usize].take().expect("chunk is on the active chain");
             for slot in 0..ENTRIES_PER_CHUNK as u8 {
                 if v.is_set(slot) {
                     let word = pool.read_u64(self.slot_off(id, slot));
@@ -504,12 +513,15 @@ impl BookLog {
                     }
                 }
             }
+            old_chain.push(id);
             cur = v.next;
         }
 
-        // Build the new chain in a scratch BookLog state.
-        let old_vchunks = std::mem::take(&mut self.vchunks);
-        let old_head = self.head.take();
+        // Build the new chain in a scratch BookLog state: the walk above
+        // emptied the table.
+        debug_assert_eq!(old_chain.len(), self.chained);
+        self.chained = 0;
+        self.head = None;
         self.tail = None;
         self.tail_fill = 0;
         self.alt ^= 1; // appends now target the other head pointer
@@ -545,14 +557,7 @@ impl BookLog {
         }
         t.trace(crate::trace::EventKind::BooklogGc.code(), 1, moves.len() as u64);
         // Recycle the old chain.
-        let mut cur = old_head;
-        let mut seen = 0u32;
-        while let Some(id) = cur {
-            cur = old_vchunks[&id].next;
-            self.free.push(id);
-            seen += 1;
-            debug_assert!(seen <= self.carved);
-        }
+        self.free.extend(old_chain);
         self.in_gc = false;
         Ok(moves)
     }
@@ -607,7 +612,8 @@ impl BookLog {
             base,
             region_bytes,
             map: Interleave::new(ENTRIES_PER_CHUNK, 8, stripes),
-            vchunks: BTreeMap::new(),
+            vchunks: vec![None; carved as usize],
+            chained: 0,
             free: Vec::new(),
             head,
             tail: None,
@@ -621,14 +627,14 @@ impl BookLog {
             stats: BookLogStats::default(),
         };
 
-        // Pass 1: walk the chain, reading raw entries.
-        let mut seen = vec![false; carved as usize];
+        // Pass 1: walk the chain, reading normal entries; tombstones stay
+        // live (until slow GC) exactly as at runtime.
         let mut cur = head;
         let mut raw: Vec<(u32, u8, u64)> = Vec::new();
         let mut tombs: Vec<EntryRef> = Vec::new();
         let mut prev: Option<u32> = None;
         while let Some(id) = cur {
-            if std::mem::replace(&mut seen[id as usize], true) {
+            if log.vchunks[id as usize].is_some() {
                 return Err(bad(format!("chain revisits chunk {id}")));
             }
             let off = log.chunk_off(id);
@@ -636,8 +642,7 @@ impl BookLog {
             if hdr as u32 != id {
                 return Err(bad(format!("chunk {id} header names chunk {}", hdr as u32)));
             }
-            let epoch = (hdr >> 32) as u32;
-            let mut v = VChunk::empty(epoch);
+            let mut v = VChunk::empty((hdr >> 32) as u32);
             v.prev = prev;
             for slot in 0..ENTRIES_PER_CHUNK as u8 {
                 let word = pool.read_u64(log.slot_off(id, slot));
@@ -645,49 +650,47 @@ impl BookLog {
                     TYPE_EXTENT | TYPE_SLAB => raw.push((id, slot, word)),
                     TYPE_TOMBSTONE => {
                         tombs.push(Self::decode_tombstone(word));
-                        raw.push((id, slot, word));
+                        v.set(slot);
                     }
                     _ => {}
                 }
             }
             let next = link(pool.read_u64(off + 8))?;
             v.next = next;
-            log.vchunks.insert(id, v);
+            log.vchunks[id as usize] = Some(v);
+            log.chained += 1;
             prev = Some(id);
             cur = next;
         }
         log.tail = prev;
 
-        // Pass 2: cancel tombstoned entries (epoch-checked).
-        use std::collections::HashSet;
-        let mut dead: HashSet<(u32, u8)> = HashSet::new();
+        // Pass 2: cancel tombstoned entries (epoch-checked) in one 128-bit
+        // mask per chunk. A tombstone naming a chunk off the chain, carved
+        // or not, cancels nothing.
+        let mut dead = vec![0u128; carved as usize];
         for tr in &tombs {
-            if let Some(v) = log.vchunks.get(&tr.chunk) {
+            if let Some(Some(v)) = log.vchunks.get(tr.chunk as usize) {
                 if v.epoch == tr.epoch {
-                    dead.insert((tr.chunk, tr.slot));
+                    dead[tr.chunk as usize] |= 1 << tr.slot;
                 }
             }
         }
 
-        // Pass 3: survivors get their vchunk bits; tombstones stay live
-        // (until slow GC) exactly as at runtime.
-        let mut out = Vec::new();
+        // Pass 3: survivors get their vchunk bits.
+        let mut out = Vec::with_capacity(raw.len());
         for (chunk, slot, word) in raw {
-            let is_tomb = word & TYPE_BITS == TYPE_TOMBSTONE;
-            if !is_tomb && dead.contains(&(chunk, slot)) {
+            if dead[chunk as usize] >> slot & 1 == 1 {
                 continue;
             }
-            let epoch = log.vchunks[&chunk].epoch;
-            log.vchunks.get_mut(&chunk).expect("chunk in map").set(slot);
-            if !is_tomb {
-                let e = BookEntry::decode(word).expect("typed word decodes");
-                out.push((EntryRef { chunk, slot, epoch }, e));
-            }
+            let v = log.vchunk(chunk);
+            v.set(slot);
+            let e = BookEntry::decode(word).expect("typed word decodes");
+            out.push((EntryRef { chunk, slot, epoch: v.epoch }, e));
         }
 
         // Tail fill: resume after the last used logical slot of the tail.
         if let Some(tail) = log.tail {
-            let v = &log.vchunks[&tail];
+            let v = log.vchunks[tail as usize].as_ref().expect("tail is chained");
             let mut fill = 0u8;
             for logical in 0..ENTRIES_PER_CHUNK {
                 let slot = log.map.physical(logical) as u8;
@@ -700,7 +703,7 @@ impl BookLog {
         }
 
         // Orphaned chunks (carved but unreachable) return to the free list.
-        log.free = (0..carved).filter(|id| !seen[*id as usize]).collect();
+        log.free = (0..carved).filter(|&id| log.vchunks[id as usize].is_none()).collect();
         Ok((log, out))
     }
 
@@ -798,7 +801,7 @@ mod tests {
         for i in 0..(ENTRIES_PER_CHUNK * 3) as u64 {
             log.append(&p, &mut t, entry(i << 12, 4096)).unwrap();
         }
-        assert_eq!(log.vchunks.len(), 3);
+        assert_eq!(log.chained, 3);
         assert_eq!(log.live_entries(), ENTRIES_PER_CHUNK * 3);
     }
 
@@ -895,6 +898,70 @@ mod tests {
             let (live, got) = reuse_reaped_chunk_then_crash(victim);
             assert_eq!(live.len(), 2 * ENTRIES_PER_CHUNK + 1);
             assert_eq!(got, live, "reaped chunk {victim}: recovery must find every live entry");
+        }
+    }
+
+    /// `open` on the crash image of `log`'s pool returns exactly `live`,
+    /// refs included, and the runtime per-chunk live counts. A chunk fast
+    /// GC reaped is still chained on media and holds no live entry there.
+    fn assert_open_matches(p: &PmemPool, log: &BookLog, live: &[(EntryRef, BookEntry)]) {
+        let img = PmemPool::from_crash_image(p.crash());
+        let (opened, entries) =
+            BookLog::recover(&img, 0, log.region_bytes, 6, true, log.slow_gc_threshold_bytes);
+        let key = |&(r, e): &(EntryRef, BookEntry)| (r.chunk, r.slot, r.epoch, e.addr, e.is_slab);
+        let mut got: Vec<_> = entries.iter().map(key).collect();
+        let mut want: Vec<_> = live.iter().map(key).collect();
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want);
+        let counts = |l: &BookLog| -> Vec<u16> {
+            l.vchunks.iter().map(|v| v.as_ref().map_or(0, |v| v.live)).collect()
+        };
+        assert_eq!(counts(&opened), counts(log));
+    }
+
+    /// Seeded append/delete churn with GC on, over at least 400 live
+    /// entries: oldest-first deletes empty the chunks slow GC packed, fast
+    /// GC reaps them, and their reuse bumps epochs while tombstones naming
+    /// their old entries are still chained. `open` agrees with the runtime
+    /// log every 400 operations.
+    #[test]
+    fn open_matches_the_runtime_log_through_gc_churn() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..4u64 {
+            let p = PmemPool::new(
+                PmemConfig::default()
+                    .pool_size(1 << 20)
+                    .latency_mode(LatencyMode::Off)
+                    .crash_tracking(true),
+            );
+            let mut t = p.register_thread();
+            let mut log = BookLog::create(&p, 0, 1 << 20, 6, true, 16 * CHUNK_BYTES);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut live: Vec<(EntryRef, BookEntry)> = Vec::new();
+            let mut reused = false;
+            for i in 1..=8000u64 {
+                if live.len() < 400 || rng.gen_bool(0.5) {
+                    let size = 4096 * rng.gen_range(1..64u32);
+                    let e = BookEntry { addr: i << 12, size, is_slab: rng.gen_bool(0.3) };
+                    let r = log.append(&p, &mut t, e).unwrap();
+                    reused |= r.epoch > 1;
+                    live.push((r, e));
+                } else {
+                    let (r, _) = live.remove(rng.gen_range(0..live.len().min(8)));
+                    log.delete(&p, &mut t, r).unwrap();
+                }
+                if log.needs_slow_gc() {
+                    let moves = log.slow_gc(&p, &mut t).unwrap();
+                    live.iter_mut().for_each(|(r, _)| *r = moves[r]);
+                }
+                if i % 400 == 0 {
+                    assert_open_matches(&p, &log, &live);
+                }
+            }
+            let st = log.stats();
+            assert!(st.fast_gc_chunks > 0 && st.slow_gc_runs > 0 && reused, "seed {seed}: {st:?}");
         }
     }
 

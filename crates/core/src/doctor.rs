@@ -40,6 +40,7 @@ use std::sync::Arc;
 use nvalloc_pmem::{PmError, PmOffset, PmemPool};
 
 use crate::arena::arena_state;
+use crate::bitmap::set_bits;
 use crate::config::{NvConfig, Variant};
 use crate::front::{Layout, NvAllocator};
 use crate::geometry::GeometryTable;
@@ -48,7 +49,7 @@ use crate::shards::ShardedLarge;
 use crate::size_class::{class_size, NUM_CLASSES, SLAB_SIZE};
 use crate::slab::{flag, SlabHeader, VSlab};
 use crate::telemetry::json::JsonObj;
-use crate::wal::{newest_per_block, WalOp, WalRegion};
+use crate::wal::{newest_per_block, WalOp};
 #[cfg(test)] // the unit tests build and corrupt their images with these
 use crate::{bitmap::PmBitmap, booklog::BookLog};
 
@@ -274,7 +275,7 @@ pub fn audit_pool(pool: &PmemPool, cfg: &NvConfig) -> DoctorReport {
     rep.large_shards = layout.large_shards;
     rep.heap_bytes = layout.heap_bytes as u64;
     let geoms = GeometryTable::new(cfg.stripes_for(cfg.interleave_bitmap));
-    let arenas = layout.arenas(&cfg, WalRegion::open);
+    let arenas = layout.arenas(&cfg);
     let normal_shutdown = arenas.iter().all(|a| a.state(pool) == arena_state::NORMAL_SHUTDOWN);
 
     // ----- checks that need no extent inventory -----
@@ -386,20 +387,17 @@ pub fn audit_pool(pool: &PmemPool, cfg: &NvConfig) -> DoctorReport {
                 continue;
             }
         };
-        let bm = vs.pbitmap(&geoms);
         let bs = vs.block_size();
         let mut live = 0usize;
         let mut ghosts = 0usize;
-        for i in 0..geoms.of(vs.class).bitmap.nbits() {
-            if bm.get(pool, i) {
-                if i < vs.nblocks {
-                    live += 1;
-                    if prof_on {
-                        prof_live.insert(vs.block_addr(i), bs);
-                    }
-                } else {
-                    ghosts += 1;
+        for i in set_bits(&vs.pbitmap(&geoms).read_dense(pool)) {
+            if i < vs.nblocks {
+                live += 1;
+                if prof_on {
+                    prof_live.insert(vs.block_addr(i), bs);
                 }
+            } else {
+                ghosts += 1;
             }
         }
         if ghosts > 0 {

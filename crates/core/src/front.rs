@@ -25,7 +25,8 @@ use nvalloc_pmem::{
 
 use crate::api::{AllocThread, PmAllocator};
 use crate::arena::{arena_state, Arena};
-use crate::bitmap::PmBitmap;
+use crate::bitmap::{set_bits, PmBitmap};
+use crate::booklog::LOG_HEADER_BYTES;
 use crate::config::{NvConfig, Variant};
 use crate::doctor::Violation;
 use crate::geometry::GeometryTable;
@@ -168,19 +169,14 @@ impl Layout {
             .map_err(|e| Violation::new("layout", format!("layout does not fit this pool: {e}")))
     }
 
-    /// The arenas over this layout's state flags and WAL regions; `wal`
-    /// formats a region (`create`) or reopens it for recovery.
-    pub(crate) fn arenas(
-        &self,
-        cfg: &NvConfig,
-        wal: impl Fn(PmOffset, usize) -> WalRegion,
-    ) -> Vec<Arc<Arena>> {
+    /// The arenas over this layout's state flags and WAL regions.
+    pub(crate) fn arenas(&self, cfg: &NvConfig) -> Vec<Arc<Arena>> {
         (0..cfg.arenas)
             .map(|i| {
                 let base =
                     self.wal_base + (i * WalRegion::region_bytes(self.wal_micro_count)) as u64;
                 let flag_off = self.arena_flags + (i * 64) as u64;
-                let wal = wal(base, self.wal_micro_count);
+                let wal = WalRegion::open(base, self.wal_micro_count);
                 Arc::new(Arena::new(i as u32, flag_off, wal, cfg.telemetry))
             })
             .collect()
@@ -493,31 +489,28 @@ impl NvAllocator {
         cfg.profile_sample_bytes = want_prof;
         let layout = Layout::compute(&cfg, pool.size())?;
         let mut t = pool.register_thread();
+        let mut large_cfg = layout.large_config(&cfg);
+        large_cfg.slow_gc_threshold = ((pool.size() as f64 * cfg.usage_pmem) as usize).max(4096);
 
-        // Zero the metadata that is read before it is written: the pool
-        // header, arena flags and roots, the region table, and the sidelog
-        // region up to the heap. `WalRegion::create` zeroes the WAL and
-        // `BookLog::create` each shard's log header; a booklog chunk is
-        // zeroed when it is carved, and nothing reads past the carve mark.
-        // The backing words are already zero, so this re-states durable
-        // content: tell the sanitizer no flush is owed for it (it is not
-        // an ordering-relevant store sequence).
-        for (start, end) in [
-            (0, layout.wal_base),
-            (layout.region_table, layout.booklog),
-            (layout.prof_base, layout.heap_base),
-        ] {
-            pool.fill_bytes(start, (end - start) as usize, 0);
-            pool.pmsan_mark_persisted(start, (end - start) as usize);
+        // Zero, durably, the metadata read before it is written: the pool
+        // header, arena flags, roots and WALs, the region table, each
+        // shard's booklog header and the sidelog region up to the heap. A
+        // booklog chunk is zeroed when it is carved, and nothing reads
+        // past the carve mark. Fresh media costs no store, flush or fence.
+        let log_headers = ShardedLarge::shard_cfgs(&large_cfg, layout.large_shards)
+            .into_iter()
+            .filter(|c| c.log_bookkeeping)
+            .map(|c| (c.booklog_base, c.booklog_base + LOG_HEADER_BYTES as u64));
+        let zeroed = [(0, layout.booklog), (layout.prof_base, layout.heap_base)];
+        for (start, end) in zeroed.into_iter().chain(log_headers) {
+            pool.persist_zero(&mut t, start, (end - start) as usize, FlushKind::Meta);
         }
 
         let geoms = GeometryTable::new(cfg.stripes_for(cfg.interleave_bitmap));
         let rtree = Arc::new(RTree::new());
-        let mut large_cfg = layout.large_config(&cfg);
-        large_cfg.slow_gc_threshold = ((pool.size() as f64 * cfg.usage_pmem) as usize).max(4096);
         let large = ShardedLarge::new(&pool, large_cfg, layout.large_shards, &rtree, cfg.telemetry);
 
-        let arenas = layout.arenas(&cfg, |base, n| WalRegion::create(&pool, base, n));
+        let arenas = layout.arenas(&cfg);
         for a in &arenas {
             a.set_state(&pool, &mut t, arena_state::RUNNING);
         }
@@ -608,12 +601,10 @@ impl NvAllocator {
         for a in &self.0.arenas {
             let inner = a.inner.lock();
             for vs in inner.slabs.values() {
-                let bm = vs.pbitmap(&self.0.geoms);
                 let bs = vs.block_size();
-                for i in 0..vs.nblocks {
-                    if bm.get(pool, i) {
-                        out.push((vs.block_addr(i), bs));
-                    }
+                let dense = vs.pbitmap(&self.0.geoms).read_dense(pool);
+                for i in set_bits(&dense).take_while(|&i| i < vs.nblocks) {
+                    out.push((vs.block_addr(i), bs));
                 }
                 if let Some(m) = &vs.morph {
                     let old_bs = crate::size_class::class_size(m.old_class);
@@ -1644,23 +1635,20 @@ mod tests {
         assert_eq!(stats[c64].allocated, 0);
     }
 
-    /// `create` leaves booklog chunk space as it finds it. Over a pool
-    /// whose booklog chunk space (every shard's slice past its log header)
-    /// holds persisted 0xFF bytes, extent churn runs through fast-GC chunk
-    /// reuse and slow GC, and a crash recovers every live extent onto an
-    /// image that audits clean.
-    fn extent_churn_over_a_stale_booklog(pmsan: bool) {
+    /// `create` formats durably over stale media. Over a pool whose
+    /// `stale` byte ranges hold persisted 0xFF bytes, extent churn runs
+    /// through fast-GC chunk reuse and slow GC, and a crash recovers every
+    /// live extent onto an image that audits clean.
+    fn extent_churn_over_stale_media(stale: impl Fn(&Layout) -> Vec<(usize, usize)>, pmsan: bool) {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         const SIZE: usize = 64 << 20;
         const SLOTS: usize = 512;
         const LIVE_CAP: usize = 20 << 20;
         let cfg = NvConfig::log();
-        let l = Layout::compute(&cfg, SIZE).unwrap();
         let mut words = vec![0u64; SIZE / 8];
-        for c in ShardedLarge::shard_cfgs(&l.large_config(&cfg), l.large_shards) {
-            let chunks = c.booklog_base as usize + crate::booklog::LOG_HEADER_BYTES;
-            words[chunks / 8..(c.booklog_base as usize + c.booklog_bytes) / 8].fill(u64::MAX);
+        for (start, end) in stale(&Layout::compute(&cfg, SIZE).unwrap()) {
+            words[start / 8..end / 8].fill(u64::MAX);
         }
         let mode = PmemConfig::default().latency_mode(LatencyMode::Off).crash_tracking(true);
         let pool = PmemPool::from_words(words, mode.pmsan(pmsan));
@@ -1708,14 +1696,30 @@ mod tests {
         assert_eq!(img.pmsan_total(), 0, "{:?}", img.pmsan_report());
     }
 
+    /// Every shard's booklog chunk space (its slice past the log header),
+    /// which `create` leaves as it finds it.
+    fn booklog_chunk_space(l: &Layout) -> Vec<(usize, usize)> {
+        let cfgs = ShardedLarge::shard_cfgs(&l.large_config(&NvConfig::log()), l.large_shards);
+        let slice = |c: LargeConfig| (c.booklog_base as usize, c.booklog_bytes);
+        cfgs.into_iter().map(slice).map(|(b, n)| (b + LOG_HEADER_BYTES, b + n)).collect()
+    }
+
     #[test]
     fn stale_booklog_bytes_survive_extent_churn_and_a_crash() {
-        extent_churn_over_a_stale_booklog(false);
+        extent_churn_over_stale_media(booklog_chunk_space, false);
     }
 
     #[test]
     fn stale_booklog_bytes_survive_extent_churn_and_a_crash_under_pmsan() {
-        extent_churn_over_a_stale_booklog(true);
+        extent_churn_over_stale_media(booklog_chunk_space, true);
+    }
+
+    /// Everything below the heap stale, as over an old image or one a
+    /// crash left mid-format: untouched shards' log headers, roots, WALs
+    /// and the region table must reach the media zeroed.
+    #[test]
+    fn format_over_stale_metadata_survives_extent_churn_and_a_crash() {
+        extent_churn_over_stale_media(|l| vec![(0, l.heap_base as usize)], true);
     }
 
     #[test]

@@ -1160,18 +1160,20 @@ impl LargeAlloc {
         la.brk = crate::align_up64(ceiling, PAGE as u64);
 
         // Space gaps between live extents (and region headers) become
-        // reclaimed extents; the same sorted pass refuses overlaps.
-        let mut blocked: Vec<(PmOffset, usize)> = la
+        // reclaimed extents; the same sorted pass refuses overlaps and lists
+        // every extent, live or gap (`None` until its VEH exists), by address.
+        let mut blocked: Vec<(PmOffset, usize, Option<VehId>)> = la
             .vehs
             .iter()
-            .flatten()
-            .map(|v| (v.off, v.size))
-            .chain(la.regions.iter().map(|r| (r.off, REGION_HEADER_BYTES)))
+            .enumerate()
+            .filter_map(|(id, v)| v.as_ref().map(|v| (v.off, v.size, Some(id as VehId))))
+            .chain(la.regions.iter().map(|r| (r.off, REGION_HEADER_BYTES, None)))
             .collect();
         blocked.sort_unstable();
         let mut prev = (la.cfg.heap_base, 0);
-        let mut gaps = Vec::new();
-        for (off, size) in blocked {
+        let mut listed = Vec::with_capacity(2 * blocked.len() + 1);
+        // `brk` bounds every extent: an empty end marker closes the last gap.
+        for (off, size, id) in blocked.into_iter().chain([(la.brk, 0, None)]) {
             let cursor = prev.0 + prev.1 as u64;
             if off < cursor {
                 return Err(Violation::new(
@@ -1180,28 +1182,30 @@ impl LargeAlloc {
                 ));
             }
             if off > cursor {
-                gaps.push((cursor, (off - cursor) as usize));
+                listed.push((cursor, (off - cursor) as usize, None));
+            }
+            if id.is_some() {
+                listed.push((off, size, id));
             }
             prev = (off, size);
         }
-        let cursor = prev.0 + prev.1 as u64;
-        if la.brk > cursor {
-            gaps.push((cursor, (la.brk - cursor) as usize));
-        }
-        for (off, size) in gaps {
-            let id = la.new_veh(Veh {
-                off,
-                size,
+        let mut gaps = Vec::new();
+        for (off, size, id) in listed.iter_mut().filter(|(_, _, id)| id.is_none()) {
+            let gap = la.new_veh(Veh {
+                off: *off,
+                size: *size,
                 state: ExtentState::Reclaimed,
                 is_slab: false,
                 book: None,
                 hdr: None,
                 huge: false,
             });
-            la.by_addr.insert(off, id);
-            la.reclaimed.insert((size, off), id);
-            la.decay_reclaimed.push(id, size, 0);
+            la.decay_reclaimed.push(gap, *size, 0);
+            gaps.push(((*size, *off), gap));
+            *id = Some(gap);
         }
+        la.by_addr = listed.into_iter().map(|(off, _, id)| (off, id.expect("VEH made"))).collect();
+        la.reclaimed = gaps.into_iter().collect();
 
         // Accounting: everything up to brk is mapped.
         la.mapped_bytes = (la.brk - la.cfg.heap_base) as usize;
@@ -1262,9 +1266,7 @@ impl LargeAlloc {
             ));
         }
         let huge = size > HUGE_MIN;
-        let id =
-            self.new_veh(Veh { off, size, state: ExtentState::Active, is_slab, book, hdr, huge });
-        self.by_addr.insert(off, id);
+        self.new_veh(Veh { off, size, state: ExtentState::Active, is_slab, book, hdr, huge });
         Ok(())
     }
 

@@ -22,6 +22,7 @@
 use nvalloc_pmem::{FlushKind, PmError, PmOffset, PmResult, PmThread, PmemPool};
 
 use crate::arena::ArenaInner;
+use crate::bitmap::set_bits;
 use crate::geometry::GeometryTable;
 use crate::remote::SlabGates;
 use crate::size_class::{class_size, ClassId};
@@ -149,9 +150,9 @@ fn evaluate(
     // parked in thread caches or remote-free queues make the slab
     // ineligible (their space may be handed out or returned at any
     // moment without taking the arena lock).
-    let pbm = vs.pbitmap(geoms);
+    let dense = vs.pbitmap(geoms).read_dense(pool);
     let live: Vec<u16> =
-        pbm.scan_set(pool).into_iter().filter(|&i| i < vs.nblocks).map(|i| i as u16).collect();
+        set_bits(&dense).take_while(|&i| i < vs.nblocks).map(|i| i as u16).collect();
     if live.len() != vs.nblocks - vs.nfree {
         return None; // tcache-cached blocks present
     }
@@ -416,9 +417,9 @@ mod tests {
         let mut addrs = Vec::new();
         for &i in live {
             pbm.set_persist(p, t, i);
-            vs.reserve_block(i);
             addrs.push(vs.block_addr(i));
         }
+        vs.resync_from_persistent(p, g);
         inner.add_slab(vs);
         (inner, addrs)
     }

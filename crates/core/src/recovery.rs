@@ -34,7 +34,7 @@ use crate::slab::{
 };
 use crate::telemetry::OpKind;
 use crate::trace::EventKind;
-use crate::wal::{newest_per_block, WalEntry, WalOp, WalRegion};
+use crate::wal::{newest_per_block, WalEntry, WalOp};
 
 pub(crate) fn recover(
     pool: Arc<PmemPool>,
@@ -60,15 +60,18 @@ pub(crate) fn recover(
     t.trace(EventKind::RecoveryPhase.code(), 0, cfg.arenas as u64);
 
     // Arena flags decide the recovery mode (§4.4).
-    let arenas = layout.arenas(&cfg, WalRegion::open);
+    let arenas = layout.arenas(&cfg);
     report.normal_shutdown = arenas.iter().all(|a| a.state(&pool) == arena_state::NORMAL_SHUTDOWN);
-    // The WAL entries a crashed LOG image replays, validated before any
+    // One scan of the WALs: its newest entries give the sequence number
+    // new entries continue from (repairs append none), and on a crashed
+    // LOG image they are what replay repairs, validated before any
     // repair writes to the image.
-    let wal_entries: Vec<WalEntry> = if !report.normal_shutdown && cfg.variant == Variant::Log {
-        arenas.iter().flat_map(|a| a.wal.replay_entries(&pool)).collect()
-    } else {
-        Vec::new()
-    };
+    let mut wal_entries: Vec<WalEntry> =
+        arenas.iter().flat_map(|a| a.wal.replay_entries(&pool)).collect();
+    let max_seq = wal_entries.iter().map(|e| e.seq).max().unwrap_or(0);
+    if report.normal_shutdown || cfg.variant != Variant::Log {
+        wal_entries.clear();
+    }
     if wal_entries.iter().any(|e| !e.is_valid(layout.heap_base, pool.size())) {
         return Err(PmError::Corrupt("wal_bounds"));
     }
@@ -176,10 +179,6 @@ pub(crate) fn recover(
             live_bytes += e.size;
         }
     }
-
-    // Highest surviving WAL sequence so new entries keep winning replays.
-    let max_seq =
-        arenas.iter().flat_map(|a| a.wal.replay_entries(&pool)).map(|e| e.seq).max().unwrap_or(0);
 
     for a in &arenas {
         a.set_state(&pool, &mut t, arena_state::RUNNING);

@@ -236,14 +236,6 @@ impl VSlab {
         None
     }
 
-    /// Mark block `i` unavailable (volatile). The block must currently be
-    /// available.
-    pub fn reserve_block(&mut self, i: usize) {
-        debug_assert!(!self.is_taken(i));
-        self.taken[i / 64] |= 1 << (i % 64);
-        self.nfree -= 1;
-    }
-
     /// Return block `i` to availability (volatile).
     pub fn release_block(&mut self, i: usize) {
         debug_assert!(self.is_taken(i));
@@ -268,22 +260,20 @@ impl VSlab {
     /// Rebuild the volatile bitmap from the persistent one (recovery and
     /// morph bookkeeping).
     pub fn resync_from_persistent(&mut self, pool: &PmemPool, geoms: &GeometryTable) {
-        let bm = self.pbitmap(geoms);
-        self.taken = vec![0; self.nblocks.div_ceil(64)];
-        self.nfree = self.nblocks;
-        for i in 0..self.nblocks {
-            if bm.get(pool, i) {
-                self.reserve_block(i);
-            }
+        let mut taken = self.pbitmap(geoms).read_dense(pool);
+        taken.truncate(self.nblocks.div_ceil(64));
+        if let Some(last) = taken.last_mut().filter(|_| !self.nblocks.is_multiple_of(64)) {
+            *last &= (1 << (self.nblocks % 64)) - 1;
         }
         // Re-block positions occupied by live old blocks.
-        if let Some(m) = self.morph.clone() {
-            for j in 0..self.nblocks.min(m.cnt_block.len()) {
-                if m.cnt_block[j] > 0 && !self.is_taken(j) {
-                    self.reserve_block(j);
-                }
+        if let Some(m) = &self.morph {
+            let blocked = m.cnt_block.iter().take(self.nblocks).enumerate().filter(|(_, &c)| c > 0);
+            for (j, _) in blocked {
+                taken[j / 64] |= 1 << (j % 64);
             }
         }
+        self.nfree = self.nblocks - taken.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+        self.taken = taken;
     }
 }
 

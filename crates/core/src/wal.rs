@@ -140,18 +140,10 @@ impl WalRegion {
         micro_count * MICRO_ENTRIES * WAL_ENTRY_BYTES
     }
 
-    /// Initialise (zero) a fresh region.
-    pub fn create(pool: &PmemPool, base: PmOffset, micro_count: usize) -> Self {
-        assert!(micro_count >= 1);
-        // Fresh media is already zero; this restates durable content, so
-        // no flush is owed (and the sanitizer is told as much).
-        pool.fill_bytes(base, Self::region_bytes(micro_count), 0);
-        pool.pmsan_mark_persisted(base, Self::region_bytes(micro_count));
-        WalRegion { base, micro_count }
-    }
-
-    /// View an existing region (recovery).
+    /// View the region at `base`. The pool format zeroes it
+    /// (`NvAllocator::create`); recovery reopens it.
     pub fn open(base: PmOffset, micro_count: usize) -> Self {
+        assert!(micro_count >= 1);
         WalRegion { base, micro_count }
     }
 
@@ -243,7 +235,7 @@ mod tests {
     fn replay_returns_newest_per_micro_log() {
         let p = pool();
         let mut t = p.register_thread();
-        let r = WalRegion::create(&p, 0, 4);
+        let r = WalRegion::open(0, 4);
         let mut m0 = r.micro(0, 1);
         let mut m1 = r.micro(1, 1);
         m0.append(&p, &mut t, WalOp::Alloc, 0x1000, 0x2000, 64, 1);
@@ -261,7 +253,7 @@ mod tests {
     fn slot_rotation_survives_many_ops() {
         let p = pool();
         let mut t = p.register_thread();
-        let r = WalRegion::create(&p, 0, 1);
+        let r = WalRegion::open(0, 1);
         let mut m = r.micro(0, 6);
         for i in 1..=100u64 {
             m.append(&p, &mut t, WalOp::Alloc, i * 64, i, 64, i);
@@ -275,7 +267,7 @@ mod tests {
     fn entry_fields_roundtrip() {
         let p = pool();
         let mut t = p.register_thread();
-        let r = WalRegion::create(&p, 4096, 2);
+        let r = WalRegion::open(4096, 2);
         let mut m = r.micro(0, 6);
         m.append(&p, &mut t, WalOp::Free, 0xAB00, 0xCD00, 777, 42);
         let es = r.replay_entries(&p);
@@ -287,8 +279,7 @@ mod tests {
 
     #[test]
     fn micro_index_wraps() {
-        let p = pool();
-        let r = WalRegion::create(&p, 0, 2);
+        let r = WalRegion::open(0, 2);
         // idx 5 wraps onto micro-log 1.
         let m = r.micro(5, 1);
         let m1 = r.micro(1, 1);
@@ -302,7 +293,7 @@ mod tests {
                 PmemConfig::default().pool_size(1 << 20).latency_mode(LatencyMode::Virtual),
             );
             let mut t = p.register_thread();
-            let r = WalRegion::create(&p, 0, 1);
+            let r = WalRegion::open(0, 1);
             let mut m = r.micro(0, stripes);
             p.stats().reset();
             for i in 1..=64u64 {
@@ -329,8 +320,7 @@ mod tests {
                 .crash_tracking(true),
         );
         let mut t = p.register_thread();
-        let r = WalRegion::create(&p, 0, 2);
-        p.flush(&mut t, 0, WalRegion::region_bytes(2), FlushKind::Wal);
+        let r = WalRegion::open(0, 2);
         let mut m = r.micro(0, 6);
         m.append(&p, &mut t, WalOp::Alloc, 0x5000, 0x6000, 100, 9);
         let reboot = PmemPool::from_crash_image(p.crash());

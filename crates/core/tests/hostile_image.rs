@@ -322,6 +322,86 @@ fn row11_in_place_slot_size_past_the_shard() {
     assert_refused(img, &cfg, "extent_span");
 }
 
+// ----- booklog tombstones that name no live entry -----
+
+/// A booklog tombstone: `[type:3 | chunk:22 | slot:7 | epoch:32]`.
+fn tombstone(chunk: u64, slot: u64, epoch: u64) -> u64 {
+    3 | chunk << 3 | slot << 25 | epoch << 32
+}
+
+/// The id and epoch of the chunk at `chunk` in `shard`'s log.
+fn chunk_id_epoch(pool: &PmemPool, shard: &Shard, chunk: PmOffset) -> (u64, u64) {
+    let id = (chunk - shard.booklog - LOG_HEADER_BYTES as u64) / CHUNK_BYTES as u64;
+    (id, pool.read_u64(chunk) >> 32)
+}
+
+/// The live objects recovery finds in `img`, which must audit clean.
+fn recovered_objects(img: Arc<PmemPool>, cfg: &NvConfig) -> Vec<(PmOffset, usize)> {
+    let rep = audit_pool(&img, cfg);
+    assert!(rep.clean(), "{:?}", rep.violations);
+    let (a, _) = NvAllocator::recover(img, cfg.clone()).expect("recover");
+    let mut objects = a.objects();
+    objects.sort_unstable();
+    objects
+}
+
+/// Plant the tombstone `tomb` picks (given the image, its map and the
+/// 1 MiB extent's address) and require that it cancels nothing: the
+/// doctor and recovery see exactly the objects of the image without it.
+fn assert_tombstone_ignored(tomb: impl Fn(&PmemPool, &Map, PmOffset) -> (Shard, u64)) {
+    let (img, cfg, m, _, large) = quiesced(NvConfig::log(), 96);
+    let copy = || PmemPool::from_crash_image(img.clean_shutdown_image());
+    let want = recovered_objects(copy(), &cfg);
+    assert!(want.contains(&(large, 1 << 20)));
+    let hostile = copy();
+    let (shard, word) = tomb(&hostile, &m, large);
+    plant(&hostile, &shard, word);
+    assert_eq!(recovered_objects(hostile, &cfg), want);
+}
+
+#[test]
+fn tombstone_naming_a_chunk_past_the_carve_mark_is_ignored() {
+    // The chunk at the mark, and the largest id the 22-bit field holds.
+    for past in [0, (1 << 22) - 1] {
+        assert_tombstone_ignored(|pool, m, _| {
+            let s = m.shards[0];
+            let chunk = pool.read_u64(s.booklog + 24).max(past);
+            let (_, epoch) = chunk_id_epoch(pool, &s, chain(pool, &s)[0]);
+            (s, tombstone(chunk, 0, epoch))
+        });
+    }
+}
+
+#[test]
+fn tombstone_naming_a_carved_chunk_off_the_chain_is_ignored() {
+    assert_tombstone_ignored(|pool, m, _| {
+        // Raise the carve mark by one: that chunk is carved, unchained.
+        let s = m.shards[0];
+        let carved = pool.read_u64(s.booklog + 24);
+        pool.write_u64(s.booklog + 24, carved + 1);
+        (s, tombstone(carved, 0, 0))
+    });
+}
+
+#[test]
+fn tombstone_with_a_stale_epoch_is_ignored() {
+    assert_tombstone_ignored(|pool, m, large| {
+        // Name the 1 MiB extent's own entry, one epoch back.
+        let word = book_entry(large, 1 << 20, false);
+        let (s, chunk, slot) = m
+            .shards
+            .iter()
+            .flat_map(|s| chain(pool, s).into_iter().map(move |c| (*s, c)))
+            .flat_map(|(s, c)| {
+                (0..(CHUNK_BYTES - CHUNK_HEADER_BYTES) as u64 / 8).map(move |i| (s, c, i))
+            })
+            .find(|&(_, c, i)| pool.read_u64(c + CHUNK_HEADER_BYTES as u64 + i * 8) == word)
+            .expect("the extent has a booklog entry");
+        let (id, epoch) = chunk_id_epoch(pool, &s, chunk);
+        (s, tombstone(id, slot, epoch - 1))
+    });
+}
+
 // ----- WAL entries and morph index tables -----
 
 /// A crashed image whose one WAL entry records a 64 B allocation into

@@ -596,6 +596,40 @@ impl PmemPool {
         self.fence(thread);
     }
 
+    /// Make `[off, off+len)` durably zero (a pool format), paying only for
+    /// the lines that are not zero already. An all-zero range, as on fresh
+    /// media, costs no store, flush or fence. Otherwise every line holding
+    /// a non-zero word is zeroed and flushed, and one fence follows. Lines
+    /// left alone already hold their durable content, so the sanitizer is
+    /// told no flush is owed for them.
+    ///
+    /// # Panics
+    /// Panics if the range is out of bounds or not whole cache lines.
+    pub fn persist_zero(&self, thread: &mut PmThread, off: PmOffset, len: usize, kind: FlushKind) {
+        self.bounds_panic(off, len);
+        assert!(
+            off.is_multiple_of(CACHE_LINE as u64) && len.is_multiple_of(CACHE_LINE),
+            "persist_zero of {off:#x}+{len:#x}: not whole cache lines"
+        );
+        let words = &self.words[off as usize / 8..(off as usize + len) / 8];
+        let zero = |w: &AtomicU64| w.load(Ordering::Acquire) == 0;
+        if words.iter().all(zero) {
+            self.pmsan_mark_persisted(off, len);
+            return;
+        }
+        for (i, line) in words.chunks(CACHE_LINE / 8).enumerate() {
+            let at = off + (i * CACHE_LINE) as u64;
+            if line.iter().all(zero) {
+                self.pmsan_mark_persisted(at, CACHE_LINE);
+            } else {
+                self.fill_bytes(at, CACHE_LINE, 0);
+                self.charge_store(thread, at, CACHE_LINE);
+                self.flush(thread, at, CACHE_LINE, kind);
+            }
+        }
+        self.fence(thread);
+    }
+
     /// Stop persisting after `n` more line-flushes (crash injection at
     /// flush granularity). Later flushes are modelled and counted but no
     /// longer reach the persistent image, as if power failed at that
@@ -1191,6 +1225,30 @@ mod pmsan_tests {
         assert_eq!(dirty, 2);
         let r = p.pmsan_report().unwrap();
         assert_eq!(r.count(PmsanKind::ShutdownDirty), 2);
+    }
+
+    #[test]
+    fn persist_zero_pays_only_for_non_zero_lines() {
+        // Fresh media: nothing to store, flush or fence.
+        let p = san_pool();
+        let mut t = p.register_thread();
+        p.persist_zero(&mut t, 0, 4096, FlushKind::Meta);
+        assert_eq!((p.stats().flushes(), p.stats().fences()), (0, 0));
+        assert_eq!(p.pmsan_audit_range(&t, 0, 4096), 0);
+        // Old words on two lines: both are zeroed durably, one fence.
+        let p = san_pool();
+        let mut t = p.register_thread();
+        p.persist_u64(&mut t, 8, u64::MAX, FlushKind::Meta);
+        p.persist_u64(&mut t, 1000, 7, FlushKind::Meta);
+        p.write_u64(2048, 9); // stored, never flushed
+        p.stats().reset();
+        p.persist_zero(&mut t, 0, 2048, FlushKind::Meta);
+        assert_eq!((p.stats().flushes(), p.stats().fences()), (2, 1));
+        assert_eq!(p.pmsan_total(), 0, "{:?}", p.pmsan_report());
+        assert_eq!(p.pmsan_audit_range(&t, 0, 2048), 0);
+        let img = PmemPool::from_crash_image(p.crash());
+        assert!((0..2048).step_by(8).all(|off| img.read_u64(off) == 0));
+        assert_eq!(p.read_u64(2048), 9, "words past the range are left alone");
     }
 
     #[test]
