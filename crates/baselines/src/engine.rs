@@ -445,8 +445,11 @@ impl Baseline {
     ) -> PmResult<Baseline> {
         let policy = kind.policy();
         let layout = BLayout::compute(pool.size(), policy.arenas, roots)?;
-        pool.fill_bytes(0, layout.heap_base as usize, 0);
         let mut t = pool.register_thread();
+        // Zero the metadata area durably: over an old image, words left in
+        // DRAM only would let the persistent image keep stale roots, WAL
+        // entries and region-table words. Fresh media costs nothing.
+        pool.persist_zero(&mut t, 0, layout.heap_base as usize, FlushKind::Meta);
 
         let rtree = Arc::new(RTree::new());
         let large = LargeAlloc::new(
@@ -1200,6 +1203,41 @@ mod tests {
         let ids: std::collections::HashSet<u64> =
             crate::policy::BaselineKind::ALL.iter().map(|k| pool_magic(*k)).collect();
         assert_eq!(ids.len(), crate::policy::BaselineKind::ALL.len());
+    }
+
+    /// The format is durable over stale media: a pool whose metadata area
+    /// holds persisted 0xFF bytes, formatted, used and crashed, keeps no
+    /// 0xFF word below the heap, and a root slot nothing wrote reads 0
+    /// after recovery.
+    #[test]
+    fn format_over_stale_media_is_durable() {
+        use nvalloc::api::PmAllocator;
+        const SIZE: usize = 64 << 20;
+        const ROOTS: usize = 1 << 16;
+        for kind in [BaselineKind::Pmdk, BaselineKind::NvmMalloc] {
+            let heap_base = BLayout::compute(SIZE, kind.policy().arenas, ROOTS).unwrap().heap_base;
+            let mut words = vec![0u64; SIZE / 8];
+            words[..heap_base as usize / 8].fill(u64::MAX);
+            let mode = nvalloc_pmem::PmemConfig::default()
+                .latency_mode(LatencyMode::Off)
+                .crash_tracking(true);
+            let pool = PmemPool::from_words(words, mode);
+            let b = Baseline::create_with_roots(Arc::clone(&pool), kind, ROOTS).unwrap();
+            let mut t = b.thread();
+            for i in 0..200usize {
+                let size = if i % 10 == 0 { 40 << 10 } else { 24 + i * 8 };
+                t.malloc_to(size, b.root_offset(i)).unwrap();
+            }
+            for i in (0..200usize).step_by(3) {
+                t.free_from(b.root_offset(i)).unwrap();
+            }
+            drop(t);
+            let img = PmemPool::from_crash_image(pool.crash());
+            let stale = (0..heap_base).step_by(8).filter(|&w| img.read_u64(w) == u64::MAX).count();
+            assert_eq!(stale, 0, "{kind:?}: 0xFF words below the heap in the crash image");
+            let (b, _) = Baseline::recover(Arc::clone(&img), kind).unwrap();
+            assert_eq!(img.read_u64(b.root_offset(500)), 0, "{kind:?}: unwritten root slot");
+        }
     }
 
     #[test]

@@ -5,8 +5,12 @@
 //! **reclaimed** (freed, physical memory still mapped), and **retained**
 //! (freed, physical memory unmapped — only the virtual reservation
 //! remains). Allocation best-fit-searches reclaimed, then retained; misses
-//! `mmap` a fresh 4 MB region and split it. Freed extents coalesce with
-//! address-adjacent reclaimed neighbours through an ordered address index.
+//! `mmap` a fresh 4 MB region and split it. Each free list is a fit index:
+//! an exact bin per page count, walked upward under a bitmap of non-empty
+//! bins, so a best fit visits extents in `(size, off)` order without a
+//! tree walk. Freed extents coalesce with address-adjacent
+//! reclaimed neighbours found through a page-indexed boundary table, as
+//! jemalloc registers an extent's boundary pages.
 //! A smootherstep *decay* schedule demotes reclaimed → retained → OS, as in
 //! jemalloc (§2.2). It runs on a per-allocator *decay clock*: the largest
 //! [`PmThread::virtual_ns`] any alloc, free or decay call has brought in,
@@ -77,6 +81,8 @@ const CHUNK_GRANULE: usize = 4 << 10;
 /// Largest size served through the extent lists; bigger objects get a
 /// dedicated mapping.
 pub const HUGE_MIN: usize = 2 << 20;
+/// Pages in a region: the largest extent an exact fit bin holds.
+const REGION_PAGES: usize = REGION_BYTES / PAGE;
 /// Decay-schedule tick interval on the decay clock (jemalloc's 50 ms).
 const DECAY_TICK_NS: u64 = 50_000_000;
 /// Smootherstep window over which a decaying list drains from its peak
@@ -189,6 +195,102 @@ impl DecayList {
     }
 }
 
+/// The free extents of one list (reclaimed or retained), indexed for best
+/// fit in `(size, off)` order: an exact bin per page count up to a region,
+/// each ascending by offset, a bitmap of the non-empty bins, and one
+/// ordered map for the rare extents coalesced past a region. The bins grow
+/// on demand to the largest page count listed.
+#[derive(Debug, Default)]
+struct FitIndex {
+    /// `bins[p]`: `(off, id)` of every listed extent of exactly `p` pages,
+    /// ascending by offset.
+    bins: Vec<Vec<(PmOffset, VehId)>>,
+    /// Bit `p % 64` of word `p / 64` is set exactly when `bins[p]` is
+    /// non-empty.
+    nonempty: Vec<u64>,
+    /// Extents larger than a region, by `(size, off)`.
+    big: BTreeMap<(usize, PmOffset), VehId>,
+    len: usize,
+}
+
+impl FitIndex {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn insert(&mut self, size: usize, off: PmOffset, id: VehId) {
+        self.len += 1;
+        let p = size / PAGE;
+        if p > REGION_PAGES {
+            self.big.insert((size, off), id);
+            return;
+        }
+        if p >= self.bins.len() {
+            self.bins.resize_with(p + 1, Vec::new);
+            self.nonempty.resize(p / 64 + 1, 0);
+        }
+        let bin = &mut self.bins[p];
+        // Recovery lists its gaps in address order: those append.
+        match bin.last() {
+            Some(&(last, _)) if last > off => {
+                let at = bin.partition_point(|&(o, _)| o < off);
+                bin.insert(at, (off, id));
+            }
+            _ => bin.push((off, id)),
+        }
+        self.nonempty[p / 64] |= 1 << (p % 64);
+    }
+
+    /// Take the extent of `size` bytes at `off` off the list.
+    fn remove(&mut self, size: usize, off: PmOffset) -> Option<VehId> {
+        let p = size / PAGE;
+        let id = if p > REGION_PAGES {
+            self.big.remove(&(size, off))?
+        } else {
+            let bin = self.bins.get_mut(p)?;
+            let (_, id) = bin.remove(bin.binary_search_by_key(&off, |&(o, _)| o).ok()?);
+            if bin.is_empty() {
+                self.nonempty[p / 64] &= !(1 << (p % 64));
+            }
+            id
+        };
+        self.len -= 1;
+        Some(id)
+    }
+
+    /// The first listed `(size, off)`, in `(size, off)` order, that holds
+    /// an `align`-aligned body of `size` bytes.
+    fn best_fit(&self, size: usize, align: usize) -> Option<(usize, PmOffset)> {
+        let fits = |esize: usize, off: PmOffset| {
+            LargeAlloc::aligned_body(off, esize, size, align).is_some()
+        };
+        let first = size / PAGE;
+        let mut word = first / 64;
+        let mut bits = self.nonempty.get(word).map_or(0, |w| w & (!0 << (first % 64)));
+        while word < self.nonempty.len() {
+            while bits != 0 {
+                let p = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let esize = p * PAGE;
+                if let Some(&(off, _)) = self.bins[p].iter().find(|&&(off, _)| fits(esize, off)) {
+                    return Some((esize, off));
+                }
+            }
+            word += 1;
+            bits = self.nonempty.get(word).copied().unwrap_or(0);
+        }
+        self.big.range((size, 0)..).map(|(k, _)| *k).find(|&(esize, off)| fits(esize, off))
+    }
+
+    /// Every listed `(size, off, id)` in `(size, off)` order.
+    #[cfg(test)]
+    fn iter(&self) -> impl Iterator<Item = (usize, PmOffset, VehId)> + '_ {
+        let bins = self.bins.iter().enumerate();
+        bins.flat_map(|(p, bin)| bin.iter().map(move |&(off, id)| (p * PAGE, off, id)))
+            .chain(self.big.iter().map(|(&(size, off), &id)| (size, off, id)))
+    }
+}
+
 #[derive(Debug)]
 struct HdrRegion {
     off: PmOffset,
@@ -235,11 +337,15 @@ pub struct LargeAlloc {
     rtree: Arc<RTree>,
     vehs: Vec<Option<Veh>>,
     veh_free: Vec<VehId>,
-    /// Best-fit indexes: (size, off) → VehId.
-    reclaimed: BTreeMap<(usize, PmOffset), VehId>,
-    retained: BTreeMap<(usize, PmOffset), VehId>,
-    /// Address index over all list extents (coalescing neighbours).
-    by_addr: BTreeMap<PmOffset, VehId>,
+    /// Best-fit indexes of the two free lists.
+    reclaimed: FitIndex,
+    retained: FitIndex,
+    /// Boundary table, one entry per page from `heap_base`: a listed
+    /// extent's local id + 1 at its first and last page, 0 where none was
+    /// written. Entries are never cleared; one left behind by a dropped,
+    /// merged or reused id fails `coalesce`'s bounds and state check.
+    /// Grows to the highest page a listed extent reaches.
+    bounds: Vec<u32>,
     /// Unmapped ranges available for future "mmap"s (off → len).
     unmapped: BTreeMap<PmOffset, usize>,
     /// Bump pointer for fresh mappings.
@@ -279,9 +385,9 @@ impl LargeAlloc {
             rtree,
             vehs: Vec::new(),
             veh_free: Vec::new(),
-            reclaimed: BTreeMap::new(),
-            retained: BTreeMap::new(),
-            by_addr: BTreeMap::new(),
+            reclaimed: FitIndex::default(),
+            retained: FitIndex::default(),
+            bounds: Vec::new(),
             unmapped: BTreeMap::new(),
             regions: Vec::new(),
             booklog,
@@ -328,14 +434,6 @@ impl LargeAlloc {
     /// High-water mark of [`LargeAlloc::mapped_bytes`].
     pub fn peak_mapped(&self) -> usize {
         self.peak_mapped
-    }
-
-    /// Size of the active extent at exactly `off`, if any.
-    pub fn veh_by_off(&self, off: PmOffset) -> Option<usize> {
-        self.by_addr
-            .get(&off)
-            .and_then(|id| self.veh_local(*id))
-            .and_then(|v| (v.state == ExtentState::Active).then_some(v.size))
     }
 
     /// Every active extent: (tagged veh, offset, is_slab). Used by
@@ -408,6 +506,40 @@ impl LargeAlloc {
     fn drop_veh(&mut self, id: VehId) {
         self.vehs[id as usize] = None;
         self.veh_free.push(id);
+    }
+
+    /// Heap page holding `off`, counted from `heap_base`.
+    fn page(&self, off: PmOffset) -> usize {
+        ((off - self.cfg.heap_base) / PAGE as u64) as usize
+    }
+
+    /// Put extent `id` on the reclaimed list: its fit bin, its boundary
+    /// pages, and the decay queue at decay-clock time `now`.
+    fn reclaim(&mut self, id: VehId, now: u64) {
+        let (off, size) = {
+            let v = self.vehs[id as usize].as_ref().expect("live veh");
+            (v.off, v.size)
+        };
+        self.reclaimed.insert(size, off, id);
+        let (first, last) = (self.page(off), self.page(off + size as u64 - 1));
+        if last >= self.bounds.len() {
+            self.bounds.resize(last + 1, 0);
+        }
+        self.bounds[first] = id + 1;
+        self.bounds[last] = id + 1;
+        self.decay_reclaimed.push(id, size, now);
+    }
+
+    /// The reclaimed, non-huge extent whose boundary page is `page`
+    /// and which satisfies `adjacent`, if the table names one there.
+    fn reclaimed_at(
+        &self,
+        page: usize,
+        adjacent: impl Fn(&Veh) -> bool,
+    ) -> Option<(VehId, PmOffset, usize)> {
+        let id = self.bounds.get(page)?.checked_sub(1)?;
+        let v = self.veh_local(id)?;
+        (v.state == ExtentState::Reclaimed && !v.huge && adjacent(v)).then_some((id, v.off, v.size))
     }
 
     fn add_mapped(&mut self, delta: isize) {
@@ -763,18 +895,20 @@ impl LargeAlloc {
 
         // Best fit: reclaimed, then retained (§4.3), requiring an aligned
         // body to fit.
-        let candidate = Self::best_fit_aligned(&self.reclaimed, size, align)
+        let candidate = self
+            .reclaimed
+            .best_fit(size, align)
             .map(|k| (k, true))
-            .or_else(|| Self::best_fit_aligned(&self.retained, size, align).map(|k| (k, false)));
+            .or_else(|| self.retained.best_fit(size, align).map(|k| (k, false)));
 
         let id = if let Some((key, was_reclaimed)) = candidate {
             self.stats.best_fit_hits += 1;
             let id = if was_reclaimed {
                 self.decay_reclaimed.remove(key.0);
-                self.reclaimed.remove(&key).expect("candidate present")
+                self.reclaimed.remove(key.0, key.1).expect("candidate present")
             } else {
                 self.decay_retained.remove(key.0);
-                let id = self.retained.remove(&key).expect("candidate present");
+                let id = self.retained.remove(key.0, key.1).expect("candidate present");
                 // Re-mapping a retained extent brings its memory back.
                 self.add_mapped(key.0 as isize);
                 id
@@ -793,7 +927,6 @@ impl LargeAlloc {
                 hdr: None,
                 huge: false,
             });
-            self.by_addr.insert(base, id);
             self.carve_aligned(id, size, align)
         };
 
@@ -811,16 +944,6 @@ impl LargeAlloc {
         (a + size as u64 <= off + esize as u64).then_some(a)
     }
 
-    fn best_fit_aligned(
-        list: &BTreeMap<(usize, PmOffset), VehId>,
-        size: usize,
-        align: usize,
-    ) -> Option<(usize, PmOffset)> {
-        list.range((size, 0)..)
-            .find(|((esize, off), _)| Self::aligned_body(*off, *esize, size, align).is_some())
-            .map(|(k, _)| *k)
-    }
-
     /// Trim extent `id` (not in any list) down to an `align`-aligned body
     /// of `size` bytes; head and tail remainders return to the reclaimed
     /// list. Returns the id of the body extent. Free extents have no
@@ -834,10 +957,9 @@ impl LargeAlloc {
         let body = Self::aligned_body(off, have, size, align).expect("candidate fits");
         let head = (body - off) as usize;
         let tail = have - head - size;
-        // Reuse `id` for the body; re-key its address index if it moved.
+        // Reuse `id` for the body.
         if head > 0 {
             self.stats.splits += 1;
-            self.by_addr.remove(&off);
             let head_id = self.new_veh(Veh {
                 off,
                 size: head,
@@ -847,10 +969,7 @@ impl LargeAlloc {
                 hdr: None,
                 huge: false,
             });
-            self.by_addr.insert(off, head_id);
-            self.reclaimed.insert((head, off), head_id);
-            self.decay_reclaimed.push(head_id, head, self.clock);
-            self.by_addr.insert(body, id);
+            self.reclaim(head_id, self.clock);
         }
         {
             let v = self.vehs[id as usize].as_mut().expect("live veh");
@@ -869,9 +988,7 @@ impl LargeAlloc {
                 hdr: None,
                 huge: false,
             });
-            self.by_addr.insert(tail_off, tail_id);
-            self.reclaimed.insert((tail, tail_off), tail_id);
-            self.decay_reclaimed.push(tail_id, tail, self.clock);
+            self.reclaim(tail_id, self.clock);
         }
         id
     }
@@ -888,7 +1005,6 @@ impl LargeAlloc {
             hdr: None,
             huge: true,
         });
-        self.by_addr.insert(off, id);
         Ok((id, off))
     }
 
@@ -928,7 +1044,6 @@ impl LargeAlloc {
         self.rtree.remove_range(off, if is_slab { size } else { PAGE });
 
         if huge {
-            self.by_addr.remove(&off);
             self.drop_veh(id);
             self.unmap_range(off, size);
             self.add_mapped(-(size as isize));
@@ -941,66 +1056,45 @@ impl LargeAlloc {
             v.is_slab = false;
         }
         let id = self.coalesce(id);
-        let v = self.vehs[id as usize].as_ref().expect("live veh");
-        self.reclaimed.insert((v.size, v.off), id);
-        let sz = v.size;
         let now = self.advance_clock(t);
-        self.decay_reclaimed.push(id, sz, now);
+        self.reclaim(id, now);
         self.maybe_decay(t);
         Ok(())
     }
 
     /// Merge `id` with address-adjacent *reclaimed* neighbours; returns the
-    /// id of the merged extent. The caller re-inserts the result into the
-    /// reclaimed index.
+    /// id of the merged extent. The boundary table names the candidates:
+    /// the extent whose last page precedes `id`'s first, and the one whose
+    /// first page follows `id`'s last. The caller lists the result.
     fn coalesce(&mut self, id: VehId) -> VehId {
         let (mut off, mut size) = {
             let v = self.vehs[id as usize].as_ref().expect("live veh");
             (v.off, v.size)
         };
         let mut id = id;
-        // Predecessor.
-        if let Some((&po, &pid)) = self.by_addr.range(..off).next_back() {
-            let mergable = {
-                let p = self.vehs[pid as usize].as_ref().expect("live veh");
-                p.state == ExtentState::Reclaimed
-                    && !p.huge
-                    && po + p.size as u64 == off
-                    && self.reclaimed.contains_key(&(p.size, po))
-            };
-            if mergable {
-                let p_size = self.vehs[pid as usize].as_ref().expect("live veh").size;
-                self.reclaimed.remove(&(p_size, po));
-                self.decay_reclaimed.remove(p_size);
-                self.by_addr.remove(&off);
-                self.drop_veh(id);
-                let p = self.vehs[pid as usize].as_mut().expect("live veh");
-                p.size += size;
-                id = pid;
-                off = po;
-                size = p.size;
-                self.stats.coalesces += 1;
-            }
+        let before = self.page(off).checked_sub(1);
+        let pred = before.and_then(|p| self.reclaimed_at(p, |v| v.off + v.size as u64 == off));
+        if let Some((pid, po, p_size)) = pred {
+            let listed = self.reclaimed.remove(p_size, po);
+            debug_assert_eq!(listed, Some(pid), "reclaimed predecessor off its list");
+            self.decay_reclaimed.remove(p_size);
+            self.drop_veh(id);
+            let p = self.vehs[pid as usize].as_mut().expect("live veh");
+            p.size += size;
+            id = pid;
+            off = po;
+            size = p.size;
+            self.stats.coalesces += 1;
         }
-        // Successor.
         let succ = off + size as u64;
-        if let Some(&sid) = self.by_addr.get(&succ) {
-            let mergable = {
-                let s = self.vehs[sid as usize].as_ref().expect("live veh");
-                s.state == ExtentState::Reclaimed
-                    && !s.huge
-                    && self.reclaimed.contains_key(&(s.size, succ))
-            };
-            if mergable {
-                let s_size = self.vehs[sid as usize].as_ref().expect("live veh").size;
-                self.reclaimed.remove(&(s_size, succ));
-                self.decay_reclaimed.remove(s_size);
-                self.by_addr.remove(&succ);
-                self.drop_veh(sid);
-                let v = self.vehs[id as usize].as_mut().expect("live veh");
-                v.size += s_size;
-                self.stats.coalesces += 1;
-            }
+        if let Some((sid, _, s_size)) = self.reclaimed_at(self.page(succ), |v| v.off == succ) {
+            let listed = self.reclaimed.remove(s_size, succ);
+            debug_assert_eq!(listed, Some(sid), "reclaimed successor off its list");
+            self.decay_reclaimed.remove(s_size);
+            self.drop_veh(sid);
+            let v = self.vehs[id as usize].as_mut().expect("live veh");
+            v.size += s_size;
+            self.stats.coalesces += 1;
         }
         id
     }
@@ -1035,15 +1129,16 @@ impl LargeAlloc {
             let Some(v) = self.vehs.get(id as usize).and_then(|v| v.as_ref()) else {
                 continue;
             };
-            if v.state != ExtentState::Reclaimed || !self.reclaimed.contains_key(&(v.size, v.off)) {
+            if v.state != ExtentState::Reclaimed {
                 continue;
             }
             let (off, size) = (v.off, v.size);
-            self.reclaimed.remove(&(size, off));
+            let listed = self.reclaimed.remove(size, off);
+            debug_assert_eq!(listed, Some(id), "reclaimed extent off its list");
             self.decay_reclaimed.remove(size);
             let v = self.vehs[id as usize].as_mut().expect("live veh");
             v.state = ExtentState::Retained;
-            self.retained.insert((size, off), id);
+            self.retained.insert(size, off, id);
             self.decay_retained.push(id, size, now);
             // Unmapping releases physical memory.
             self.add_mapped(-(size as isize));
@@ -1059,13 +1154,13 @@ impl LargeAlloc {
             let Some(v) = self.vehs.get(id as usize).and_then(|v| v.as_ref()) else {
                 continue;
             };
-            if v.state != ExtentState::Retained || !self.retained.contains_key(&(v.size, v.off)) {
+            if v.state != ExtentState::Retained {
                 continue;
             }
             let (off, size) = (v.off, v.size);
-            self.retained.remove(&(size, off));
+            let listed = self.retained.remove(size, off);
+            debug_assert_eq!(listed, Some(id), "retained extent off its list");
             self.decay_retained.remove(size);
-            self.by_addr.remove(&off);
             self.drop_veh(id);
             self.unmap_range(off, size);
         }
@@ -1160,20 +1255,20 @@ impl LargeAlloc {
         la.brk = crate::align_up64(ceiling, PAGE as u64);
 
         // Space gaps between live extents (and region headers) become
-        // reclaimed extents; the same sorted pass refuses overlaps and lists
-        // every extent, live or gap (`None` until its VEH exists), by address.
-        let mut blocked: Vec<(PmOffset, usize, Option<VehId>)> = la
+        // reclaimed extents, listed in address order; the same sorted pass
+        // refuses overlaps.
+        let mut blocked: Vec<(PmOffset, usize)> = la
             .vehs
             .iter()
-            .enumerate()
-            .filter_map(|(id, v)| v.as_ref().map(|v| (v.off, v.size, Some(id as VehId))))
-            .chain(la.regions.iter().map(|r| (r.off, REGION_HEADER_BYTES, None)))
+            .flatten()
+            .map(|v| (v.off, v.size))
+            .chain(la.regions.iter().map(|r| (r.off, REGION_HEADER_BYTES)))
             .collect();
         blocked.sort_unstable();
         let mut prev = (la.cfg.heap_base, 0);
-        let mut listed = Vec::with_capacity(2 * blocked.len() + 1);
+        let mut gaps = Vec::with_capacity(blocked.len() + 1);
         // `brk` bounds every extent: an empty end marker closes the last gap.
-        for (off, size, id) in blocked.into_iter().chain([(la.brk, 0, None)]) {
+        for (off, size) in blocked.into_iter().chain([(la.brk, 0)]) {
             let cursor = prev.0 + prev.1 as u64;
             if off < cursor {
                 return Err(Violation::new(
@@ -1182,30 +1277,25 @@ impl LargeAlloc {
                 ));
             }
             if off > cursor {
-                listed.push((cursor, (off - cursor) as usize, None));
-            }
-            if id.is_some() {
-                listed.push((off, size, id));
+                gaps.push((cursor, (off - cursor) as usize));
             }
             prev = (off, size);
         }
-        let mut gaps = Vec::new();
-        for (off, size, id) in listed.iter_mut().filter(|(_, _, id)| id.is_none()) {
+        if let Some(&(off, size)) = gaps.last() {
+            la.bounds = vec![0; la.page(off + size as u64)];
+        }
+        for (off, size) in gaps {
             let gap = la.new_veh(Veh {
-                off: *off,
-                size: *size,
+                off,
+                size,
                 state: ExtentState::Reclaimed,
                 is_slab: false,
                 book: None,
                 hdr: None,
                 huge: false,
             });
-            la.decay_reclaimed.push(gap, *size, 0);
-            gaps.push(((*size, *off), gap));
-            *id = Some(gap);
+            la.reclaim(gap, 0);
         }
-        la.by_addr = listed.into_iter().map(|(off, _, id)| (off, id.expect("VEH made"))).collect();
-        la.reclaimed = gaps.into_iter().collect();
 
         // Accounting: everything up to brk is mapped.
         la.mapped_bytes = (la.brk - la.cfg.heap_base) as usize;
@@ -1278,9 +1368,9 @@ impl LargeAlloc {
             rtree,
             vehs: Vec::new(),
             veh_free: Vec::new(),
-            reclaimed: BTreeMap::new(),
-            retained: BTreeMap::new(),
-            by_addr: BTreeMap::new(),
+            reclaimed: FitIndex::default(),
+            retained: FitIndex::default(),
+            bounds: Vec::new(),
             unmapped: BTreeMap::new(),
             regions: Vec::new(),
             booklog: None,
@@ -1610,7 +1700,7 @@ mod tests {
         let (pool, mut la, mut t) = setup(true);
         let ids: Vec<VehId> =
             (0..4).map(|_| la.alloc(&pool, &mut t, 1 << 20, false).unwrap().0).collect();
-        assert!(la.reclaimed.is_empty(), "four 1 MiB extents fill the region");
+        assert_eq!(la.reclaimed.len(), 0, "four 1 MiB extents fill the region");
         la.decay_reclaimed = DecayList::new();
         la.free(&pool, &mut t, ids[0]).unwrap();
         la.free(&pool, &mut t, ids[2]).unwrap();
@@ -1628,7 +1718,7 @@ mod tests {
         assert_eq!((la.reclaimed.len(), la.retained.len()), (1, 1));
         assert_eq!(la.mapped_bytes(), mapped - (1 << 20));
         la.decay_tick(DECAY_WINDOW_NS);
-        assert!(la.reclaimed.is_empty(), "the full window drains the reclaimed list");
+        assert_eq!(la.reclaimed.len(), 0, "the full window drains the reclaimed list");
     }
 
     #[test]
@@ -1651,7 +1741,7 @@ mod tests {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let (pool, mut la, mut t) = setup(true);
-        let listed = |m: &BTreeMap<(usize, PmOffset), VehId>| m.keys().map(|k| k.0).sum::<usize>();
+        let listed = |m: &FitIndex| m.iter().map(|(size, _, _)| size).sum::<usize>();
         let mut rng = SmallRng::seed_from_u64(0x5eed_dec4);
         let mut live: Vec<VehId> = Vec::new();
         let mut now = 0;
@@ -1675,6 +1765,95 @@ mod tests {
         assert!(la.stats().coalesces > 0 && la.stats().best_fit_hits > 0);
     }
 
+    /// Boundary-table entries that name no listed extent at its first or
+    /// last page: left behind by dropped, merged, reused or re-activated
+    /// ids.
+    fn stale_bounds(la: &LargeAlloc) -> usize {
+        let names = |p: usize, v: &Veh| {
+            v.state != ExtentState::Active
+                && (la.page(v.off) == p || la.page(v.off + v.size as u64 - 1) == p)
+        };
+        let entries = la.bounds.iter().enumerate().filter(|&(_, &e)| e != 0);
+        entries.filter(|&(p, &e)| !la.veh_local(e - 1).is_some_and(|v| names(p, v))).count()
+    }
+
+    /// After every free, the merge `coalesce` chose matches a brute-force
+    /// scan of every VEH for touching, reclaimed, non-huge neighbours,
+    /// while ids are reused through coalescing, decay to the OS and huge
+    /// frees, so the boundary table holds entries for ids that no longer
+    /// own those pages.
+    #[test]
+    fn coalesce_matches_a_brute_force_neighbour_scan() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        for log in [true, false] {
+            let (pool, mut la, mut t) = setup(log);
+            let mut rng = SmallRng::seed_from_u64(0x000b_00d5_ca11);
+            let mut live: Vec<VehId> = Vec::new();
+            let mut issued = std::collections::HashSet::new();
+            let (mut reused, mut huge_frees, mut stale, mut unmapped) = (0, 0, 0, 0);
+            let mut now = 0;
+            for op in 0..3000 {
+                if live.len() >= 32 || (!live.is_empty() && rng.gen_bool(0.5)) {
+                    let id = live.swap_remove(rng.gen_range(0..live.len()));
+                    let v = la.veh(id).expect("live extent").clone();
+                    let (off, end) = (v.off, v.off + v.size as u64);
+                    let free = |w: &&Veh| w.state == ExtentState::Reclaimed && !w.huge;
+                    let mut vehs = la.vehs.iter().flatten().filter(free);
+                    let pred = vehs.clone().find(|w| w.off + w.size as u64 == off).map(|w| w.off);
+                    let succ = vehs.find(|w| w.off == end).map(|w| w.off + w.size as u64);
+                    let merges = la.stats().coalesces;
+                    la.free(&pool, &mut t, id).unwrap();
+                    let merged = la.stats().coalesces - merges;
+                    if v.huge {
+                        huge_frees += 1;
+                        assert_eq!(merged, 0, "op {op}: a huge extent never merges");
+                        continue;
+                    }
+                    assert_eq!(merged, pred.is_some() as u64 + succ.is_some() as u64, "op {op}");
+                    let want = (pred.unwrap_or(off), succ.unwrap_or(end));
+                    let listed =
+                        la.reclaimed.iter().find(|&(size, o, _)| o <= off && off < o + size as u64);
+                    let (size, o, lid) = listed.expect("the freed extent is listed");
+                    assert_eq!((o, o + size as u64), want, "op {op}: merged bounds");
+                    let w = la.veh_local(lid).expect("listed id is live");
+                    assert_eq!((w.off, w.size, w.state), (o, size, ExtentState::Reclaimed));
+                } else {
+                    let got = if rng.gen_bool(0.15) {
+                        la.alloc_aligned(&pool, &mut t, SLAB_SIZE, SLAB_SIZE, true)
+                    } else {
+                        let shift: u32 = rng.gen_range(14..22);
+                        let size: usize = rng.gen_range(1 << shift..2 << shift);
+                        la.alloc(&pool, &mut t, size.min(HUGE_MIN + (512 << 10)), false)
+                    };
+                    match got {
+                        Ok((id, _)) => {
+                            reused += !issued.insert(id) as usize;
+                            live.push(id);
+                        }
+                        Err(PmError::OutOfMemory { .. }) => {}
+                        Err(e) => panic!("op {op}: {e}"),
+                    }
+                }
+                if op % 50 == 49 {
+                    // The pool's clock is off: step the decay schedule by
+                    // hand, so extents reach the retained list and the OS.
+                    now += DECAY_WINDOW_NS / 8;
+                    la.decay_tick(now);
+                    stale += stale_bounds(&la);
+                    unmapped += la.unmapped.len();
+                }
+                if op % 700 == 699 {
+                    la.drain_free_lists();
+                }
+            }
+            let s = la.stats();
+            assert!(s.coalesces > 100 && s.decay_epochs > 0, "{s:?}");
+            assert!(reused > 100 && huge_frees > 10, "reused {reused}, huge frees {huge_frees}");
+            assert!(stale > 0 && unmapped > 0, "stale entries {stale}, unmapped {unmapped}");
+        }
+    }
+
     #[test]
     fn retained_extent_can_be_reallocated() {
         let (pool, mut la, mut t) = setup(true);
@@ -1683,7 +1862,7 @@ mod tests {
         // Demote to retained only (first drain pass).
         la.decay_reclaimed.peak = 0;
         la.decay_tick(la.clock);
-        assert!(!la.retained.is_empty());
+        assert!(la.retained.len() > 0);
         let (_, off2) = la.alloc(&pool, &mut t, 256 << 10, false).unwrap();
         // The retained extent (or a prefix of the coalesced one) comes back.
         assert_eq!(off2, off);

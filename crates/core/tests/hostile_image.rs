@@ -8,8 +8,9 @@
 //! handed.
 //!
 //! `seeded_mutator_agrees_with_the_doctor` replays 256 seeded one-word
-//! changes. A failure prints its case index; set [`REPLAY`] to that index
-//! to rerun only that case.
+//! changes over three images, then [`CHURN_CASES`] over an extent-churn
+//! image. A failure prints its case index; set [`REPLAY`] to that index to
+//! rerun only that case.
 
 use std::sync::Arc;
 
@@ -24,6 +25,10 @@ use nvalloc_pmem::{CrashImage, LatencyMode, PmOffset, PmemConfig, PmemPool};
 
 /// Run only this mutator case (its index as printed on failure).
 const REPLAY: Option<usize> = None;
+
+/// Mutator cases over the extent-churn image, after the 256 over the
+/// other three sources.
+const CHURN_CASES: usize = 32;
 
 /// Checks under which recovery refuses the image: the header and the
 /// extent inventory.
@@ -723,6 +728,62 @@ fn sources() -> Vec<Source> {
     vec![log, base, prof]
 }
 
+/// A crashed image of extent churn at the `NvConfig::log()` defaults on a
+/// pool with several large shards: 16 KiB–4 MiB requests under a live cap
+/// that overflows the home shard into the others, until booklog slow GC
+/// has run, then frees that leave free gaps wider than a region. Its
+/// targets are the extent inventory, so each case's booklog word reaches
+/// recovery's bulk build of the free lists.
+fn churn_source() -> Source {
+    const SLOTS: usize = 256;
+    const LIVE_CAP: usize = 14 << 20;
+    let cfg = NvConfig::log();
+    let p = crash_pool(40);
+    let a = NvAllocator::create(Arc::clone(&p), cfg.clone()).unwrap();
+    let mut t = a.thread();
+    let mut rng = SplitMix(0xc40a_110c);
+    let mut live = [0usize; SLOTS];
+    let mut op = 0;
+    while op < 2000 || a.metrics().booklog_alt_flips == 0 {
+        let slot = rng.below(SLOTS);
+        let shift = 14 + rng.below(8);
+        let size = (1 << shift) + rng.below(1 << shift);
+        if live[slot] > 0 {
+            t.free_from(a.root_offset(slot)).unwrap();
+            live[slot] = 0;
+        } else if live.iter().sum::<usize>() + size <= LIVE_CAP {
+            t.malloc_to(size, a.root_offset(slot)).unwrap();
+            live[slot] = size;
+        }
+        op += 1;
+        assert!(op < 50_000, "slow GC never ran");
+    }
+    for slot in (0..SLOTS).filter(|s| s % 6 != 0) {
+        if live[slot] > 0 {
+            t.free_from(a.root_offset(slot)).unwrap();
+            live[slot] = 0;
+        }
+    }
+    let img = PmemPool::from_crash_image(p.crash());
+    let m = map(&img, &cfg, a.root_offset(0));
+    assert_eq!(m.shards.len(), 4, "the default config shards this pool four ways");
+    // Recovery lists the gaps from each shard's heap base up to its highest
+    // live extent: one must be wider than a region.
+    let mut extents: Vec<(PmOffset, u64)> = (0..SLOTS)
+        .filter(|&s| live[s] > 0)
+        .map(|s| (img.read_u64(a.root_offset(s)), live[s].next_multiple_of(4096) as u64))
+        .chain(m.shards.iter().map(|s| (s.heap_base, 0)))
+        .collect();
+    extents.sort_unstable();
+    let wide = extents.windows(2).any(|w| {
+        let same = m.shards.iter().any(|s| s.heap_base <= w[0].0 && w[1].0 < s.heap_end);
+        same && w[1].0 - (w[0].0 + w[0].1) > REGION_BYTES as u64
+    });
+    assert!(wide, "no free gap spans a region");
+    let groups = vec![inventory_targets(&img, &m)];
+    Source { name: "crashed LOG, extent churn", image: img.crash(), cfg, groups }
+}
+
 /// The new value for a word currently holding `old`.
 fn mutate(rng: &mut SplitMix, old: u64) -> u64 {
     match rng.below(6) {
@@ -792,23 +853,33 @@ fn run_case(src: &Source, off: PmOffset, target: Target, value: u64) {
     }
 }
 
+/// Pick case `case`'s word and value from `src` and run it (unless
+/// [`REPLAY`] names another case).
+fn seeded_case(case: usize, src: &Source, rng: &mut SplitMix) {
+    let group = &src.groups[rng.below(src.groups.len())];
+    let (off, target) = group[rng.below(group.len())];
+    let old = src.image.words()[off as usize / 8];
+    let value = match target {
+        Target::Slab(_, true) => mutate(rng, (old >> (off % 8 * 8)) & 0xffff),
+        _ => mutate(rng, old),
+    };
+    if REPLAY.is_some_and(|r| r != case) {
+        return;
+    }
+    println!("case {case}: {} word {off:#x} ({target:?}) := {value:#x}", src.name);
+    run_case(src, off, target, value);
+}
+
 #[test]
 fn seeded_mutator_agrees_with_the_doctor() {
     let sources = sources();
     let mut rng = SplitMix(0x5eed_0001_a11c);
     for case in 0..256 {
         let src = &sources[rng.below(sources.len())];
-        let group = &src.groups[rng.below(src.groups.len())];
-        let (off, target) = group[rng.below(group.len())];
-        let old = src.image.words()[off as usize / 8];
-        let value = match target {
-            Target::Slab(_, true) => mutate(&mut rng, (old >> (off % 8 * 8)) & 0xffff),
-            _ => mutate(&mut rng, old),
-        };
-        if REPLAY.is_some_and(|r| r != case) {
-            continue;
-        }
-        println!("case {case}: {} word {off:#x} ({target:?}) := {value:#x}", src.name);
-        run_case(src, off, target, value);
+        seeded_case(case, src, &mut rng);
+    }
+    let churn = churn_source();
+    for case in 256..256 + CHURN_CASES {
+        seeded_case(case, &churn, &mut rng);
     }
 }
