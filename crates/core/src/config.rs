@@ -49,10 +49,8 @@ pub struct NvConfig {
     pub interleave_bitmap: bool,
     /// Interleave the tcache (per-stripe sub-tcaches with rotating cursor).
     pub interleave_tcache: bool,
-    /// Interleave WAL entry placement.
-    pub interleave_wal: bool,
-    /// Interleave bookkeeping-log entry placement.
-    pub interleave_booklog: bool,
+    /// Interleave WAL and bookkeeping-log entry placement.
+    pub interleave_logs: bool,
     /// Enable slab morphing.
     pub morphing: bool,
     /// Space-utilisation threshold below which a slab may morph
@@ -125,8 +123,7 @@ impl NvConfig {
             stripes: 6,
             interleave_bitmap: true,
             interleave_tcache: true,
-            interleave_wal: true,
-            interleave_booklog: true,
+            interleave_logs: true,
             morphing: true,
             su_threshold: 0.20,
             log_bookkeeping: true,
@@ -162,8 +159,7 @@ impl NvConfig {
         NvConfig {
             interleave_bitmap: false,
             interleave_tcache: false,
-            interleave_wal: false,
-            interleave_booklog: false,
+            interleave_logs: false,
             morphing: false,
             log_bookkeeping: false,
             ..NvConfig::log()

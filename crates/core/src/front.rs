@@ -189,7 +189,7 @@ impl Layout {
             log_bookkeeping: cfg.log_bookkeeping,
             booklog_base: self.booklog,
             booklog_bytes: self.booklog_bytes,
-            booklog_stripes: cfg.stripes_for(cfg.interleave_booklog),
+            booklog_stripes: cfg.stripes_for(cfg.interleave_logs),
             booklog_gc: cfg.booklog_gc,
             slow_gc_threshold: usize::MAX, // set by NvInner from usage_pmem
             region_table_base: self.region_table,
@@ -544,8 +544,7 @@ impl NvAllocator {
         if cfg.auto_eadr && pool.model().pmem_mode() == PmemMode::Eadr {
             cfg.interleave_bitmap = false;
             cfg.interleave_tcache = false;
-            cfg.interleave_wal = false;
-            cfg.interleave_booklog = false;
+            cfg.interleave_logs = false;
         }
         cfg.arenas = cfg.arenas.max(1);
         cfg.stripes = cfg.stripes.max(1);
@@ -700,7 +699,7 @@ impl PmAllocator for NvAllocator {
             .clone();
         arena.threads.fetch_add(1, Ordering::Relaxed);
         let micro_idx = arena.wal_next_micro.fetch_add(1, Ordering::Relaxed);
-        let wal = arena.wal.micro(micro_idx, self.0.cfg.stripes_for(self.0.cfg.interleave_wal));
+        let wal = arena.wal.micro(micro_idx, self.0.cfg.stripes_for(self.0.cfg.interleave_logs));
         let tc_stripes = if self.0.cfg.interleave_tcache { self.0.geoms.stripes() } else { 1 };
         let mut pm = self.0.pool.register_thread();
         if let Some(rec) = &self.0.tracer {

@@ -85,7 +85,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::ptr::null_mut;
 use std::sync::Arc;
 
@@ -284,7 +284,8 @@ fn with_thread<R>(st: &GlobalState, f: impl FnOnce(&mut dyn AllocThread) -> R) -
 ///   allocations leave the destination unflushed: the directory's root
 ///   word, page links and word A are all such destinations, and word A's
 ///   flush is what commits and publishes a pair.
-/// * [`PmError::Corrupt`] for a directory magic/version mismatch (the
+/// * [`PmError::Corrupt`] for a root 0 that names no live meta block, a
+///   directory magic/version mismatch or a damaged directory (the
 ///   sentinel is released, so a later `init` with the right pool works).
 /// * Any allocator create/recover error, likewise releasing the sentinel.
 pub fn init(pool: Arc<PmemPool>, cfg: NvConfig) -> PmResult<InitReport> {
@@ -358,18 +359,24 @@ fn attach(pool: Arc<PmemPool>, cfg: NvConfig) -> PmResult<(GlobalState, InitRepo
     let mut reclaimed = 0usize;
     let mut t = alloc.thread();
 
-    let meta = if fresh || pool.read_u64(root0) == 0 {
+    let root = if fresh { 0 } else { pool.read_u64(root0) };
+    // Every read below goes through root 0: it must name a live block
+    // that holds the meta words.
+    if root != 0 && alloc.usable_size(root).is_none_or(|n| n < META_BYTES) {
+        return Err(PmError::Corrupt("global directory root names no meta block"));
+    }
+    let meta = if root == 0 {
         // Fresh pool — or a crash hit init before the directory's meta
         // block committed at root 0. Either way nothing was ever
         // reachable through the directory, so (re)format it.
         format_directory(&pool, t.as_mut(), root0, &mut inner)?
-    } else if pool.read_u64(pool.read_u64(root0)) == 0 {
+    } else if pool.read_u64(root) == 0 {
         // Meta block committed but the magic — the directory's format
         // commit point, written last — did not. Discard and re-format.
         t.free_from(root0)?;
         format_directory(&pool, t.as_mut(), root0, &mut inner)?
     } else {
-        let meta = pool.read_u64(root0);
+        let meta = root;
         if pool.read_u64(meta) != GLOBAL_MAGIC {
             return Err(PmError::Corrupt("global directory magic mismatch"));
         }
@@ -379,7 +386,10 @@ fn attach(pool: Arc<PmemPool>, cfg: NvConfig) -> PmResult<(GlobalState, InitRepo
         // Walk the page chain and classify every slot pair; every check
         // runs before the first write below. Each link must name a live
         // slot-page block not yet on the chain, so a damaged chain can
-        // neither loop nor leave the heap.
+        // neither loop nor leave the heap, and no block may be named
+        // twice: the meta block, a page or a pair's block freed or
+        // handed out once would still be reachable through the other.
+        let mut named = HashSet::from([meta]);
         let last_zeroed = pool.read_u64(meta + 24);
         let mut past_zeroed = last_zeroed == 0;
         let mut unzeroed = None;
@@ -390,7 +400,7 @@ fn attach(pool: Arc<PmemPool>, cfg: NvConfig) -> PmResult<(GlobalState, InitRepo
             if page == 0 {
                 break;
             }
-            if inner.pages.contains(&page) || alloc.usable_size(page) != Some(PAGE_BYTES) {
+            if alloc.usable_size(page) != Some(PAGE_BYTES) || !named.insert(page) {
                 return Err(PmError::Corrupt("slot directory page chain is damaged"));
             }
             inner.pages.push(page);
@@ -410,6 +420,9 @@ fn attach(pool: Arc<PmemPool>, cfg: NvConfig) -> PmResult<(GlobalState, InitRepo
                 let granted = alloc.usable_size(block).ok_or(PmError::Corrupt(
                     "slot directory names a block the allocator does not own",
                 ))?;
+                if !named.insert(block) {
+                    return Err(PmError::Corrupt("slot directory names a block twice"));
+                }
                 let user = match pool.read_u64(a_off + 8) {
                     0 => {
                         // Crash between commit and publication: the

@@ -434,11 +434,18 @@ impl AtomicHistogram {
     }
 }
 
+/// One counted acquisition in this many has its hold timed even when it
+/// neither blocked nor traced: those whose index is a multiple of it.
+pub(crate) const HOLD_SAMPLE: u64 = 64;
+
 /// Acquisition statistics of one mutex, kept beside it in a
 /// [`TimedMutex`]: only the lock's holder writes them, just before it
 /// releases, so every counter and bucket is a relaxed load and store.
 /// Wait and hold are wall-clock nanoseconds, which the modelled PM clock
 /// never sees; an acquisition that found the lock free waited 0 ns.
+/// Waits are exact. Holds are timed only for the acquisitions that
+/// [`TimedMutex::timed`] samples; the hold histogram holds those samples,
+/// and `hold_ns` adds each one weighted by the acquisitions it stands for.
 #[derive(Debug, Default)]
 #[repr(align(64))]
 pub struct LockStats {
@@ -447,6 +454,8 @@ pub struct LockStats {
     contended: AtomicU64,
     wait_ns: AtomicU64,
     hold_ns: AtomicU64,
+    /// Counted acquisitions since the previous timed hold.
+    untimed: AtomicU64,
     wait_hist: AtomicHistogram,
     hold_hist: AtomicHistogram,
 }
@@ -467,20 +476,32 @@ impl LockStats {
         self.wait_ns.load(Ordering::Relaxed)
     }
 
-    /// Total wall-clock nanoseconds the lock was held.
+    /// Estimated total wall-clock nanoseconds the lock was held: each
+    /// timed hold weighted by the counted acquisitions since the previous
+    /// one, itself included. Exact when every acquisition is timed;
+    /// otherwise it lags by the at most `HOLD_SAMPLE - 1` acquisitions
+    /// after the last timed one.
     pub fn hold_ns(&self) -> u64 {
         self.hold_ns.load(Ordering::Relaxed)
     }
 
-    /// Count one acquisition. Called by the holder only, while it still
-    /// holds the lock, so no two writers ever meet.
-    fn record(&self, contended: bool, wait_ns: u64, hold_ns: u64) {
+    /// Count one acquisition, with its hold if it was timed. Called by the
+    /// holder only, while it still holds the lock, so no two writers ever
+    /// meet.
+    fn record(&self, contended: bool, wait_ns: u64, hold_ns: Option<u64>) {
         add_single_writer(&self.acquires, 1);
         add_single_writer(&self.contended, contended as u64);
         add_single_writer(&self.wait_ns, wait_ns);
-        add_single_writer(&self.hold_ns, hold_ns);
         self.wait_hist.record(wait_ns);
-        self.hold_hist.record(hold_ns);
+        match hold_ns {
+            Some(ns) => {
+                let weight = self.untimed.load(Ordering::Relaxed) + 1;
+                add_single_writer(&self.hold_ns, ns.saturating_mul(weight));
+                self.untimed.store(0, Ordering::Relaxed);
+                self.hold_hist.record(ns);
+            }
+            None => add_single_writer(&self.untimed, 1),
+        }
     }
 
     /// Add the wait and hold totals and histograms into `s`.
@@ -524,24 +545,30 @@ impl<T> TimedMutex<T> {
     }
 
     /// Counted acquisition. It tries the lock first: one that finds it
-    /// free reads the clock once and waited 0 ns; one that must block
-    /// (contended) reads it before blocking and again once it holds the
-    /// lock. The release reads it once more and records everything while
-    /// still holding the lock. With `pm` tracing, the release emits a
-    /// `LockAcquire` stamped at the acquisition's virtual time. Stats off
-    /// and no tracer: a bare `lock()`, no clock read, no atomic.
+    /// free waited 0 ns and reads no clock, unless its hold is timed; one
+    /// that must block (contended) reads the clock before blocking and
+    /// again once it holds the lock. A hold is timed for a contended
+    /// acquisition, for one made with `pm` tracing (whose release emits a
+    /// `LockAcquire` stamped at the acquisition's virtual time), and for
+    /// every `HOLD_SAMPLE`th (64th) counted acquisition, starting with the
+    /// first; the release of a timed hold reads the clock once more. All
+    /// statistics are written at release, while the lock is still held.
+    /// Stats off and no tracer: a bare `lock()`, no clock read, no atomic.
     pub fn timed(&self, pm: Option<&PmThread>) -> TimedGuard<'_, T> {
         let trace = pm.and_then(|p| Some((p.tracer()?.clone(), p.virtual_ns())));
         if !self.stats.enabled && trace.is_none() {
             return TimedGuard { guard: self.lock.lock(), timing: None };
         }
         let (guard, held, wait_ns) = match self.lock.try_lock() {
-            Some(guard) => (guard, Instant::now(), None),
+            Some(guard) => {
+                let timed = trace.is_some() || self.stats.acquires().is_multiple_of(HOLD_SAMPLE);
+                (guard, timed.then(Instant::now), None)
+            }
             None => {
                 let wait = Instant::now();
                 let guard = self.lock.lock();
                 let held = Instant::now();
-                (guard, held, Some(held.duration_since(wait).as_nanos() as u64))
+                (guard, Some(held), Some(held.duration_since(wait).as_nanos() as u64))
             }
         };
         let stats = self.stats.enabled.then_some(&self.stats);
@@ -550,7 +577,7 @@ impl<T> TimedMutex<T> {
 }
 
 /// The guard of a [`TimedMutex::timed`] acquisition; on drop it records
-/// the hold time while the lock is still held.
+/// the acquisition, and a timed hold, while the lock is still held.
 pub struct TimedGuard<'a, T> {
     guard: MutexGuard<'a, T>,
     timing: Option<Timing<'a>>,
@@ -561,7 +588,8 @@ struct Timing<'a> {
     /// Wall-clock wait of a contended acquisition; `None` when the lock
     /// was free.
     wait_ns: Option<u64>,
-    held: Instant,
+    /// When a timed hold began; `None` when this hold is not timed.
+    held: Option<Instant>,
     /// The acquiring thread's tracer and virtual-clock time.
     trace: Option<(TracerHandle, u64)>,
 }
@@ -584,13 +612,13 @@ impl<T> Drop for TimedGuard<'_, T> {
         // Runs before the `guard` field drops, so the hold is measured
         // and the statistics are written while the lock is still held.
         let Some(t) = &self.timing else { return };
-        let hold_ns = t.held.elapsed().as_nanos() as u64;
+        let hold_ns = t.held.map(|h| h.elapsed().as_nanos() as u64);
         let wait_ns = t.wait_ns.unwrap_or(0);
         if let Some(s) = t.stats {
             s.record(t.wait_ns.is_some(), wait_ns, hold_ns);
         }
         if let Some((tracer, at_ns)) = &t.trace {
-            tracer.emit(*at_ns, EventKind::LockAcquire.code(), wait_ns, hold_ns);
+            tracer.emit(*at_ns, EventKind::LockAcquire.code(), wait_ns, hold_ns.unwrap_or(0));
         }
     }
 }
@@ -715,11 +743,12 @@ pub struct MetricsSnapshot {
     /// Wall-clock, not modelled: contention is a host-scheduling effect
     /// the virtual clocks deliberately do not see.
     pub lock_wait_ns: u64,
-    /// Wall-clock nanoseconds instrumented mutexes were held.
+    /// Wall-clock nanoseconds instrumented mutexes were held, estimated
+    /// from the timed holds ([`LockStats::hold_ns`]).
     pub lock_hold_ns: u64,
     /// Histogram of per-acquisition lock wait times (wall-clock ns).
     pub lock_wait_hist: LatencyHistogram,
-    /// Histogram of per-acquisition lock hold times (wall-clock ns).
+    /// Histogram of the timed lock holds (wall-clock ns, unweighted).
     pub lock_hold_hist: LatencyHistogram,
     /// Flight-recorder events captured (still resident in the rings).
     pub trace_events: u64,
@@ -1299,6 +1328,112 @@ mod tests {
         assert_eq!(s.lock_wait_hist.buckets[0], 1, "the free lock's wait lands in bucket 0");
         assert_eq!(s.lock_wait_hist.count(), 1);
         assert_eq!(s.lock_hold_hist.count(), 1, "one hold sample");
+    }
+
+    fn lock_snapshot(m: &TimedMutex<()>) -> MetricsSnapshot {
+        let mut s = MetricsSnapshot::default();
+        m.stats().fold_into(&mut s);
+        s
+    }
+
+    #[test]
+    fn untraced_holds_are_sampled_one_in_64_and_weighted() {
+        let m = TimedMutex::new((), true);
+        let st = m.stats();
+        let mut timed = Vec::new();
+        for i in 0..130u64 {
+            let before = st.hold_ns();
+            {
+                let _g = m.timed(None);
+                // A sampled hold lasts a measurable while; an unsampled
+                // one far longer, which `hold_ns` must not see.
+                let hold_us = match i {
+                    _ if i.is_multiple_of(HOLD_SAMPLE) => 50,
+                    1 => 2_000,
+                    _ => 0,
+                };
+                std::thread::sleep(std::time::Duration::from_micros(hold_us));
+            }
+            let added = st.hold_ns() - before;
+            if i.is_multiple_of(HOLD_SAMPLE) {
+                timed.push(added);
+            } else {
+                assert_eq!(added, 0, "acquisition {i} is not timed");
+            }
+        }
+        assert_eq!((st.acquires(), st.contended(), st.wait_ns()), (130, 0, 0));
+        let s = lock_snapshot(&m);
+        assert_eq!((s.lock_wait_hist.buckets[0], s.lock_wait_hist.count()), (130, 130));
+        // Acquisitions 0, 64 and 128, weighted 1, 64 and 64.
+        assert_eq!(timed.len(), 3);
+        let weights = [1, HOLD_SAMPLE, HOLD_SAMPLE];
+        let mut holds = LatencyHistogram::default();
+        for (&added, w) in timed.iter().zip(weights) {
+            assert_eq!(added % w, 0, "{added} ns is not a hold weighted {w}");
+            assert!(added / w >= 50_000, "the sampled hold slept 50 us ({added} ns / {w})");
+            holds.record(added / w);
+        }
+        assert_eq!(s.lock_hold_hist, holds, "the histogram holds the three unweighted samples");
+        assert_eq!(s.lock_hold_ns, timed.iter().sum::<u64>());
+    }
+
+    #[test]
+    fn traced_acquisitions_are_each_timed_with_weight_one() {
+        let mut pm = pm();
+        let ring = Arc::new(nvalloc_pmem::TraceRing::new(256));
+        pm.set_tracer(TracerHandle::new(Arc::clone(&ring), Arc::new(AtomicU64::new(0)), 0));
+        let m = TimedMutex::new((), true);
+        for _ in 0..70 {
+            drop(m.timed(Some(&pm)));
+        }
+        let holds: Vec<u64> = ring
+            .snapshot()
+            .iter()
+            .filter(|e| e.code == EventKind::LockAcquire.code())
+            .map(|e| e.b)
+            .collect();
+        assert_eq!(holds.len(), 70, "every acquisition emits its hold");
+        let mut hist = LatencyHistogram::default();
+        holds.iter().for_each(|&h| hist.record(h));
+        let s = lock_snapshot(&m);
+        assert_eq!(s.lock_hold_hist, hist, "every traced hold is a sample");
+        assert_eq!(s.lock_hold_ns, holds.iter().sum::<u64>(), "each weighted 1");
+    }
+
+    #[test]
+    fn blocked_acquisition_is_timed_with_its_wait() {
+        let m = TimedMutex::new((), true);
+        drop(m.timed(None)); // acquisition 0: sampled
+        let held = std::sync::Barrier::new(2);
+        std::thread::scope(|sc| {
+            sc.spawn(|| {
+                let _g = m.timed(None); // acquisition 1: free, not timed
+                held.wait();
+                std::thread::sleep(std::time::Duration::from_millis(10));
+            });
+            held.wait();
+            drop(m.timed(None)); // acquisition 2: blocks
+        });
+        let st = m.stats();
+        assert_eq!((st.acquires(), st.contended()), (3, 1));
+        assert!(st.wait_ns() > 0, "a blocked acquisition waited");
+        let s = lock_snapshot(&m);
+        assert_eq!(s.lock_hold_hist.count(), 2, "acquisition 0 and the blocked one are timed");
+        assert_eq!((s.lock_wait_hist.count(), s.lock_wait_hist.buckets[0]), (3, 2));
+    }
+
+    #[test]
+    fn hold_ns_halves_sum_to_the_whole() {
+        let m = TimedMutex::new((), true);
+        let start = lock_snapshot(&m);
+        (0..100).for_each(|_| drop(m.timed(None)));
+        let mid = lock_snapshot(&m);
+        (0..100).for_each(|_| drop(m.timed(None)));
+        let end = lock_snapshot(&m);
+        let (a, b) = (mid.since(&start), end.since(&mid));
+        assert_eq!(a.lock_hold_ns + b.lock_hold_ns, end.lock_hold_ns);
+        // Acquisitions 0 and 64, then 128 and 192.
+        assert_eq!((a.lock_hold_hist.count(), b.lock_hold_hist.count()), (2, 2));
     }
 
     #[test]

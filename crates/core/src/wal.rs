@@ -19,7 +19,7 @@
 //! Consecutive slots are 32 B apart — two per cache line — so back-to-back
 //! operations from one thread reflush the same line unless slot placement
 //! is interleaved (`IM(WAL)` in Table 2), governed by
-//! [`crate::NvConfig::interleave_wal`].
+//! [`crate::NvConfig::interleave_logs`].
 
 use std::collections::BTreeMap;
 

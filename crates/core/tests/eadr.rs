@@ -23,8 +23,7 @@ fn auto_eadr_disables_interleaving() {
     let cfg = a.config();
     assert!(!cfg.interleave_bitmap);
     assert!(!cfg.interleave_tcache);
-    assert!(!cfg.interleave_wal);
-    assert!(!cfg.interleave_booklog);
+    assert!(!cfg.interleave_logs);
     // Morphing is orthogonal and stays on.
     assert!(cfg.morphing);
 }

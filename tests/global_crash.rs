@@ -21,6 +21,8 @@ use nvalloc::api::PmAllocator;
 use nvalloc::global::{self, nv_calloc, nv_free, nv_malloc, nv_realloc, nv_usable_size};
 use nvalloc::NvConfig;
 use nvalloc_pmem::{FlushKind, LatencyMode, PmError, PmemConfig, PmemPool};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -517,4 +519,110 @@ fn mismatched_directory_magic_and_version_are_rejected() {
         assert!(!global::is_initialized());
         assert!(nv_malloc(8).is_null());
     }
+}
+
+#[test]
+fn hostile_directory_root_is_rejected() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // Root 0 names an offset past the pool, an unaligned offset, and an
+    // interior word of a live block: attach must refuse it before it
+    // reads through it.
+    for case in 0..3 {
+        let _reset = Reset;
+        let pool = crash_pool();
+        global::init(Arc::clone(&pool), cfg()).unwrap();
+        let live = off_of(&pool, nv_malloc(1000));
+        let root0 = global::with_allocator(|a| a.root_offset(0)).unwrap();
+        let meta = pool.read_u64(root0);
+        global::shutdown().unwrap();
+        let bad = [u64::MAX - 7, meta + 4, live + 8][case];
+        pool.write_u64(root0, bad);
+        // SAFETY: serialized by LOCK; no pointer from before is used again.
+        unsafe { global::reset_unchecked() };
+        let err = global::init(Arc::clone(&pool), cfg()).unwrap_err();
+        assert!(matches!(err, PmError::Corrupt(_)), "root 0 := {bad:#x}: got {err:?}");
+        assert!(!global::is_initialized());
+        assert!(nv_malloc(8).is_null());
+        // The refusal wrote nothing: with root 0 mended, the same pool
+        // attaches and hands the object back.
+        pool.write_u64(root0, meta);
+        let report = global::init(Arc::clone(&pool), cfg()).unwrap();
+        assert_eq!(report.recovered, 1, "root 0 := {bad:#x}");
+    }
+}
+
+#[test]
+fn block_named_twice_is_rejected() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // A never-used pair (A == 0, B == 0) whose word A names a live,
+    // published block would read as an unpublished allocation: attach
+    // would free the block and still hand the object back.
+    let _reset = Reset;
+    let pool = crash_pool();
+    global::init(Arc::clone(&pool), cfg()).unwrap();
+    let live = off_of(&pool, nv_malloc(64));
+    let img = PmemPool::from_crash_image(pool.crash());
+    let fresh = first_page_pairs(&img).into_iter().find(|&(_, a, b)| a == 0 && b == 0);
+    let (a_off, _, _) = fresh.expect("a never-used pair on the first page");
+    img.write_u64(a_off, live);
+    // SAFETY: serialized by LOCK; no pointer from before is used again.
+    unsafe { global::reset_unchecked() };
+    let err = global::init(Arc::clone(&img), cfg()).unwrap_err();
+    assert!(matches!(err, PmError::Corrupt(_)), "got {err:?}");
+    assert!(!global::is_initialized());
+}
+
+#[test]
+fn seeded_directory_mutations_attach_or_refuse() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // A crashed shim image with live small and extent objects, freed
+    // pairs and one pair reused.
+    let (image, root0) = {
+        let _reset = Reset;
+        let pool = crash_pool();
+        global::init(Arc::clone(&pool), cfg()).unwrap();
+        let p: Vec<_> = [64, A_SIZE, B_SIZE, C_SIZE, S_SIZE, 64].map(|n| nv_malloc(n)).to_vec();
+        nv_free(p[1]);
+        nv_free(p[3]);
+        assert!(!nv_malloc(Y_SIZE).is_null());
+        let root0 = global::with_allocator(|a| a.root_offset(0)).unwrap();
+        (pool.crash(), root0)
+    };
+    // The directory's own words: root 0, the meta block, the first page
+    // (its link word and used pairs half the time, any of its words else).
+    let clean = PmemPool::from_crash_image(image.clone());
+    let meta = clean.read_u64(root0);
+    let page = clean.read_u64(meta + 16);
+    let page_words = (0..512).map(|w| page + 8 * w);
+    let used: Vec<u64> = page_words.clone().filter(|&w| clean.read_u64(w) != 0).collect();
+    let groups = [vec![root0], (0..8).map(|w| meta + 8 * w).collect(), used, page_words.collect()];
+    let size = clean.size() as u64;
+    let mut rng = SmallRng::seed_from_u64(0x5eed_0003_d1e0);
+    let (mut attached, mut refused) = (0, 0);
+    for case in 0..40 {
+        let group = &groups[rng.gen_range(0..groups.len())];
+        let off = group[rng.gen_range(0..group.len())];
+        let old = clean.read_u64(off);
+        let value = match rng.gen_range(0..7) {
+            0 => rng.gen(),
+            1 => old ^ 1 << rng.gen_range(0..64u32),
+            2 => 0,
+            3 => old.wrapping_add(4096),
+            4 => u64::MAX - 7,
+            5 => rng.gen_range(0..size),
+            _ => rng.gen_range(0..8),
+        };
+        println!("case {case}: word {off:#x} := {value:#x} (was {old:#x})");
+        let _reset = Reset;
+        let img = PmemPool::from_crash_image(image.clone());
+        img.write_u64(off, value);
+        // SAFETY: serialized by LOCK; no pointer from before is used again.
+        unsafe { global::reset_unchecked() };
+        match global::init(img, cfg()) {
+            Ok(_) => attached += 1,
+            Err(PmError::Corrupt(_)) => refused += 1,
+            Err(e) => panic!("case {case}: word {off:#x} := {value:#x}: attach failed with {e}"),
+        }
+    }
+    assert!(attached > 0 && refused > 0, "{attached} attached, {refused} refused");
 }

@@ -12,7 +12,7 @@ use nvalloc::telemetry::{
 };
 use nvalloc::trace::EventKind;
 use nvalloc::{NvAllocator, NvConfig};
-use nvalloc_pmem::{LatencyMode, PmemConfig, PmemPool};
+use nvalloc_pmem::{LatencyMode, PmemConfig, PmemPool, TraceRing, TracerHandle};
 use nvalloc_workloads::allocators::{create_custom, Which};
 use nvalloc_workloads::threadtest;
 use proptest::prelude::*;
@@ -139,17 +139,21 @@ fn lock_spans_diff_without_double_counting() {
     // Regression: two lock spans recorded around a snapshot must split
     // cleanly — the diff carries only the second span, in both the
     // totals and the wait/hold histograms, and re-merging the halves
-    // reproduces the full picture exactly once.
+    // reproduces the full picture exactly once. A tracing thread times
+    // every hold, so both spans are samples of weight 1.
     let m = TimedMutex::new((), true);
+    let mut pm = pool().register_thread();
+    let seq = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    pm.set_tracer(TracerHandle::new(Arc::new(TraceRing::new(16)), seq, 0));
     let snap = || {
         let mut s = MetricsSnapshot::default();
         m.stats().fold_into(&mut s);
         s
     };
-    drop(m.timed(None));
+    drop(m.timed(Some(&pm)));
     let before = snap();
     {
-        let _g = m.timed(None);
+        let _g = m.timed(Some(&pm));
         std::thread::sleep(std::time::Duration::from_millis(2));
     }
     let after = snap();
