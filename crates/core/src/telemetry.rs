@@ -668,262 +668,49 @@ impl TcacheClassCounters {
 /// `reservoir` gauge and the Chrome `queues` counter's `reservoir` arg.
 pub const SCHEMA_VERSION: u64 = 4;
 
-/// A point-in-time copy of the allocator's internal metrics, cheap to
-/// diff between benchmark phases with [`MetricsSnapshot::since`].
-///
-/// Allocators without internal telemetry (the baselines) return the
-/// all-zero default from [`crate::api::PmAllocator::metrics`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Tcache hits summed over classes.
-    pub tcache_hits: u64,
-    /// Tcache misses summed over classes.
-    pub tcache_misses: u64,
-    /// Tcache refills summed over classes.
-    pub tcache_refills: u64,
-    /// Tcache full-cache flushes summed over classes.
-    pub tcache_flushes: u64,
-    /// Per-class tcache counters (one entry per size class).
-    pub tcache_by_class: Vec<TcacheClassCounters>,
-    /// Sub-tcache cursor rotations.
-    pub cursor_rotations: u64,
-    /// Slabs carved from the large allocator.
-    pub slab_allocs: u64,
-    /// Fully-free slabs returned to the large allocator.
-    pub slab_retires: u64,
-    /// Slabs examined as morph candidates.
-    pub morph_candidates: u64,
-    /// Morph transforms started.
-    pub morph_started: u64,
-    /// Morph transforms completed.
-    pub morph_completed: u64,
-    /// Interrupted morphs resolved during recovery.
-    pub morph_undone: u64,
-    /// Micro-WAL entries appended.
-    pub wal_appends: u64,
-    /// WAL entries replayed during recovery.
-    pub wal_replays: u64,
-    /// Mutex acquisitions on the free path (slow frees only).
-    pub free_locks: u64,
-    /// Same-thread frees completed on the lock-free fast path.
-    pub free_fast_local: u64,
-    /// Cross-arena frees pushed onto a remote-free queue.
-    pub free_remote: u64,
-    /// Remote-free queue drain batches (non-empty drains).
-    pub remote_drain_batches: u64,
-    /// Blocks returned to slabs by remote-queue drains.
-    pub remote_drained: u64,
-    /// Foreign-arena remote queues drained opportunistically by a malloc
-    /// slow path (the drain hook; counts non-empty drains).
-    pub remote_drain_foreign: u64,
-    /// Large-shard mutex acquisitions on the large-op path (alloc, free,
-    /// and slab carve/retire; observer reads are excluded).
-    pub large_lock_acquires: u64,
-    /// Large-shard mutex acquisitions that found the lock held and had to
-    /// block. `large_lock_contended / large_lock_acquires` is the shard
-    /// contention rate.
-    pub large_lock_contended: u64,
-    /// Per-shard breakdown of [`Self::large_lock_acquires`], indexed by
-    /// shard number.
-    pub large_shard_acquires: Vec<u64>,
-    /// Per-shard breakdown of [`Self::large_lock_contended`], indexed by
-    /// shard number.
-    pub large_shard_contended: Vec<u64>,
-    /// Always 0: the per-arena slab reservoir these counted is gone.
-    /// Kept (and left out of [`Self::to_json`]) only because the
-    /// benchmark ledger still reads it for its
-    /// `arena.reservoir_hit_ratio` row; the next benchmark change
-    /// removes the row and these two fields together.
-    pub reservoir_hits: u64,
-    /// Always 0; see [`Self::reservoir_hits`].
-    pub reservoir_misses: u64,
-    /// Wall-clock nanoseconds spent waiting to acquire instrumented
-    /// mutexes (arena free/refill locks and large-shard locks for
-    /// NVAlloc; the global heap/large/WAL mutexes for the baselines).
-    /// Wall-clock, not modelled: contention is a host-scheduling effect
-    /// the virtual clocks deliberately do not see.
-    pub lock_wait_ns: u64,
-    /// Wall-clock nanoseconds instrumented mutexes were held, estimated
-    /// from the timed holds ([`LockStats::hold_ns`]).
-    pub lock_hold_ns: u64,
-    /// Histogram of per-acquisition lock wait times (wall-clock ns).
-    pub lock_wait_hist: LatencyHistogram,
-    /// Histogram of the timed lock holds (wall-clock ns, unweighted).
-    pub lock_hold_hist: LatencyHistogram,
-    /// Flight-recorder events captured (still resident in the rings).
-    pub trace_events: u64,
-    /// Flight-recorder events overwritten by drop-oldest wraparound.
-    pub trace_dropped: u64,
-    /// Bookkeeping-log entries appended (includes slow-GC copies).
-    pub booklog_appends: u64,
-    /// Bookkeeping-log tombstones appended.
-    pub booklog_tombstones: u64,
-    /// Fast-GC passes over the booklog.
-    pub booklog_fast_gc_runs: u64,
-    /// Empty chunks reaped by fast GC.
-    pub booklog_fast_gc_reaps: u64,
-    /// Slow-GC passes over the booklog.
-    pub booklog_slow_gc_runs: u64,
-    /// Live entries copied by slow GC.
-    pub booklog_slow_gc_copied: u64,
-    /// Dual-chain head flips performed by slow GC.
-    pub booklog_alt_flips: u64,
-    /// Extent allocations served by best-fit from the free lists.
-    pub extent_best_fit: u64,
-    /// Extent splits (head/tail remainders produced by carving).
-    pub extent_splits: u64,
-    /// Extent coalesces with address-adjacent reclaimed neighbours.
-    pub extent_coalesces: u64,
-    /// Decay-schedule ticks executed by the large allocator.
-    pub decay_epochs: u64,
-    /// pmsan: stores over a flushed-but-unfenced line (ordering races).
-    pub pmsan_store_unfenced: u64,
-    /// pmsan: fences issued with zero pending flushes.
-    pub pmsan_empty_fence: u64,
-    /// pmsan: flushes of lines with nothing unpersisted.
-    pub pmsan_redundant_flush: u64,
-    /// pmsan: lines still unpersisted at the shutdown audit.
-    pub pmsan_shutdown_dirty: u64,
-    /// pmsan: total persist-ordering violations (sum of the four above).
-    pub pmsan_violations: u64,
-    /// Profiler: sampled allocation events ([`crate::prof`]).
-    pub prof_samples: u64,
-    /// Profiler: provenance-sidelog records appended (ALLOC + FREE).
-    pub prof_appends: u64,
-    /// Profiler: sampled free events (FREE records for sampled objects).
-    pub prof_frees: u64,
-    /// Profiler: sidelog half compactions.
-    pub prof_compactions: u64,
-    /// Profiler: records dropped because both sidelog halves were full of
-    /// live records (coverage loss, not corruption).
-    pub prof_dropped: u64,
-    /// Op-latency histograms over the virtual PM clock.
-    pub hists: OpHistograms,
+/// How one [`MetricsSnapshot`] field diffs and writes itself. The
+/// histograms are diffed by their own `since` and written by hand.
+trait Metric {
+    /// Saturating difference `self - earlier`.
+    fn since(&self, earlier: &Self) -> Self;
+    /// Write the field into `o` under `key`.
+    fn write(&self, o: &mut json::JsonObj, key: &str);
 }
 
-impl MetricsSnapshot {
-    /// Counter-wise saturating difference `self - earlier` (for phase
-    /// measurements). Counters are monotone while an allocator is alive,
-    /// so the subtraction only saturates when snapshots from different
-    /// allocator instances are mixed; saturating keeps even that case
-    /// panic-free. Per-class entries missing from `earlier` are treated
-    /// as zero.
-    pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let zero = TcacheClassCounters::default();
-        let tcache_by_class = self
-            .tcache_by_class
-            .iter()
-            .enumerate()
-            .map(|(i, c)| c.since(earlier.tcache_by_class.get(i).unwrap_or(&zero)))
-            .collect();
-        MetricsSnapshot {
-            tcache_hits: self.tcache_hits.saturating_sub(earlier.tcache_hits),
-            tcache_misses: self.tcache_misses.saturating_sub(earlier.tcache_misses),
-            tcache_refills: self.tcache_refills.saturating_sub(earlier.tcache_refills),
-            tcache_flushes: self.tcache_flushes.saturating_sub(earlier.tcache_flushes),
-            tcache_by_class,
-            cursor_rotations: self.cursor_rotations.saturating_sub(earlier.cursor_rotations),
-            slab_allocs: self.slab_allocs.saturating_sub(earlier.slab_allocs),
-            slab_retires: self.slab_retires.saturating_sub(earlier.slab_retires),
-            morph_candidates: self.morph_candidates.saturating_sub(earlier.morph_candidates),
-            morph_started: self.morph_started.saturating_sub(earlier.morph_started),
-            morph_completed: self.morph_completed.saturating_sub(earlier.morph_completed),
-            morph_undone: self.morph_undone.saturating_sub(earlier.morph_undone),
-            wal_appends: self.wal_appends.saturating_sub(earlier.wal_appends),
-            wal_replays: self.wal_replays.saturating_sub(earlier.wal_replays),
-            free_locks: self.free_locks.saturating_sub(earlier.free_locks),
-            free_fast_local: self.free_fast_local.saturating_sub(earlier.free_fast_local),
-            free_remote: self.free_remote.saturating_sub(earlier.free_remote),
-            remote_drain_batches: self
-                .remote_drain_batches
-                .saturating_sub(earlier.remote_drain_batches),
-            remote_drained: self.remote_drained.saturating_sub(earlier.remote_drained),
-            remote_drain_foreign: self
-                .remote_drain_foreign
-                .saturating_sub(earlier.remote_drain_foreign),
-            large_lock_acquires: self
-                .large_lock_acquires
-                .saturating_sub(earlier.large_lock_acquires),
-            large_lock_contended: self
-                .large_lock_contended
-                .saturating_sub(earlier.large_lock_contended),
-            large_shard_acquires: Self::vec_since(
-                &self.large_shard_acquires,
-                &earlier.large_shard_acquires,
-            ),
-            large_shard_contended: Self::vec_since(
-                &self.large_shard_contended,
-                &earlier.large_shard_contended,
-            ),
-            reservoir_hits: 0,
-            reservoir_misses: 0,
-            lock_wait_ns: self.lock_wait_ns.saturating_sub(earlier.lock_wait_ns),
-            lock_hold_ns: self.lock_hold_ns.saturating_sub(earlier.lock_hold_ns),
-            lock_wait_hist: self.lock_wait_hist.since(&earlier.lock_wait_hist),
-            lock_hold_hist: self.lock_hold_hist.since(&earlier.lock_hold_hist),
-            trace_events: self.trace_events.saturating_sub(earlier.trace_events),
-            trace_dropped: self.trace_dropped.saturating_sub(earlier.trace_dropped),
-            booklog_appends: self.booklog_appends.saturating_sub(earlier.booklog_appends),
-            booklog_tombstones: self.booklog_tombstones.saturating_sub(earlier.booklog_tombstones),
-            booklog_fast_gc_runs: self
-                .booklog_fast_gc_runs
-                .saturating_sub(earlier.booklog_fast_gc_runs),
-            booklog_fast_gc_reaps: self
-                .booklog_fast_gc_reaps
-                .saturating_sub(earlier.booklog_fast_gc_reaps),
-            booklog_slow_gc_runs: self
-                .booklog_slow_gc_runs
-                .saturating_sub(earlier.booklog_slow_gc_runs),
-            booklog_slow_gc_copied: self
-                .booklog_slow_gc_copied
-                .saturating_sub(earlier.booklog_slow_gc_copied),
-            booklog_alt_flips: self.booklog_alt_flips.saturating_sub(earlier.booklog_alt_flips),
-            extent_best_fit: self.extent_best_fit.saturating_sub(earlier.extent_best_fit),
-            extent_splits: self.extent_splits.saturating_sub(earlier.extent_splits),
-            extent_coalesces: self.extent_coalesces.saturating_sub(earlier.extent_coalesces),
-            decay_epochs: self.decay_epochs.saturating_sub(earlier.decay_epochs),
-            pmsan_store_unfenced: self
-                .pmsan_store_unfenced
-                .saturating_sub(earlier.pmsan_store_unfenced),
-            pmsan_empty_fence: self.pmsan_empty_fence.saturating_sub(earlier.pmsan_empty_fence),
-            pmsan_redundant_flush: self
-                .pmsan_redundant_flush
-                .saturating_sub(earlier.pmsan_redundant_flush),
-            pmsan_shutdown_dirty: self
-                .pmsan_shutdown_dirty
-                .saturating_sub(earlier.pmsan_shutdown_dirty),
-            pmsan_violations: self.pmsan_violations.saturating_sub(earlier.pmsan_violations),
-            prof_samples: self.prof_samples.saturating_sub(earlier.prof_samples),
-            prof_appends: self.prof_appends.saturating_sub(earlier.prof_appends),
-            prof_frees: self.prof_frees.saturating_sub(earlier.prof_frees),
-            prof_compactions: self.prof_compactions.saturating_sub(earlier.prof_compactions),
-            prof_dropped: self.prof_dropped.saturating_sub(earlier.prof_dropped),
-            hists: self.hists.since(&earlier.hists),
-        }
+impl Metric for u64 {
+    fn since(&self, earlier: &u64) -> u64 {
+        self.saturating_sub(*earlier)
     }
 
-    /// Elementwise saturating difference of per-shard counter vectors;
-    /// entries missing from `earlier` are treated as zero (mirrors the
-    /// per-class tcache convention).
-    fn vec_since(now: &[u64], earlier: &[u64]) -> Vec<u64> {
-        now.iter()
+    fn write(&self, o: &mut json::JsonObj, key: &str) {
+        o.field_u64(key, *self);
+    }
+}
+
+/// Per-shard counters: entries missing from `earlier` count as zero.
+impl Metric for Vec<u64> {
+    fn since(&self, earlier: &Self) -> Self {
+        self.iter()
             .enumerate()
             .map(|(i, v)| v.saturating_sub(*earlier.get(i).unwrap_or(&0)))
             .collect()
     }
 
-    /// The snapshot as one JSON object (no trailing newline). Per-class
-    /// tcache counters are emitted only for classes with activity;
-    /// histograms are emitted as 64-element bucket arrays per op kind.
-    pub fn to_json(&self) -> String {
-        let mut o = json::JsonObj::new();
-        o.field_u64("schema_version", SCHEMA_VERSION);
-        o.field_u64("tcache_hits", self.tcache_hits);
-        o.field_u64("tcache_misses", self.tcache_misses);
-        o.field_u64("tcache_refills", self.tcache_refills);
-        o.field_u64("tcache_flushes", self.tcache_flushes);
+    fn write(&self, o: &mut json::JsonObj, key: &str) {
+        o.field_raw(key, &json::u64_array(self));
+    }
+}
+
+/// Per-class counters: classes missing from `earlier` count as zero,
+/// and only classes with activity are written.
+impl Metric for Vec<TcacheClassCounters> {
+    fn since(&self, earlier: &Self) -> Self {
+        let zero = TcacheClassCounters::default();
+        self.iter().enumerate().map(|(i, c)| c.since(earlier.get(i).unwrap_or(&zero))).collect()
+    }
+
+    fn write(&self, o: &mut json::JsonObj, key: &str) {
         let classes: Vec<String> = self
-            .tcache_by_class
             .iter()
             .filter(|c| c.any())
             .map(|c| {
@@ -936,51 +723,187 @@ impl MetricsSnapshot {
                 e.finish()
             })
             .collect();
-        o.field_raw("tcache_by_class", &format!("[{}]", classes.join(",")));
-        o.field_u64("cursor_rotations", self.cursor_rotations);
-        o.field_u64("slab_allocs", self.slab_allocs);
-        o.field_u64("slab_retires", self.slab_retires);
-        o.field_u64("morph_candidates", self.morph_candidates);
-        o.field_u64("morph_started", self.morph_started);
-        o.field_u64("morph_completed", self.morph_completed);
-        o.field_u64("morph_undone", self.morph_undone);
-        o.field_u64("wal_appends", self.wal_appends);
-        o.field_u64("wal_replays", self.wal_replays);
-        o.field_u64("free_locks", self.free_locks);
-        o.field_u64("free_fast_local", self.free_fast_local);
-        o.field_u64("free_remote", self.free_remote);
-        o.field_u64("remote_drain_batches", self.remote_drain_batches);
-        o.field_u64("remote_drained", self.remote_drained);
-        o.field_u64("remote_drain_foreign", self.remote_drain_foreign);
-        o.field_u64("large_lock_acquires", self.large_lock_acquires);
-        o.field_u64("large_lock_contended", self.large_lock_contended);
-        o.field_raw("large_shard_acquires", &json::u64_array(&self.large_shard_acquires));
-        o.field_raw("large_shard_contended", &json::u64_array(&self.large_shard_contended));
-        o.field_u64("lock_wait_ns", self.lock_wait_ns);
-        o.field_u64("lock_hold_ns", self.lock_hold_ns);
-        o.field_u64("trace_events", self.trace_events);
-        o.field_u64("trace_dropped", self.trace_dropped);
-        o.field_u64("booklog_appends", self.booklog_appends);
-        o.field_u64("booklog_tombstones", self.booklog_tombstones);
-        o.field_u64("booklog_fast_gc_runs", self.booklog_fast_gc_runs);
-        o.field_u64("booklog_fast_gc_reaps", self.booklog_fast_gc_reaps);
-        o.field_u64("booklog_slow_gc_runs", self.booklog_slow_gc_runs);
-        o.field_u64("booklog_slow_gc_copied", self.booklog_slow_gc_copied);
-        o.field_u64("booklog_alt_flips", self.booklog_alt_flips);
-        o.field_u64("pmsan_store_unfenced", self.pmsan_store_unfenced);
-        o.field_u64("pmsan_empty_fence", self.pmsan_empty_fence);
-        o.field_u64("pmsan_redundant_flush", self.pmsan_redundant_flush);
-        o.field_u64("pmsan_shutdown_dirty", self.pmsan_shutdown_dirty);
-        o.field_u64("pmsan_violations", self.pmsan_violations);
-        o.field_u64("prof_samples", self.prof_samples);
-        o.field_u64("prof_appends", self.prof_appends);
-        o.field_u64("prof_frees", self.prof_frees);
-        o.field_u64("prof_compactions", self.prof_compactions);
-        o.field_u64("prof_dropped", self.prof_dropped);
-        o.field_u64("extent_best_fit", self.extent_best_fit);
-        o.field_u64("extent_splits", self.extent_splits);
-        o.field_u64("extent_coalesces", self.extent_coalesces);
-        o.field_u64("decay_epochs", self.decay_epochs);
+        o.field_raw(key, &format!("[{}]", classes.join(",")));
+    }
+}
+
+/// Declares [`MetricsSnapshot`], its `since` and its `to_json` from one
+/// table of documented fields in JSON order. `to_json` writes each field
+/// under its own name after `schema_version`, except those marked
+/// `[manual]`: the histograms, which it writes under `hist` and
+/// `latency`, and the always-0 `reservoir_*` pair, which it leaves out.
+macro_rules! metrics_snapshot {
+    ($($(#[doc = $doc:literal])* $name:ident: $ty:ty $([$manual:ident])?,)*) => {
+        /// A point-in-time copy of the allocator's internal metrics, cheap to
+        /// diff between benchmark phases with [`MetricsSnapshot::since`].
+        ///
+        /// Allocators without internal telemetry (the baselines) return the
+        /// all-zero default from [`crate::api::PmAllocator::metrics`].
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct MetricsSnapshot {
+            $($(#[doc = $doc])* pub $name: $ty,)*
+        }
+
+        impl MetricsSnapshot {
+            /// Counter-wise saturating difference `self - earlier` (for phase
+            /// measurements). Counters are monotone while an allocator is alive,
+            /// so the subtraction only saturates when snapshots from different
+            /// allocator instances are mixed; saturating keeps even that case
+            /// panic-free. Per-class and per-shard entries missing from
+            /// `earlier` are treated as zero.
+            pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
+                MetricsSnapshot { $($name: self.$name.since(&earlier.$name),)* }
+            }
+
+            /// The snapshot as one JSON object (no trailing newline). Per-class
+            /// tcache counters are emitted only for classes with activity;
+            /// histograms are emitted as 64-element bucket arrays per op kind.
+            pub fn to_json(&self) -> String {
+                let mut o = json::JsonObj::new();
+                o.field_u64("schema_version", SCHEMA_VERSION);
+                $(metrics_snapshot!(@top o, self.$name, $name $(, $manual)?);)*
+                self.write_hists(&mut o);
+                o.finish()
+            }
+        }
+    };
+    (@top $o:ident, $v:expr, $name:ident) => {
+        $v.write(&mut $o, stringify!($name))
+    };
+    (@top $o:ident, $v:expr, $name:ident, manual) => {};
+}
+
+metrics_snapshot! {
+    /// Tcache hits summed over classes.
+    tcache_hits: u64,
+    /// Tcache misses summed over classes.
+    tcache_misses: u64,
+    /// Tcache refills summed over classes.
+    tcache_refills: u64,
+    /// Tcache full-cache flushes summed over classes.
+    tcache_flushes: u64,
+    /// Per-class tcache counters (one entry per size class).
+    tcache_by_class: Vec<TcacheClassCounters>,
+    /// Sub-tcache cursor rotations.
+    cursor_rotations: u64,
+    /// Slabs carved from the large allocator.
+    slab_allocs: u64,
+    /// Fully-free slabs returned to the large allocator.
+    slab_retires: u64,
+    /// Slabs examined as morph candidates.
+    morph_candidates: u64,
+    /// Morph transforms started.
+    morph_started: u64,
+    /// Morph transforms completed.
+    morph_completed: u64,
+    /// Interrupted morphs resolved during recovery.
+    morph_undone: u64,
+    /// Micro-WAL entries appended.
+    wal_appends: u64,
+    /// WAL entries replayed during recovery.
+    wal_replays: u64,
+    /// Mutex acquisitions on the free path (slow frees only).
+    free_locks: u64,
+    /// Same-thread frees completed on the lock-free fast path.
+    free_fast_local: u64,
+    /// Cross-arena frees pushed onto a remote-free queue.
+    free_remote: u64,
+    /// Remote-free queue drain batches (non-empty drains).
+    remote_drain_batches: u64,
+    /// Blocks returned to slabs by remote-queue drains.
+    remote_drained: u64,
+    /// Foreign-arena remote queues drained opportunistically by a malloc
+    /// slow path (the drain hook; counts non-empty drains).
+    remote_drain_foreign: u64,
+    /// Large-shard mutex acquisitions on the large-op path (alloc, free,
+    /// and slab carve/retire; observer reads are excluded).
+    large_lock_acquires: u64,
+    /// Large-shard mutex acquisitions that found the lock held and had to
+    /// block. `large_lock_contended / large_lock_acquires` is the shard
+    /// contention rate.
+    large_lock_contended: u64,
+    /// Per-shard breakdown of [`Self::large_lock_acquires`], indexed by
+    /// shard number.
+    large_shard_acquires: Vec<u64>,
+    /// Per-shard breakdown of [`Self::large_lock_contended`], indexed by
+    /// shard number.
+    large_shard_contended: Vec<u64>,
+    /// Always 0: the per-arena slab reservoir these counted is gone.
+    /// Kept (and left out of [`Self::to_json`]) only because the
+    /// benchmark ledger still reads it for its
+    /// `arena.reservoir_hit_ratio` row; the next benchmark change
+    /// removes the row and these two fields together.
+    reservoir_hits: u64 [manual],
+    /// Always 0; see [`Self::reservoir_hits`].
+    reservoir_misses: u64 [manual],
+    /// Wall-clock nanoseconds spent waiting to acquire instrumented
+    /// mutexes (arena free/refill locks and large-shard locks for
+    /// NVAlloc; the global heap/large/WAL mutexes for the baselines).
+    /// Wall-clock, not modelled: contention is a host-scheduling effect
+    /// the virtual clocks deliberately do not see.
+    lock_wait_ns: u64,
+    /// Wall-clock nanoseconds instrumented mutexes were held, estimated
+    /// from the timed holds ([`LockStats::hold_ns`]).
+    lock_hold_ns: u64,
+    /// Histogram of per-acquisition lock wait times (wall-clock ns).
+    lock_wait_hist: LatencyHistogram [manual],
+    /// Histogram of the timed lock holds (wall-clock ns, unweighted).
+    lock_hold_hist: LatencyHistogram [manual],
+    /// Flight-recorder events captured (still resident in the rings).
+    trace_events: u64,
+    /// Flight-recorder events overwritten by drop-oldest wraparound.
+    trace_dropped: u64,
+    /// Bookkeeping-log entries appended (includes slow-GC copies).
+    booklog_appends: u64,
+    /// Bookkeeping-log tombstones appended.
+    booklog_tombstones: u64,
+    /// Fast-GC passes over the booklog.
+    booklog_fast_gc_runs: u64,
+    /// Empty chunks reaped by fast GC.
+    booklog_fast_gc_reaps: u64,
+    /// Slow-GC passes over the booklog.
+    booklog_slow_gc_runs: u64,
+    /// Live entries copied by slow GC.
+    booklog_slow_gc_copied: u64,
+    /// Dual-chain head flips performed by slow GC.
+    booklog_alt_flips: u64,
+    /// pmsan: stores over a flushed-but-unfenced line (ordering races).
+    pmsan_store_unfenced: u64,
+    /// pmsan: fences issued with zero pending flushes.
+    pmsan_empty_fence: u64,
+    /// pmsan: flushes of lines with nothing unpersisted.
+    pmsan_redundant_flush: u64,
+    /// pmsan: lines still unpersisted at the shutdown audit.
+    pmsan_shutdown_dirty: u64,
+    /// pmsan: total persist-ordering violations (sum of the four above).
+    pmsan_violations: u64,
+    /// Profiler: sampled allocation events ([`crate::prof`]).
+    prof_samples: u64,
+    /// Profiler: provenance-sidelog records appended (ALLOC + FREE).
+    prof_appends: u64,
+    /// Profiler: sampled free events (FREE records for sampled objects).
+    prof_frees: u64,
+    /// Profiler: sidelog half compactions.
+    prof_compactions: u64,
+    /// Profiler: records dropped because both sidelog halves were full of
+    /// live records (coverage loss, not corruption).
+    prof_dropped: u64,
+    /// Extent allocations served by best-fit from the free lists.
+    extent_best_fit: u64,
+    /// Extent splits (head/tail remainders produced by carving).
+    extent_splits: u64,
+    /// Extent coalesces with address-adjacent reclaimed neighbours.
+    extent_coalesces: u64,
+    /// Decay-schedule ticks executed by the large allocator.
+    decay_epochs: u64,
+    /// Op-latency histograms over the virtual PM clock.
+    hists: OpHistograms [manual],
+}
+
+impl MetricsSnapshot {
+    /// Write the op and lock histograms as bucket arrays under `hist`,
+    /// and each op's count and quantiles under `latency`.
+    fn write_hists(&self, o: &mut json::JsonObj) {
         let mut h = json::JsonObj::new();
         for kind in OpKind::ALL {
             h.field_raw(kind.label(), &json::u64_array(&self.hists.of(kind).buckets));
@@ -1000,7 +923,6 @@ impl MetricsSnapshot {
             q.field_raw(kind.label(), &kq.finish());
         }
         o.field_raw("latency", &q.finish());
-        o.finish()
     }
 }
 
