@@ -7,15 +7,12 @@
 //! one JSON report line. Exit status 1 when violations were found.
 //!
 //! ```text
-//! nvalloc_doctor <image.heap> [--gc | --internal | --base] [--pretty] [--profile]
+//! nvalloc_doctor <image.heap> [--gc | --internal | --base] [--pretty]
 //! ```
 //!
 //! Arena and root counts are read from the pool header; the variant flag
 //! must match the configuration the pool was created with (defaults to
-//! NVAlloc-LOG, the configuration every fig binary saves). `--profile`
-//! additionally prints the per-site attribution table reconstructed from
-//! the provenance sidelogs (profiling-enabled images only; the sampling
-//! period is read from the pool header, so no rate flag is needed).
+//! NVAlloc-LOG, the configuration every fig binary saves).
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -29,18 +26,14 @@ fn main() -> ExitCode {
     let mut image: Option<String> = None;
     let mut cfg = NvConfig::log();
     let mut pretty = false;
-    let mut profile = false;
     for a in &args {
         match a.as_str() {
             "--gc" => cfg = NvConfig::gc(),
             "--internal" => cfg = NvConfig::internal(),
             "--base" => cfg = NvConfig::base(),
             "--pretty" => pretty = true,
-            "--profile" => profile = true,
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: nvalloc_doctor <image.heap> [--gc|--internal|--base] [--pretty] [--profile]"
-                );
+                eprintln!("usage: nvalloc_doctor <image.heap> [--gc|--internal|--base] [--pretty]");
                 return ExitCode::SUCCESS;
             }
             flag if flag.starts_with("--") => {
@@ -51,9 +44,7 @@ fn main() -> ExitCode {
         }
     }
     let Some(image) = image else {
-        eprintln!(
-            "usage: nvalloc_doctor <image.heap> [--gc|--internal|--base] [--pretty] [--profile]"
-        );
+        eprintln!("usage: nvalloc_doctor <image.heap> [--gc|--internal|--base] [--pretty]");
         return ExitCode::FAILURE;
     };
 
@@ -82,29 +73,6 @@ fn main() -> ExitCode {
 
     let rep = audit_pool(&pool, &cfg);
     println!("{}", rep.to_json());
-    if profile {
-        if rep.prof_sample_bytes == 0 {
-            eprintln!("profile: image was not profiled (pool header period is 0)");
-        } else {
-            for r in &rep.prof_site_table {
-                eprintln!(
-                    "PROF site {:016x}: {} object(s), {} byte(s)",
-                    r.site, r.live_objects, r.live_bytes
-                );
-            }
-            eprintln!(
-                "profile: {} record(s), {} survivor(s) across {} site(s), {} stale, \
-                 {} dropped, {} sampled live byte(s) vs {} swept",
-                rep.prof_records,
-                rep.prof_live_sampled,
-                rep.prof_sites,
-                rep.prof_stale_records,
-                rep.prof_dropped,
-                rep.prof_sampled_live_bytes,
-                rep.live_small_bytes + rep.live_large_bytes
-            );
-        }
-    }
     if pretty {
         for v in &rep.violations {
             eprintln!("VIOLATION [{}] {}", v.check, v.detail);

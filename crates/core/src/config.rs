@@ -106,12 +106,11 @@ pub struct NvConfig {
     /// Heap-profiler sampling period in bytes ([`crate::prof`]); `0`
     /// (the default) disables profiling. When non-zero, roughly one
     /// allocation per `profile_sample_bytes` allocated bytes is sampled:
-    /// its call site is captured into the volatile site table and an
-    /// attribution record is appended to the per-arena provenance
-    /// sidelog. The value is persisted in the pool header at create and
-    /// folded back at recover, so pool layout stays consistent across
-    /// attaches. Sampling uses a deterministic byte countdown (no RNG),
-    /// keeping same-seed virtual-clock runs byte-identical.
+    /// its call site is captured into the volatile site table. Nothing
+    /// is persisted, so the knob may differ between create and recover,
+    /// and a recovered profile starts empty. Sampling uses a
+    /// deterministic byte countdown (no RNG), keeping same-seed
+    /// virtual-clock runs byte-identical.
     pub profile_sample_bytes: u64,
 }
 

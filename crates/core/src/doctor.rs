@@ -22,12 +22,7 @@
 //! * WAL vs. committed state (LOG mode, crashed images only): the newest
 //!   entry per block whose destination slot committed must agree with the
 //!   authoritative bitmap / extent state;
-//! * root slots: in-bounds targets;
-//! * provenance sidelogs (profiling-enabled pools): every sampled object
-//!   surviving sidelog replay must name a live heap block of the recorded
-//!   size on a cleanly shut down, lossless image — the profiler's
-//!   re-attribution guarantee — and the sampled live-byte total must not
-//!   exceed the swept heap live bytes.
+//! * root slots: in-bounds targets.
 //!
 //! Alongside the violations the doctor reports per-class occupancy, a
 //! ten-bin slab-occupancy histogram, and heap fragmentation figures, all
@@ -90,18 +85,6 @@ pub struct ClassOccupancy {
     pub live_blocks: usize,
 }
 
-/// Per-site attribution row reconstructed from the provenance sidelogs
-/// (profiling-enabled pools only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProfSiteRow {
-    /// FNV-1a hash of the creating call site.
-    pub site: u64,
-    /// Surviving sampled objects attributed to the site.
-    pub live_objects: u64,
-    /// Bytes of those objects (granted sizes, not sample weights).
-    pub live_bytes: u64,
-}
-
 /// Result of one [`audit_pool`] run.
 #[derive(Debug, Clone, Default)]
 pub struct DoctorReport {
@@ -137,24 +120,6 @@ pub struct DoctorReport {
     pub occupancy: Vec<ClassOccupancy>,
     /// Slab counts by occupancy decile (`[0–10 %, …, 90–100 %]`).
     pub occupancy_hist: [usize; 10],
-    /// Sampling period persisted in the pool header (0 = profiling off;
-    /// the prof_* fields below are then all zero).
-    pub prof_sample_bytes: u64,
-    /// Raw provenance-sidelog records scanned across all arenas.
-    pub prof_records: usize,
-    /// Sampled objects surviving sidelog replay.
-    pub prof_live_sampled: usize,
-    /// Distinct call sites among the attributed survivors.
-    pub prof_sites: usize,
-    /// Surviving records with no matching live heap block. Expected on
-    /// crashed or overflowed images; a violation on clean lossless ones.
-    pub prof_stale_records: usize,
-    /// Records dropped by sidelog overflow (summed across arenas).
-    pub prof_dropped: u64,
-    /// Bytes of surviving sampled objects per the sidelogs.
-    pub prof_sampled_live_bytes: u64,
-    /// Per-site attribution rows (survivors matched to live blocks).
-    pub prof_site_table: Vec<ProfSiteRow>,
 }
 
 impl DoctorReport {
@@ -231,25 +196,6 @@ impl DoctorReport {
         o.field_raw("occupancy", &format!("[{}]", rows.join(",")));
         let hist: Vec<String> = self.occupancy_hist.iter().map(|n| n.to_string()).collect();
         o.field_raw("occupancy_hist", &format!("[{}]", hist.join(",")));
-        o.field_u64("prof_sample_bytes", self.prof_sample_bytes);
-        o.field_u64("prof_records", self.prof_records as u64);
-        o.field_u64("prof_live_sampled", self.prof_live_sampled as u64);
-        o.field_u64("prof_sites", self.prof_sites as u64);
-        o.field_u64("prof_stale_records", self.prof_stale_records as u64);
-        o.field_u64("prof_dropped", self.prof_dropped);
-        o.field_u64("prof_sampled_live_bytes", self.prof_sampled_live_bytes);
-        let sites: Vec<String> = self
-            .prof_site_table
-            .iter()
-            .map(|s| {
-                let mut so = JsonObj::new();
-                so.field_str("site", &format!("{:016x}", s.site));
-                so.field_u64("live_objects", s.live_objects);
-                so.field_u64("live_bytes", s.live_bytes);
-                so.finish()
-            })
-            .collect();
-        o.field_raw("prof_site_table", &format!("[{}]", sites.join(",")));
         o.finish()
     }
 }
@@ -303,36 +249,6 @@ pub fn audit_pool(pool: &PmemPool, cfg: &NvConfig) -> DoctorReport {
             viol(&mut rep, "root_bounds", format!("root {i} points outside the pool: {p:#x}"));
         }
     }
-    let prof_on = cfg.profile_sample_bytes > 0;
-    let mut survivors = BTreeMap::new();
-    if prof_on {
-        rep.prof_sample_bytes = cfg.profile_sample_bytes;
-        for a in 0..cfg.arenas {
-            let w = pool.read_u64(layout.prof_base + (a * crate::prof::PROF_LOG_BYTES) as u64);
-            if w > 1 {
-                viol(
-                    &mut rep,
-                    "prof_log_header",
-                    format!("arena {a}: sidelog active-half word is {w:#x}, not 0 or 1"),
-                );
-            }
-        }
-        let (recs, states) = crate::prof::Prof::scan_raw(pool, layout.prof_base, cfg.arenas);
-        rep.prof_records = recs.len();
-        rep.prof_dropped = states.iter().fold(0, |sum, &(_, _, d)| sum.saturating_add(d));
-        for r in &recs {
-            if r.kind != crate::prof::PROF_KIND_ALLOC && r.kind != crate::prof::PROF_KIND_FREE {
-                viol(
-                    &mut rep,
-                    "prof_record",
-                    format!("sidelog record seq {}: unknown kind {}", r.seq, r.kind),
-                );
-            }
-        }
-        survivors = crate::prof::Prof::replay(&recs);
-        rep.prof_live_sampled = survivors.len();
-    }
-
     // ----- extent inventory: recovery's reader, on a throwaway rtree -----
     let large = layout.large_config(&cfg);
     let rtree = Arc::new(RTree::new());
@@ -349,10 +265,6 @@ pub fn audit_pool(pool: &PmemPool, cfg: &NvConfig) -> DoctorReport {
     }
 
     // ----- slab audits -----
-    // With profiling on, the sweep additionally collects every live block
-    // address → granted size, the ground truth the sidelog join below
-    // re-attributes against.
-    let mut prof_live: BTreeMap<PmOffset, usize> = BTreeMap::new();
     let mut slab_map: BTreeMap<PmOffset, VSlab> = BTreeMap::new();
     let mut old_live: BTreeSet<PmOffset> = BTreeSet::new();
     let mut per_class = vec![ClassOccupancy::default(); NUM_CLASSES];
@@ -360,9 +272,6 @@ pub fn audit_pool(pool: &PmemPool, cfg: &NvConfig) -> DoctorReport {
         if !e.is_slab {
             rep.extents += 1;
             rep.live_large_bytes += e.size as u64;
-            if prof_on {
-                prof_live.insert(e.off, e.size);
-            }
             continue;
         }
         let Some(h) = SlabHeader::read(pool, e.off) else {
@@ -393,9 +302,6 @@ pub fn audit_pool(pool: &PmemPool, cfg: &NvConfig) -> DoctorReport {
         for i in set_bits(&vs.pbitmap(&geoms).read_dense(pool)) {
             if i < vs.nblocks {
                 live += 1;
-                if prof_on {
-                    prof_live.insert(vs.block_addr(i), bs);
-                }
             } else {
                 ghosts += 1;
             }
@@ -414,9 +320,6 @@ pub fn audit_pool(pool: &PmemPool, cfg: &NvConfig) -> DoctorReport {
                 let addr = e.off + (m.old_data_offset + entry.old_idx as usize * old_bs) as u64;
                 rep.live_small_bytes += old_bs as u64;
                 old_live.insert(addr);
-                if prof_on {
-                    prof_live.insert(addr, old_bs);
-                }
             }
         }
         rep.live_small_bytes += (live * bs) as u64;
@@ -470,52 +373,6 @@ pub fn audit_pool(pool: &PmemPool, cfg: &NvConfig) -> DoctorReport {
                 );
             }
         }
-    }
-
-    // ----- provenance sidelogs vs. the live sweep (profiling pools) -----
-    // Survivors naming dead blocks are expected on crash images (the
-    // ALLOC record is fenced *before* its commit) and after overflow (the
-    // matching FREE record may have been dropped). On a cleanly shut
-    // down, lossless image every survivor must name a live block of the
-    // recorded size — the re-attribution guarantee.
-    let strict = normal_shutdown && rep.prof_dropped == 0;
-    let mut sites: BTreeMap<u64, ProfSiteRow> = BTreeMap::new();
-    for (&addr, obj) in &survivors {
-        rep.prof_sampled_live_bytes += obj.size;
-        match prof_live.get(&addr) {
-            Some(&sz) if sz as u64 == obj.size => {
-                let row = sites.entry(obj.site).or_insert(ProfSiteRow {
-                    site: obj.site,
-                    live_objects: 0,
-                    live_bytes: 0,
-                });
-                row.live_objects += 1;
-                row.live_bytes += obj.size;
-            }
-            found => {
-                rep.prof_stale_records += 1;
-                let why = match found {
-                    Some(sz) => format!("sidelog size {} != heap block size {sz}", obj.size),
-                    None => "survives replay but no live block is at that address".into(),
-                };
-                if strict {
-                    let detail =
-                        format!("sampled object {addr:#x} (site {:016x}): {why}", obj.site);
-                    viol(&mut rep, "prof_attribution", detail);
-                }
-            }
-        }
-    }
-    rep.prof_sites = sites.len();
-    rep.prof_site_table = sites.into_values().collect();
-    let live_total = rep.live_small_bytes + rep.live_large_bytes;
-    let sampled_total = rep.prof_sampled_live_bytes;
-    if prof_on && strict && sampled_total > live_total {
-        viol(
-            &mut rep,
-            "prof_live_bytes",
-            format!("sidelog live bytes {sampled_total} exceed swept heap live bytes {live_total}"),
-        );
     }
 
     // Fragmentation figures (shared math with the live sampler).
@@ -736,61 +593,6 @@ mod tests {
         assert!(planted, "chunk 0 must have a free slot");
         let rep = audit_pool(&p, &cfg);
         assert!(rep.violations.iter().any(|v| v.check == "extent_span"), "{:?}", rep.violations);
-    }
-
-    /// On a cleanly shut down profiling pool every sidelog survivor must
-    /// re-attribute to a live heap block of the recorded size.
-    #[test]
-    fn profiled_pool_attributes_all_survivors() {
-        let (p, cfg) = quiesced(NvConfig::log().profiling(256));
-        let rep = audit_pool(&p, &cfg);
-        assert!(rep.clean(), "unexpected violations: {:?}", rep.violations);
-        assert_eq!(rep.prof_sample_bytes, 256);
-        assert!(rep.prof_records > 0, "workload must have appended sidelog records");
-        assert!(rep.prof_live_sampled > 0, "half the roots stay live, so survivors exist");
-        assert_eq!(rep.prof_stale_records, 0, "every survivor must match a live block");
-        assert_eq!(rep.prof_dropped, 0);
-        assert!(rep.prof_sites >= 1);
-        let attributed: u64 = rep.prof_site_table.iter().map(|r| r.live_bytes).sum();
-        assert_eq!(attributed, rep.prof_sampled_live_bytes);
-        assert!(rep.prof_sampled_live_bytes <= rep.live_small_bytes + rep.live_large_bytes);
-        let j = rep.to_json();
-        assert!(j.contains("\"prof_stale_records\":0"), "{j}");
-        assert!(j.contains("\"prof_site_table\":[{"), "{j}");
-    }
-
-    /// A sidelog record naming an address with no live block is the
-    /// attribution violation on a clean image.
-    #[test]
-    fn forged_sidelog_record_is_detected() {
-        use crate::prof::{
-            PROF_HALF_RECORDS, PROF_KIND_ALLOC, PROF_LOG_HEADER_BYTES, PROF_RECORD_BYTES,
-        };
-        let (p, cfg) = quiesced(NvConfig::log().profiling(256));
-        assert!(audit_pool(&p, &cfg).clean());
-        let layout = Layout::compute(&cfg, p.size()).unwrap();
-        // First free slot of arena 0's active half.
-        let lb = layout.prof_base;
-        let active = (p.read_u64(lb) & 1) as usize;
-        let hb = lb
-            + PROF_LOG_HEADER_BYTES as u64
-            + (active * PROF_HALF_RECORDS * PROF_RECORD_BYTES) as u64;
-        let slot = (0..PROF_HALF_RECORDS)
-            .map(|i| hb + (i * PROF_RECORD_BYTES) as u64)
-            .find(|&off| p.read_u64(off) == 0)
-            .expect("active half must have a free slot");
-        // Forge an ALLOC record naming an address that holds no live block.
-        p.write_u64(slot + 8, 0xDEAD); // site
-        p.write_u64(slot + 16, u64::MAX / 2); // seq newer than every real record
-        p.write_u64(slot + 24, (1 << 40) | 64); // one crossing, 64 bytes
-        p.write_u64(slot, (PROF_KIND_ALLOC << 56) | (layout.heap_base + 8));
-        let rep = audit_pool(&p, &cfg);
-        assert!(
-            rep.violations.iter().any(|v| v.check == "prof_attribution"),
-            "{:?}",
-            rep.violations
-        );
-        assert_eq!(rep.prof_stale_records, 1);
     }
 
     #[test]

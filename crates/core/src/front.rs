@@ -68,10 +68,6 @@ pub(crate) struct Layout {
     pub region_table_bytes: usize,
     pub booklog: PmOffset,
     pub booklog_bytes: usize,
-    /// Provenance-sidelog region ([`crate::prof`]); `prof_bytes == 0`
-    /// when profiling is off and the region collapses to nothing.
-    pub prof_base: PmOffset,
-    pub prof_bytes: usize,
     pub heap_base: PmOffset,
     pub heap_bytes: usize,
     /// Effective large-allocation shard count (power of two; clamped so
@@ -104,13 +100,7 @@ impl Layout {
             let region_table_bytes = shards * (8 + 8 * (pool_size / REGION_BYTES / shards + 2));
             let region_table = crate::align_up64(wal_end, 64);
             let booklog = crate::align_up64(region_table + region_table_bytes as u64, 64);
-            let prof_base = crate::align_up64(booklog + booklog_bytes as u64, 64);
-            let prof_bytes = if cfg.profile_sample_bytes > 0 {
-                cfg.arenas * crate::prof::PROF_LOG_BYTES
-            } else {
-                0
-            };
-            let heap_base = crate::align_up64(prof_base + prof_bytes as u64, SLAB_SIZE as u64);
+            let heap_base = crate::align_up64(booklog + booklog_bytes as u64, SLAB_SIZE as u64);
             let fits = heap_base as usize + REGION_BYTES <= pool_size;
             if shards > 1
                 && (!fits
@@ -133,8 +123,6 @@ impl Layout {
                 region_table_bytes,
                 booklog,
                 booklog_bytes,
-                prof_base,
-                prof_bytes,
                 heap_base,
                 heap_bytes: pool_size - heap_base as usize,
                 large_shards: shards,
@@ -144,7 +132,7 @@ impl Layout {
 
     /// The one reader of the pool header, shared by recovery and the
     /// doctor: the magic word, the recorded arena and root counts against
-    /// `cfg`, then the layout they imply.
+    /// `cfg`, the unused word 24, then the layout they imply.
     ///
     /// # Errors
     /// `pool_magic`, `pool_header`, or `layout` (does not fit the pool).
@@ -164,6 +152,16 @@ impl Layout {
                     format!("header {field} {got} != cfg {want}"),
                 ));
             }
+        }
+        // Word 24 is unused and zero. An image whose word 24 holds a
+        // profiling period reserved a region below its heap for the
+        // profiler, so its heap does not start where this layout puts it.
+        let word24 = pool.read_u64(24);
+        if word24 != 0 {
+            return Err(Violation::new(
+                "pool_header",
+                format!("header word 24 is {word24:#x}, not 0"),
+            ));
         }
         Layout::compute(cfg, pool.size())
             .map_err(|e| Violation::new("layout", format!("layout does not fit this pool: {e}")))
@@ -226,11 +224,6 @@ pub struct RecoveryReport {
     pub morphs_resolved: usize,
     /// Live blocks found by conservative GC (GC variant).
     pub gc_live_blocks: usize,
-    /// Provenance-sidelog records scanned during profiler replay.
-    pub prof_records: usize,
-    /// Replayed profiler records pruned because their object is dead
-    /// on-heap (crash landed between an append and its commit point).
-    pub prof_stale: usize,
 }
 
 pub(crate) struct NvInner {
@@ -271,7 +264,7 @@ pub(crate) struct Instruments {
 }
 
 impl Instruments {
-    pub(crate) fn new(cfg: &NvConfig, layout: &Layout, pool_size: usize) -> Instruments {
+    pub(crate) fn new(cfg: &NvConfig, pool_size: usize) -> Instruments {
         Instruments {
             probes: Arc::new(Probes::new(cfg.telemetry)),
             tracer: cfg.trace.then(|| Arc::new(TraceRecorder::new(cfg.trace_events_per_thread))),
@@ -279,9 +272,8 @@ impl Instruments {
             observe: (cfg.timeline_interval_ns > 0).then(|| {
                 Arc::new(TimelineSampler::new(cfg.timeline_interval_ns, cfg.timeline_capacity))
             }),
-            prof: (cfg.profile_sample_bytes > 0).then(|| {
-                Arc::new(Prof::new(cfg.profile_sample_bytes, layout.prof_base, cfg.arenas))
-            }),
+            prof: (cfg.profile_sample_bytes > 0)
+                .then(|| Arc::new(Prof::new(cfg.profile_sample_bytes))),
         }
     }
 }
@@ -481,28 +473,22 @@ impl NvAllocator {
     /// [`PmError::OutOfMemory`] if the pool is too small for the
     /// configured metadata regions plus one heap region.
     pub fn create(pool: Arc<PmemPool>, cfg: NvConfig) -> PmResult<NvAllocator> {
-        // `effective` folds the persisted sampling period from the pool
-        // header, but a *fresh* format must use the requested one, not
-        // whatever a stale image left at word 24.
-        let want_prof = cfg.profile_sample_bytes;
-        let mut cfg = Self::effective(cfg, &pool);
-        cfg.profile_sample_bytes = want_prof;
+        let cfg = Self::effective(cfg, &pool);
         let layout = Layout::compute(&cfg, pool.size())?;
         let mut t = pool.register_thread();
         let mut large_cfg = layout.large_config(&cfg);
         large_cfg.slow_gc_threshold = ((pool.size() as f64 * cfg.usage_pmem) as usize).max(4096);
 
         // Zero, durably, the metadata read before it is written: the pool
-        // header, arena flags, roots and WALs, the region table, each
-        // shard's booklog header and the sidelog region up to the heap. A
-        // booklog chunk is zeroed when it is carved, and nothing reads
-        // past the carve mark. Fresh media costs no store, flush or fence.
+        // header, arena flags, roots and WALs, the region table and each
+        // shard's booklog header. A booklog chunk is zeroed when it is
+        // carved, and nothing reads past the carve mark. Fresh media costs
+        // no store, flush or fence.
         let log_headers = ShardedLarge::shard_cfgs(&large_cfg, layout.large_shards)
             .into_iter()
             .filter(|c| c.log_bookkeeping)
             .map(|c| (c.booklog_base, c.booklog_base + LOG_HEADER_BYTES as u64));
-        let zeroed = [(0, layout.booklog), (layout.prof_base, layout.heap_base)];
-        for (start, end) in zeroed.into_iter().chain(log_headers) {
+        for (start, end) in [(0, layout.booklog)].into_iter().chain(log_headers) {
             pool.persist_zero(&mut t, start, (end - start) as usize, FlushKind::Meta);
         }
 
@@ -518,13 +504,9 @@ impl NvAllocator {
         // Pool header last (commit point of the format).
         pool.write_u64(8, cfg.arenas as u64);
         pool.write_u64(16, cfg.roots as u64);
-        pool.write_u64(24, cfg.profile_sample_bytes);
         pool.persist_u64(&mut t, 0, POOL_MAGIC, FlushKind::Meta);
 
-        // The sidelog region sits wholly below the heap (zeroed by the
-        // format pass above).
-        debug_assert!(layout.prof_base + layout.prof_bytes as u64 <= layout.heap_base);
-        let inst = Instruments::new(&cfg, &layout, pool.size());
+        let inst = Instruments::new(&cfg, pool.size());
         let heap = Heap { geoms, arenas, large, rtree, live_bytes: 0, wal_seq: 1 };
         Ok(NvInner::assemble(pool, cfg, layout, heap, inst))
     }
@@ -548,13 +530,6 @@ impl NvAllocator {
         }
         cfg.arenas = cfg.arenas.max(1);
         cfg.stripes = cfg.stripes.max(1);
-        // The sampling period is part of the pool layout (it sizes the
-        // provenance-sidelog region), so on a formatted pool the header's
-        // word is authoritative — recover and the offline doctor must see
-        // the geometry the pool was created with.
-        if pool.read_u64(0) == POOL_MAGIC {
-            cfg.profile_sample_bytes = pool.read_u64(24);
-        }
         cfg
     }
 
@@ -776,12 +751,7 @@ impl PmAllocator for NvAllocator {
         // Profiler counters live in `Prof`'s own atomics (it is config-
         // gated and lock-disciplined separately from the probes).
         if let Some(p) = &self.0.prof {
-            let [samples, appends, frees, compactions, dropped] = p.counters();
-            s.prof_samples = samples;
-            s.prof_appends = appends;
-            s.prof_frees = frees;
-            s.prof_compactions = compactions;
-            s.prof_dropped = dropped;
+            [s.prof_samples, s.prof_frees] = p.counters();
         }
         s
     }
@@ -963,10 +933,9 @@ impl ThreadState {
     }
 
     /// Profiler allocation hook: advance the byte countdown and, on a
-    /// sample crossing, record the site + append the provenance record.
-    /// Must run *before* the allocation's persistent commit (dest
-    /// install) — see [`crate::prof`] for the crash argument. One
-    /// `Option` check when profiling is off.
+    /// sample crossing, record the site. Must run *before* the
+    /// destination install, after which any thread may free the block.
+    /// One `Option` check when profiling is off.
     #[inline]
     fn prof_alloc_hook(&mut self, inner: &NvInner, addr: PmOffset, granted: usize) {
         let Some(p) = &inner.prof else { return };
@@ -974,16 +943,16 @@ impl ThreadState {
         if crossings == 0 {
             return;
         }
-        p.record_alloc(&inner.pool, &mut self.pm, self.arena.id, addr, granted, crossings);
+        p.record_alloc(addr, granted, crossings);
     }
 
-    /// Profiler free hook: append the FREE provenance record if `addr`
-    /// was sampled. Must run *after* the free's persistent commit and
-    /// *before* the block can be reused (tcache/remote push).
+    /// Profiler free hook: drop `addr`'s sample if it was sampled. Must
+    /// run *before* the block can be reused (tcache or remote push,
+    /// extent release), so a reallocation's sample follows this free.
     #[inline]
-    fn prof_free_hook(&mut self, inner: &NvInner, addr: PmOffset) {
+    fn prof_free_hook(&self, inner: &NvInner, addr: PmOffset) {
         let Some(p) = &inner.prof else { return };
-        p.record_free(&inner.pool, &mut self.pm, addr);
+        p.record_free(addr);
     }
 
     /// Append one entry to this thread's micro-WAL with a fresh sequence
@@ -1060,7 +1029,7 @@ impl ThreadState {
         } else {
             bm.write_volatile(pool, idx, true);
         }
-        // Provenance before commit: a survivor must have its record.
+        // Sample before the install publishes the block.
         self.prof_alloc_hook(inner, addr, class_size(class));
         // Install the user pointer (the commit record).
         self.write_dest(inner, dest, addr, strong);
@@ -1246,7 +1215,7 @@ impl ThreadState {
         }
         self.write_dest(inner, dest, 0, strong);
         inner.live_bytes.fetch_sub(class_size(class), Ordering::Relaxed);
-        // Provenance after the commit, before the block can be reused.
+        // Unsample before the block can be reused.
         self.prof_free_hook(inner, addr);
         if local {
             let stripe = g.bitmap.stripe_of(idx);
@@ -1289,8 +1258,8 @@ impl ThreadState {
             morph::release_old_block(pool, &mut self.pm, &mut ai, slab_off, addr)?;
             self.write_dest(inner, dest, 0, strong);
             inner.live_bytes.fetch_sub(class_size(old_class), Ordering::Relaxed);
-            // Provenance after the commit (prof is a leaf lock; holding
-            // the arena lock here is fine), before the slab can retire.
+            // Unsample before the slab can retire (prof is a leaf lock;
+            // holding the arena lock here is fine).
             self.prof_free_hook(inner, addr);
             inner.destroy_if_free(&mut self.pm, &self.probe, &mut ai, slab_off)?;
             return Ok(());
@@ -1314,7 +1283,7 @@ impl ThreadState {
         }
         self.write_dest(inner, dest, 0, strong);
         inner.live_bytes.fetch_sub(class_size(class), Ordering::Relaxed);
-        // Provenance after the commit, before the block can be reused.
+        // Unsample before the block can be reused.
         self.prof_free_hook(inner, addr);
 
         // The freed block goes to *this* thread's tcache; when the tcache
@@ -1384,9 +1353,7 @@ impl ThreadState {
             large.commit_extent(pool, &mut self.pm, veh)?;
             let actual = large.veh(veh).map(|v| v.size).unwrap_or(size);
             drop(large);
-            // Provenance before the commit: the extent record is already
-            // persisted, so the address cannot be re-granted elsewhere,
-            // and a survivor must have its record before the install.
+            // Sample before the install publishes the extent.
             self.prof_alloc_hook(inner, off, actual);
             self.write_dest(inner, dest, off, true);
             inner.live_bytes.fetch_add(actual, Ordering::Relaxed);
@@ -1418,10 +1385,9 @@ impl ThreadState {
             self.wal_append(inner, WalOp::Free, addr, dest, 0);
         }
         self.write_dest(inner, dest, 0, true);
-        // Provenance after the commit, before `free` returns the extent
-        // to the shard's free lists (prof is a leaf lock; the shard
-        // guard is still held, so the address cannot be re-granted
-        // before the FREE record is fenced).
+        // Unsample before `free` returns the extent to the shard's free
+        // lists (prof is a leaf lock; the shard guard is still held, so
+        // the address cannot be re-granted first).
         self.prof_free_hook(inner, addr);
         large.free(pool, &mut self.pm, veh)?;
         drop(large);
@@ -1738,19 +1704,9 @@ mod tests {
         assert!(l.booklog + l.booklog_bytes as u64 <= l.heap_base);
         assert_eq!(l.heap_base % crate::size_class::SLAB_SIZE as u64, 0);
         assert!(l.large_shards.is_power_of_two());
-        // Profiling off: the sidelog region collapses to nothing and the
-        // heap starts exactly where it would without the region.
-        assert_eq!(l.prof_bytes, 0);
-        assert!(l.booklog + l.booklog_bytes as u64 <= l.prof_base);
-        assert!(l.prof_base + l.prof_bytes as u64 <= l.heap_base);
-        // Profiling on: one 64 KiB sidelog per arena, between the booklog
-        // and the (still slab-aligned) heap.
+        // The profiler is volatile: turning it on moves nothing.
         let lp = Layout::compute(&cfg.clone().profiling(512 << 10), 128 << 20).unwrap();
-        assert_eq!(lp.prof_bytes, 3 * crate::prof::PROF_LOG_BYTES);
-        assert!(lp.booklog + lp.booklog_bytes as u64 <= lp.prof_base);
-        assert!(lp.prof_base + lp.prof_bytes as u64 <= lp.heap_base);
-        assert_eq!(lp.prof_base % 64, 0);
-        assert_eq!(lp.heap_base % crate::size_class::SLAB_SIZE as u64, 0);
+        assert_eq!(lp.heap_base, l.heap_base);
     }
 
     #[test]

@@ -97,10 +97,6 @@ pub mod internals {
         smootherstep, ExtentState, LargeAlloc, LargeConfig, LargeStats, RecoveredExtent, Veh,
         VehId, HUGE_MIN, PAGE, REGION_BYTES, REGION_HEADER_BYTES, VEH_LOCAL_BITS, VEH_LOCAL_MASK,
     };
-    pub use crate::prof::{
-        ProfLogHeaderRaw, ProfRecordRaw, PROF_HALF_RECORDS, PROF_LOG_BYTES, PROF_LOG_HEADER_BYTES,
-        PROF_RECORD_BYTES,
-    };
     pub use crate::rtree::{Owner, RTree};
     pub use crate::size_class::CLASS_SIZES;
     pub use crate::slab::SlabHeaderRaw;

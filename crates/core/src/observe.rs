@@ -580,7 +580,7 @@ mod tests {
         };
         let j = s.to_json();
         assert!(!j.contains('\n'));
-        assert!(j.starts_with("{\"schema_version\":4,\"sample\":3,\"ns\":4000,"));
+        assert!(j.starts_with("{\"schema_version\":5,\"sample\":3,\"ns\":4000,"));
         assert!(j.contains("\"external_frag\":0.25"));
         assert!(j.contains("\"occupancy_hist\":[0,0,0,0,0,0,0,0,0,0]"));
         assert!(j.contains("\"latency\":{\"malloc_small\":{\"count\":0"));

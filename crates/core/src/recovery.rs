@@ -51,7 +51,7 @@ pub(crate) fn recover(
     // The instrumentation exists before any repair work so the recovery
     // thread's phase transitions land in the flight record and its
     // counts in a probe of its own.
-    let inst = Instruments::new(&cfg, &layout, pool.size());
+    let inst = Instruments::new(&cfg, pool.size());
     if let Some(rec) = &inst.tracer {
         t.set_tracer(rec.register());
     }
@@ -194,20 +194,7 @@ pub(crate) fn recover(
     t.trace(EventKind::RecoveryPhase.code(), 4, report.leaks_fixed as u64);
 
     let heap = Heap { geoms, arenas, large, rtree, live_bytes, wal_seq: max_seq.saturating_add(1) };
-    let alloc = NvInner::assemble(pool, cfg, layout, heap, inst);
-    // Provenance-sidelog replay runs after the heap is authoritative:
-    // replayed records whose object did not survive (the crash landed
-    // between an append and its commit point, or a repair freed the
-    // object) are pruned against the live-object view, then each arena
-    // log is re-compacted so the persistent sidelog again holds exactly
-    // the surviving attributions.
-    if let Some(p) = &alloc.0.prof {
-        let mut pt = alloc.0.pool.register_thread();
-        let stats = p.rebuild(&alloc.0.pool, &mut pt, |a| alloc.usable_size(a));
-        report.prof_records = stats.records;
-        report.prof_stale = stats.stale;
-    }
-    Ok((alloc, report))
+    Ok((NvInner::assemble(pool, cfg, layout, heap, inst), report))
 }
 
 /// Rebuild one slab's vslab from its persistent header, rolling

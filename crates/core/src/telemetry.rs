@@ -665,8 +665,11 @@ impl TcacheClassCounters {
 /// timeline gauge, and the profile dump's `snapshots` ring with it;
 /// 4 = the slab reservoir removed, taking the metrics
 /// `reservoir_hits`/`reservoir_misses` fields, the per-arena timeline
-/// `reservoir` gauge and the Chrome `queues` counter's `reservoir` arg.
-pub const SCHEMA_VERSION: u64 = 4;
+/// `reservoir` gauge and the Chrome `queues` counter's `reservoir` arg;
+/// 5 = the profiler's persistent sidelog removed, taking the metrics
+/// `prof_appends`/`prof_compactions`/`prof_dropped` fields and the
+/// profile dump's `appends`/`compactions`/`dropped` keys.
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// How one [`MetricsSnapshot`] field diffs and writes itself. The
 /// histograms are diffed by their own `since` and written by hand.
@@ -879,15 +882,8 @@ metrics_snapshot! {
     pmsan_violations: u64,
     /// Profiler: sampled allocation events ([`crate::prof`]).
     prof_samples: u64,
-    /// Profiler: provenance-sidelog records appended (ALLOC + FREE).
-    prof_appends: u64,
-    /// Profiler: sampled free events (FREE records for sampled objects).
+    /// Profiler: frees of sampled allocations.
     prof_frees: u64,
-    /// Profiler: sidelog half compactions.
-    prof_compactions: u64,
-    /// Profiler: records dropped because both sidelog halves were full of
-    /// live records (coverage loss, not corruption).
-    prof_dropped: u64,
     /// Extent allocations served by best-fit from the free lists.
     extent_best_fit: u64,
     /// Extent splits (head/tail remainders produced by carving).

@@ -53,7 +53,6 @@ const PERSISTENCE_ALLOWLIST: &[&str] = &[
     "global.rs",
     "large.rs",
     "morph.rs",
-    "prof.rs",
     "recovery.rs",
     "slab.rs",
     "wal.rs",

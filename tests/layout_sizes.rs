@@ -10,9 +10,8 @@
 use std::mem::{align_of, offset_of, size_of};
 
 use nvalloc::internals::{
-    ChunkHeaderRaw, LogHeaderRaw, ProfLogHeaderRaw, ProfRecordRaw, SlabHeaderRaw, WalEntryRaw,
-    CHUNK_HEADER_BYTES, LOG_HEADER_BYTES, PROF_HALF_RECORDS, PROF_LOG_BYTES, PROF_LOG_HEADER_BYTES,
-    PROF_RECORD_BYTES, WAL_ENTRY_BYTES,
+    ChunkHeaderRaw, LogHeaderRaw, SlabHeaderRaw, WalEntryRaw, CHUNK_HEADER_BYTES, LOG_HEADER_BYTES,
+    WAL_ENTRY_BYTES,
 };
 
 /// WAL entry slots are 32 B — two per cache line, which is what makes the
@@ -52,41 +51,6 @@ fn booklog_chunk_header_layout() {
     assert_eq!(offset_of!(ChunkHeaderRaw, id_epoch), 0);
     assert_eq!(offset_of!(ChunkHeaderRaw, next), 8);
     assert_eq!(offset_of!(ChunkHeaderRaw, reserved), 16);
-}
-
-/// The profiler-sidelog header is one cache line; word 0 is the
-/// active-half selector (the compaction commit point, flipped with a
-/// single `persist_u64`) and word 1 the overflow-drop counter.
-#[test]
-fn prof_log_header_layout() {
-    assert_eq!(size_of::<ProfLogHeaderRaw>(), PROF_LOG_HEADER_BYTES);
-    assert_eq!(size_of::<ProfLogHeaderRaw>(), 64);
-    assert_eq!(align_of::<ProfLogHeaderRaw>(), 8);
-    assert_eq!(offset_of!(ProfLogHeaderRaw, active_half), 0);
-    assert_eq!(offset_of!(ProfLogHeaderRaw, dropped), 8);
-    assert_eq!(offset_of!(ProfLogHeaderRaw, _pad), 16);
-}
-
-/// Sidelog records are 32 B — two per cache line, so a record never
-/// straddles a line and appears in a crash image all or nothing. The
-/// `kind_addr` commit word must stay first: a record is valid iff it is
-/// non-zero.
-#[test]
-fn prof_record_layout() {
-    assert_eq!(size_of::<ProfRecordRaw>(), PROF_RECORD_BYTES);
-    assert_eq!(size_of::<ProfRecordRaw>(), 32);
-    assert_eq!(align_of::<ProfRecordRaw>(), 8);
-    assert_eq!(offset_of!(ProfRecordRaw, kind_addr), 0);
-    assert_eq!(offset_of!(ProfRecordRaw, site), 8);
-    assert_eq!(offset_of!(ProfRecordRaw, seq), 16);
-    assert_eq!(offset_of!(ProfRecordRaw, weight_size), 24);
-    // Header + two halves of whole records tile the 64 KiB sidelog.
-    assert_eq!(PROF_HALF_RECORDS, (PROF_LOG_BYTES - 64) / 64);
-    const {
-        assert!(
-            PROF_LOG_HEADER_BYTES + 2 * PROF_HALF_RECORDS * PROF_RECORD_BYTES <= PROF_LOG_BYTES
-        );
-    }
 }
 
 /// The fixed slab header is three packed words; word 0 doubles as the

@@ -62,7 +62,7 @@ fn same_seed_runs_emit_byte_identical_timelines() {
     // schema version tag leads so downstream parsers can dispatch on it
     // before reading anything else.
     for line in ja.lines() {
-        assert!(line.starts_with("{\"schema_version\":4,\"sample\":"), "bad line shape: {line}");
+        assert!(line.starts_with("{\"schema_version\":5,\"sample\":"), "bad line shape: {line}");
         assert!(line.ends_with('}'), "bad line shape: {line}");
         assert!(line.contains("\"external_frag\":") && line.contains("\"latency\":"));
     }

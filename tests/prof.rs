@@ -7,11 +7,9 @@
 //!   across random alloc/free traces (proptest);
 //! * **Determinism** — the sampler uses a byte countdown, not an RNG, so
 //!   same-seed runs on virtual-clock pools dump byte-identical profiles;
-//! * **Crash-safe attribution** — the provenance sidelog follows the
-//!   booklog flush/fence discipline, so after a crash at *any* flush
-//!   prefix and recovery, every surviving sampled object re-attributes to
-//!   its original site hash (swept under pmsan, gated by the doctor's
-//!   strict `prof_attribution` check).
+//! * **Observational** — the profiler is volatile: a profiled run leaves
+//!   the pool, its crash image, its flush statistics, its virtual clocks
+//!   and every modelled metric exactly as an unprofiled run does.
 
 use std::sync::Arc;
 
@@ -25,16 +23,6 @@ use rand::{Rng, SeedableRng};
 
 fn pool_mb(mb: usize) -> Arc<PmemPool> {
     PmemPool::new(PmemConfig::default().pool_size(mb << 20).latency_mode(LatencyMode::Off))
-}
-
-/// The sanitizer gate: `what` ran with zero persist-ordering violations.
-fn pmsan_clean(pool: &PmemPool, what: &str) {
-    assert_eq!(
-        pool.pmsan_total(),
-        0,
-        "{what} has persist-ordering violations: {}",
-        pool.pmsan_report().expect("pmsan pool").to_json()
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -135,7 +123,7 @@ fn same_seed_profiles_are_byte_identical() {
     let (j2, f2) = run();
     assert_eq!(j1, j2, "profile JSON must be byte-identical across same-seed runs");
     assert_eq!(f1, f2, "collapsed output must be byte-identical across same-seed runs");
-    assert!(j1.starts_with("{\"schema_version\":4,"), "{}", &j1[..60.min(j1.len())]);
+    assert!(j1.starts_with("{\"schema_version\":5,"), "{}", &j1[..60.min(j1.len())]);
     assert!(j1.contains("det_site_even") && j1.contains("det_site_odd"), "site labels in dump");
     assert!(f1.lines().any(|l| l.starts_with("det_site_even ")), "collapsed line per site");
 }
@@ -172,151 +160,90 @@ fn quiesce_marks_retained_sites() {
 }
 
 // ---------------------------------------------------------------------------
-// Crash-safe attribution
+// Observational
 // ---------------------------------------------------------------------------
 
-/// One deterministic profiled trace; period 1 samples *every* allocation,
-/// so the sidelogs must account for every surviving object.
-fn profiled_trace(alloc: &NvAllocator, ops: usize, seed: u64) {
-    let mut t = alloc.thread();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut occupied = [false; 128];
-    for _ in 0..ops {
-        let slot = rng.gen_range(0..128usize);
-        let root = alloc.root_offset(slot);
-        if occupied[slot] {
-            t.free_from(root).unwrap();
-            occupied[slot] = false;
-        } else {
-            let size = if rng.gen_bool(0.08) {
-                rng.gen_range(17 << 10..64 << 10)
-            } else {
-                rng.gen_range(8..2500)
-            };
-            if slot % 2 == 0 {
-                with_site("crash_site_a", || t.malloc_to(size, root)).unwrap();
-            } else {
-                with_site("crash_site_b", || t.malloc_to(size, root)).unwrap();
-            }
-            occupied[slot] = true;
-        }
-    }
+/// The metrics as JSON, with the two profiler counters and the wall-clock
+/// lock times zeroed: everything else is modelled and must not move.
+fn modelled_metrics(alloc: &NvAllocator) -> String {
+    let mut m = alloc.metrics();
+    m.prof_samples = 0;
+    m.prof_frees = 0;
+    m.lock_wait_ns = 0;
+    m.lock_hold_ns = 0;
+    m.lock_wait_hist = Default::default();
+    m.lock_hold_hist = Default::default();
+    m.to_json()
 }
 
-/// Crash after the trace, recover, exit cleanly, and run the doctor's
-/// strict attribution audit: every surviving sampled object must name a
-/// live block of the recorded size, attributed to one of the two known
-/// site hashes, and the survivor count must equal the live-root count.
-fn verify_attribution_after_crash(pool: Arc<PmemPool>) {
-    pmsan_clean(&pool, "pre-crash profiled trace");
-    let img = PmemPool::from_crash_image(pool.crash());
-    let (a2, report) = NvAllocator::recover(Arc::clone(&img), NvConfig::log()).expect("recover");
-    assert!(!report.normal_shutdown);
-    // Count live roots *after* recovery (recovery may complete in-flight
-    // frees from the WAL).
-    let live_roots = (0..128usize).filter(|&s| img.read_u64(a2.root_offset(s)) != 0).count();
-    a2.exit();
-    let rep = nvalloc::doctor::audit_pool(&img, &NvConfig::log());
-    assert!(rep.clean(), "doctor violations after recovery: {:?}", rep.violations);
-    assert_eq!(rep.prof_dropped, 0, "trace too short to overflow the sidelogs");
-    assert_eq!(rep.prof_stale_records, 0, "recovery must prune every stale record");
-    assert_eq!(
-        rep.prof_live_sampled, live_roots,
-        "period 1: every surviving object must be sidelog-attributed"
+/// Roots the workload uses; the rest stay empty for after recovery.
+const WORK_SLOTS: usize = 1000;
+
+fn observed_cfg(sample_bytes: u64) -> NvConfig {
+    NvConfig::log().arenas(2).roots(1024).profiling(sample_bytes)
+}
+
+/// One seeded workload over two handles from this OS thread: small blocks
+/// and 3 % 40 KiB extents, each freed by a randomly chosen handle, so
+/// about half the frees cross arenas. Returns the pool, the allocator and
+/// the handles' virtual clocks.
+fn observed_run(sample_bytes: u64) -> (Arc<PmemPool>, NvAllocator, [u64; 2]) {
+    let pool = PmemPool::new(
+        PmemConfig::default()
+            .pool_size(64 << 20)
+            .latency_mode(LatencyMode::Virtual)
+            .crash_tracking(true),
     );
-    let (a, b) = (site_tag("crash_site_a"), site_tag("crash_site_b"));
-    for row in &rep.prof_site_table {
-        assert!(
-            row.site == a || row.site == b,
-            "survivor attributed to unknown site {:016x}",
-            row.site
-        );
+    let alloc = NvAllocator::create(Arc::clone(&pool), observed_cfg(sample_bytes)).unwrap();
+    let mut handles = [alloc.thread(), alloc.thread()];
+    let mut rng = SmallRng::seed_from_u64(0x0B5E);
+    let mut live = [false; WORK_SLOTS];
+    for _ in 0..4000 {
+        let slot = rng.gen_range(0..WORK_SLOTS);
+        let h = &mut handles[rng.gen_range(0..2usize)];
+        let root = alloc.root_offset(slot);
+        if live[slot] {
+            h.free_from(root).unwrap();
+        } else {
+            let size = if rng.gen_bool(0.03) { 40 << 10 } else { rng.gen_range(16..1024) };
+            with_site("observed", || h.malloc_to(size, root)).unwrap();
+        }
+        live[slot] = !live[slot];
     }
-    let attributed: u64 = rep.prof_site_table.iter().map(|r| r.live_objects).sum();
-    assert_eq!(attributed as usize, live_roots);
-    pmsan_clean(&img, "recovery + exit of profiled pool");
+    let clocks = [handles[0].pm().virtual_ns(), handles[1].pm().virtual_ns()];
+    (pool, alloc, clocks)
 }
 
+/// Profiling is observational: a pool profiled every 256 bytes ends the
+/// same seeded run with the same pool words, crash image, flush
+/// statistics, virtual clocks and modelled metrics as an unprofiled one.
+/// Nothing of it survives a crash: the recovered profiler starts empty
+/// and samples the next allocations afresh.
 #[test]
-fn crash_matrix_reattributes_survivors() {
-    for ops in [1usize, 5, 20, 60, 150, 400] {
-        let pool = PmemPool::new(
-            PmemConfig::default()
-                .pool_size(96 << 20)
-                .latency_mode(LatencyMode::Off)
-                .crash_tracking(true)
-                .pmsan(true),
-        );
-        let alloc = NvAllocator::create(Arc::clone(&pool), NvConfig::log().profiling(1)).unwrap();
-        profiled_trace(&alloc, ops, 0xA110C + ops as u64);
-        verify_attribution_after_crash(pool);
-    }
-}
-
-/// Sweep the power-failure point across every few individual cache-line
-/// flushes of a profiled trace — including crashes landing *inside* a
-/// sidelog append (data words flushed, commit word not), between an
-/// append and its allocation's commit, and mid-compaction before and
-/// after the half flip. At every prefix, recovery + the doctor's strict
-/// audit must re-attribute every survivor.
-#[test]
-fn crash_swept_across_sidelog_flush_prefixes() {
-    let ops = 90;
-    let seed = 0x51DE;
-    let total = {
-        let pool = PmemPool::new(
-            PmemConfig::default()
-                .pool_size(96 << 20)
-                .latency_mode(LatencyMode::Off)
-                .crash_tracking(true)
-                .pmsan(true),
-        );
-        let alloc = NvAllocator::create(Arc::clone(&pool), NvConfig::log().profiling(1)).unwrap();
-        profiled_trace(&alloc, ops, seed);
-        pool.stats().flushes()
-    };
-    assert!(total > 300, "trace too small ({total} flushes)");
-    let step = (total / 40).max(1);
-    let mut points: Vec<u64> = (0..12).collect();
-    points.extend((12..total).step_by(step as usize));
-    for n in points {
-        let pool = PmemPool::new(
-            PmemConfig::default()
-                .pool_size(96 << 20)
-                .latency_mode(LatencyMode::Off)
-                .crash_tracking(true)
-                .pmsan(true),
-        );
-        let alloc = NvAllocator::create(Arc::clone(&pool), NvConfig::log().profiling(1)).unwrap();
-        pool.freeze_persistence_after(n);
-        profiled_trace(&alloc, ops, seed);
-        verify_attribution_after_crash(pool);
-    }
-}
-
-/// Sidelog overflow is coverage loss, never corruption: a trace long
-/// enough to fill both halves with live records drops the excess, counts
-/// it, and still audits clean (the strict attribution check stands down
-/// once records were dropped).
-#[test]
-fn sidelog_overflow_drops_and_stays_clean() {
-    let pool = pool_mb(192);
-    let alloc =
-        NvAllocator::create(Arc::clone(&pool), NvConfig::log().roots(4096).profiling(1)).unwrap();
-    let mut t = alloc.thread();
-    // More live sampled objects than one arena's sidelog can hold
-    // (2 × 1023 records), with no frees: compaction cannot reclaim.
-    for i in 0..2200usize {
-        with_site("overflow_site", || t.malloc_to(64, alloc.root_offset(i))).unwrap();
-    }
-    drop(t);
-    alloc.quiesce();
-    alloc.exit();
-    let rep = nvalloc::doctor::audit_pool(&pool, &NvConfig::log().roots(4096));
-    assert!(rep.clean(), "overflow must not corrupt anything: {:?}", rep.violations);
-    assert!(rep.prof_dropped > 0, "trace sized to overflow the sidelog");
-    assert!(rep.prof_live_sampled > 0);
+fn profiling_is_observational() {
+    let (plain, plain_alloc, plain_clocks) = observed_run(0);
+    let (profiled, alloc, clocks) = observed_run(256);
     let m = alloc.metrics();
-    assert_eq!(m.prof_dropped, rep.prof_dropped, "volatile and persistent drop counts agree");
-    assert!(m.prof_samples >= 2200);
+    assert!(m.prof_samples > 0 && m.prof_frees > 0, "the run must sample and free samples");
+    assert!(
+        plain.clean_shutdown_image().words() == profiled.clean_shutdown_image().words(),
+        "pool words differ"
+    );
+    let image = profiled.crash();
+    assert!(plain.crash().words() == image.words(), "crash images differ");
+    assert_eq!(plain.stats().snapshot(), profiled.stats().snapshot(), "flush statistics");
+    assert_eq!(plain_clocks, clocks, "virtual clocks");
+    assert_eq!(modelled_metrics(&plain_alloc), modelled_metrics(&alloc));
+
+    let (rec, _) =
+        NvAllocator::recover(PmemPool::from_crash_image(image), observed_cfg(256)).unwrap();
+    let prof = rec.profiler().expect("profiling on");
+    assert_eq!((prof.site_count(), prof.live_sampled()), (0, 0), "the profile starts empty");
+    let mut t = rec.thread();
+    for slot in WORK_SLOTS..WORK_SLOTS + 8 {
+        with_site("after_recovery", || t.malloc_to(512, rec.root_offset(slot))).unwrap();
+    }
+    assert_eq!(prof.site_count(), 1);
+    assert!(prof.live_sampled() > 0, "allocations after recovery are sampled");
+    assert!(rec.metrics().prof_samples > 0);
 }

@@ -210,8 +210,8 @@ fn measurement_json_is_parseable_shape() {
     // The embedded metrics object leads with its schema version so a
     // consumer can dispatch before reading counters, and always carries
     // the profiler counters (zero when profiling is off).
-    assert!(line.contains("{\"schema_version\":4,"), "missing schema_version in {line}");
-    for key in ["\"prof_samples\":0", "\"prof_dropped\":0"] {
+    assert!(line.contains("{\"schema_version\":5,"), "missing schema_version in {line}");
+    for key in ["\"prof_samples\":0", "\"prof_frees\":0"] {
         assert!(line.contains(key), "missing {key} in {line}");
     }
 }
